@@ -9,7 +9,6 @@ brute-force oracle over concrete actions cross-checks the predictions.
 
 from .adjoint import AnnClass, AnnIsotropy, Full3, Plane, Zero, ann_h, isotropy_on_ann
 from .catalog import (
-    CANONICAL_ONLY,
     CIRCLE,
     FULL,
     ICOSA,
@@ -68,6 +67,7 @@ from .lift import (
     cotangent_lifted_lattice,
     lift_witness_check,
     lifted_lattice,
+    pair_contribution,
 )
 from .momentum import (
     MuLattice,

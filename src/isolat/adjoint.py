@@ -37,8 +37,8 @@ from .rotation import (
     Rotation,
     Vec3,
     apply,
-    axis_angle_of,
     canon_direction,
+    line_key,
 )
 
 
@@ -96,51 +96,25 @@ def axis_line_orbits(
     Each orbit yields (representative direction, axial order k, axial
     subgroup at the representative).  The representative is the
     lexicographically largest canonical direction in the orbit.  Orbits are
-    sorted by (k, representative).
+    sorted by (k, representative).  F is a group, so one pass of F over a
+    line already sweeps out the line's whole orbit.
     """
-    line_of: dict[tuple, Vec3] = {}
-    order_on: dict[tuple, int] = {}
-    for r in F:
-        aa = axis_angle_of(r)
-        if aa is None:
-            continue
-        d = canon_direction(aa.axis)
-        key = _dir_key(d)
-        line_of.setdefault(key, d)
-        order_on[key] = order_on.get(key, 0) + 1
+    table = F.lines
     seen: set[tuple] = set()
     orbits: list[tuple[Vec3, int, FiniteRotationGroup]] = []
-    for key in line_of:
+    for key, (d, on_line) in table.items():
         if key in seen:
             continue
-        frontier = [line_of[key]]
-        members: dict[tuple, Vec3] = {key: line_of[key]}
-        seen.add(key)
-        while frontier:
-            fresh = []
-            for d in frontier:
-                for g in F:
-                    gd = canon_direction(apply(g, d))
-                    gk = _dir_key(gd)
-                    if gk not in members:
-                        members[gk] = gd
-                        seen.add(gk)
-                        fresh.append(gd)
-            frontier = fresh
+        members: dict[tuple, Vec3] = {key: d}
+        for g in F:
+            gd = canon_direction(apply(g, d))
+            members.setdefault(line_key(gd), gd)
+        seen.update(members)
         rep = max(members.values())
-        k = order_on[key] + 1
-        axial = [Rotation.identity()]
-        for r in F:
-            aa = axis_angle_of(r)
-            if aa is not None and _dir_key(canon_direction(aa.axis)) == _dir_key(rep):
-                axial.append(r)
-        orbits.append((rep, k, FiniteRotationGroup.from_elements(axial)))
+        axial = [Rotation.identity()] + [r for r, _ in table[line_key(rep)][1]]
+        orbits.append((rep, len(on_line) + 1, FiniteRotationGroup.from_elements(axial)))
     orbits.sort(key=lambda item: (item[1], item[0]))
     return orbits
-
-
-def _dir_key(d: Vec3) -> tuple:
-    return (round(d[0], 6), round(d[1], 6), round(d[2], 6))
 
 
 def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:

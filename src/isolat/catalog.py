@@ -116,24 +116,6 @@ def tag_sort_key(t: ClassTag):
     return (mo if mo is not None else 10**6 + rank, rank, t.n or 0)
 
 
-def tag_to_json(t: ClassTag) -> dict:
-    if t.n is None:
-        return {"kind": t.kind}
-    return {"kind": t.kind, "n": t.n}
-
-
-def tag_from_json(obj) -> ClassTag:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("class tag must be an object with a 'kind' field")
-    kind = obj["kind"]
-    n = obj.get("n")
-    if not isinstance(kind, str):
-        raise ValueError("tag kind must be a string")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
-        raise ValueError("tag index must be an integer")
-    return ClassTag(kind, n)
-
-
 def parse_tag(s: str) -> ClassTag:
     """Short-form parser: '1', 'C4', 'D6', 'T', 'O', 'I', 'SO2', 'O2', 'SO3'."""
     if s in ("1", "T", "O", "I", "SO2", "O2", "SO3"):
@@ -269,21 +251,10 @@ def axis_lines(F: FiniteRotationGroup) -> list[tuple[Vec3, int]]:
     Returns (canonical direction, k) pairs sorted descending by k, where k-1
     is the number of non-identity elements of F fixing the line.
     """
-    counts: dict[tuple, list] = {}
-    for r in F:
-        aa = axis_angle_of(r)
-        if aa is None:
-            continue
-        d = canon_direction(aa.axis)
-        key = tuple(round(c, 6) for c in d)
-        slot = counts.setdefault(key, [d, 0, 0])
-        slot[1] += 1
-        if aa.order is not None:
-            slot[2] = max(slot[2], aa.order)
     lines: list[tuple[Vec3, int]] = []
-    for d, count, max_order in counts.values():
-        k = count + 1
-        if max_order != k:
+    for d, members in F.lines.values():
+        k = len(members) + 1
+        if max((o for _, o in members if o is not None), default=0) != k:
             raise UnclassifiableGroup(
                 "axial subgroup is not cyclic of the expected order"
             )
@@ -647,24 +618,8 @@ def subgroup_equal(A: ConcreteSubgroup, B: ConcreteSubgroup) -> bool:
     return False
 
 
-def subgroup_order(S: ConcreteSubgroup) -> int | None:
-    if isinstance(S, FiniteSub):
-        return len(S.group)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Embeddings of a class into a concrete subgroup
-
-
-class _CanonicalOnly:
-    """Marker: the parent is all of SO(3), so one canonical position suffices."""
-
-    def __repr__(self):
-        return "CANONICAL_ONLY"
-
-
-CANONICAL_ONLY = _CanonicalOnly()
 
 
 def _axial_cyclic(axis: Vec3, n: int) -> FiniteSub:
@@ -680,26 +635,20 @@ def _flip_group(direction: Vec3) -> FiniteSub:
     )
 
 
-def _cyclic_part_about(
-    H: FiniteRotationGroup, d: Vec3, m: int
-) -> list[Rotation] | None:
-    """The order-m cyclic subgroup of H on the line d, or None if absent."""
-    els = [Rotation.identity()]
-    for r in H:
-        aa = axis_angle_of(r)
-        if aa is None or not _same_line(aa.axis, d):
-            continue
-        if aa.order is not None and m % aa.order == 0:
-            els.append(r)
+def _cyclic_part_about(members, m: int) -> list[Rotation] | None:
+    """The order-m cyclic subgroup on one line of a group's line table.
+
+    members are the line's (element, order) pairs; None if the axial
+    subgroup has no subgroup of order m.
+    """
+    els = [Rotation.identity()] + [r for r, o in members if o is not None and m % o == 0]
     return els if len(els) == m else None
 
 
 def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]:
     out = []
-    for d, k in axis_lines(H):
-        if k % m != 0:
-            continue
-        els = _cyclic_part_about(H, d, m)
+    for _, members in H.lines.values():
+        els = _cyclic_part_about(members, m)
         if els is not None:
             out.append(FiniteSub(FiniteRotationGroup.from_elements(els)))
     return out
@@ -736,20 +685,17 @@ def _finite_dihedral_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSu
             if all(H.contains(r) for r in K):
                 out.append(FiniteSub(K))
         return _dedupe_finite(out)
-    for d, k in axis_lines(H):
-        if k % m != 0:
-            continue
-        axial = _cyclic_part_about(H, d, m)
+    for d, members in H.lines.values():
+        axial = _cyclic_part_about(members, m)
         if axial is None:
             continue
         flips: list[tuple[float, Rotation]] = []
         u, v = perp_frame(d)
-        for r in H:
-            aa = axis_angle_of(r)
-            if aa is None or aa.order != 2 or not _perp(aa.axis, d):
+        for fd, on_line in H.lines.values():
+            if not _perp(fd, d):
                 continue
-            phase = math.atan2(dot(aa.axis, v), dot(aa.axis, u)) % math.pi
-            flips.append((phase, r))
+            phase = math.atan2(dot(fd, v), dot(fd, u)) % math.pi
+            flips += [(phase, r) for r, o in on_line if o == 2]
         if len(flips) < m or len(flips) % m != 0:
             continue
         # flip phases sit on a lattice of spacing pi/len(flips); two flips
@@ -790,9 +736,9 @@ def _dedupe_finite(subs: list[FiniteSub]) -> list[FiniteSub]:
 def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
     """Subgroups of H2 lying in class t, listed position by position.
 
-    Returns CANONICAL_ONLY when H2 is all of SO(3) (every position is
-    conjugate inside H2, so the canonical representative stands for all of
-    them), otherwise a deterministic list of concrete subgroups of H2.
+    Returns a deterministic list of concrete subgroups of H2.  When H2 is
+    all of SO(3) every position is conjugate inside H2, so the list is just
+    the canonical representative of t.
 
     Why ranging over these positions is enough when intersecting against a
     fixed family: both the embedding set of t in H2 and the isotropy
@@ -807,7 +753,7 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
     if not is_subconjugate(t, h2):
         raise NotSubconjugate(f"{t.short()} is not subconjugate to {h2.short()}")
     if isinstance(H2, FullSub):
-        return CANONICAL_ONLY
+        return [canonical_rep(t)]
     if t.kind == "1":
         return [trivial_group()]
     if isinstance(H2, CircleSub):

@@ -48,7 +48,7 @@ from .catalog import (
     parse_tag,
     tag_sort_key,
 )
-from .errors import IsolatError, SchemaError, ValidationError
+from .errors import GroupTooLarge, IsolatError, SchemaError, ValidationError
 from .lift import (
     AMBIENT_CIRCLE,
     AMBIENT_SO3,
@@ -70,7 +70,14 @@ from .oracle import (
     make_action,
 )
 from .poset import IsotropyLattice, build_lattice
-from .rotation import Rotation, close_group, rotation_from_json, rotation_to_json, round12
+from .rotation import (
+    Rotation,
+    close_group,
+    is_finite_number,
+    rotation_from_json,
+    rotation_to_json,
+    round12,
+)
 
 _USAGE = """usage: isolat COMMAND ...
 
@@ -146,7 +153,10 @@ def parse_spec(text: str) -> ProblemSpec:
             except ValueError as e:
                 raise SchemaError(str(e), f"group.generators[{i}]") from None
         generators = tuple(gens)
-        ambient: AmbientGroup = FiniteAmbient(close_group(generators))
+        try:
+            ambient: AmbientGroup = FiniteAmbient(close_group(generators))
+        except GroupTooLarge as e:
+            raise GroupTooLarge(str(e), "group.generators") from None
     elif kind == "circle":
         ambient = AMBIENT_CIRCLE
     else:
@@ -367,17 +377,15 @@ def _parse_mu(raw: str):
         mu = json.loads(raw)
     except json.JSONDecodeError:
         raise ValidationError(
-            "mu must be a JSON number or a list of three numbers", "mu"
+            "mu must be a finite JSON number or a list of three finite numbers", "mu"
         ) from None
-    if isinstance(mu, (int, float)) and not isinstance(mu, bool):
+    if is_finite_number(mu):
         return mu
-    if (
-        isinstance(mu, list)
-        and len(mu) == 3
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in mu)
-    ):
+    if isinstance(mu, list) and len(mu) == 3 and all(is_finite_number(c) for c in mu):
         return tuple(float(c) for c in mu)
-    raise ValidationError("mu must be a JSON number or a list of three numbers", "mu")
+    raise ValidationError(
+        "mu must be a finite JSON number or a list of three finite numbers", "mu"
+    )
 
 
 def _cmd_mu(argv) -> int:
@@ -594,3 +602,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

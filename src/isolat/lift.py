@@ -4,7 +4,10 @@ Given the isotropy lattice of a proper action of G on M, the lattice of the
 lifted action on TM consists exactly of the classes (H1 meet K) where
 (H1) <= (H2) runs over ordered pairs of base classes and (K) runs over the
 isotropy classes of H2 acting on the annihilator of its own algebra.  The
-cotangent lift realizes the same lattice.
+cotangent lift realizes the same lattice.  pair_contribution computes what
+one pair (h1, h2) adds, with a witness per class; lifted_lattice is the
+union over all pairs, and relative equilibria (momentum.py) are the
+diagonal pairs h1 = h2 of the same function.
 
 A finite ambient group has zero Lie algebra, so every annihilator is the
 zero space; the circle is abelian, so stabilizers act trivially on their
@@ -19,12 +22,12 @@ from dataclasses import dataclass
 
 from .adjoint import isotropy_on_ann
 from .catalog import (
-    CANONICAL_ONLY,
     FULL,
     ClassTag,
     ConcreteSubgroup,
-    FullSub,
     canonical_rep,
+    classify_finite,
+    embeddings_of_class_in,
     g_class_of,
     intersect,
     is_subconjugate,
@@ -64,8 +67,6 @@ def ambient_class(G: AmbientGroup) -> ClassTag:
         return FULL
     if isinstance(G, CircleAmbient):
         return ClassTag("SO2")
-    from .catalog import classify_finite
-
     return classify_finite(G.group)
 
 
@@ -116,41 +117,33 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
     h2_order = sorted(base.classes, key=lambda t: (depths[t], tag_sort_key(t)))
     found: dict[ClassTag, LiftWitness] = {}
     for h2 in h2_order:
-        H2 = canonical_rep(h2)
-        if isinstance(H2, FullSub):
-            # the annihilator is the zero subspace, so every base pair under
-            # SO(3) contributes its own class unchanged
-            for h1 in base.classes:
-                if not is_subconjugate(h1, h2):
-                    continue
-                found.setdefault(
-                    h1, LiftWitness(h1, h1, h2, FULL, canonical_rep(h1), FullSub())
-                )
-            continue
-        ann = isotropy_on_ann(H2)
         for h1 in base.classes:
-            if not is_subconjugate(h1, h2):
-                continue
-            embeddings = embeddings_list(h1, H2)
-            for E in embeddings:
-                for entry in ann.classes:
-                    L = intersect(E, entry.representative)
-                    t = g_class_of(L)
-                    found.setdefault(
-                        t, LiftWitness(t, h1, h2, entry.label, E, entry.representative)
-                    )
+            if is_subconjugate(h1, h2):
+                for w in pair_contribution(h1, h2):
+                    found.setdefault(w.lifted_class, w)
     lifted = build_lattice(found.keys())
     witnesses = tuple(found[t] for t in lifted.classes)
     return LiftResult(lifted, witnesses)
 
 
-def embeddings_list(h1: ClassTag, H2: ConcreteSubgroup) -> list[ConcreteSubgroup]:
-    from .catalog import embeddings_of_class_in
+def pair_contribution(h1: ClassTag, h2: ClassTag) -> list[LiftWitness]:
+    """Classes (E meet K) contributed by one base pair (h1) <= (h2).
 
-    embs = embeddings_of_class_in(h1, H2)
-    if embs is CANONICAL_ONLY:
-        return [canonical_rep(h1)]
-    return embs
+    E runs over the positions of h1 inside the canonical h2 representative
+    and K over the isotropy classes of that representative on the
+    annihilator of its algebra.  Returns one witness per class, in the order
+    the classes are first found.  Under SO(3) itself the annihilator is the
+    zero subspace, so the pair contributes h1 unchanged.
+    """
+    H2 = canonical_rep(h2)
+    ann = isotropy_on_ann(H2)
+    found: dict[ClassTag, LiftWitness] = {}
+    for E in embeddings_of_class_in(h1, H2):
+        for entry in ann.classes:
+            t = g_class_of(intersect(E, entry.representative))
+            if t not in found:
+                found[t] = LiftWitness(t, h1, h2, entry.label, E, entry.representative)
+    return list(found.values())
 
 
 def cotangent_lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:

@@ -9,29 +9,22 @@ it is wrapped in MuLattice rather than returned bare.
 
 The isotropy classes of relative equilibria are the classes (H meet K) with
 (H) a base class and (K) a linear isotropy class of H on the annihilator of
-its own algebra, i.e. the single-pair slice of the lift construction.
+its own algebra, i.e. the diagonal slice h1 = h2 of the lift construction:
+the union of lift.pair_contribution(h, h) over the base classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjoint import isotropy_on_ann
-from .catalog import (
-    ClassTag,
-    FullSub,
-    canonical_rep,
-    g_class_of,
-    intersect,
-    tag_sort_key,
-)
+from .catalog import ClassTag
 from .errors import NotTotallyIsotropic
 from .lift import (
     AmbientGroup,
     CircleAmbient,
     FiniteAmbient,
     _validate_realizable,
-    embeddings_list,
+    pair_contribution,
 )
 from .poset import IsotropyLattice, build_lattice, up_set
 from .rotation import TOLERANCE, Vec3
@@ -126,20 +119,13 @@ def relative_equilibria_lattice(G: AmbientGroup, base: IsotropyLattice) -> Isotr
 
     Every base class (H) contributes the classes of H meet K for each linear
     isotropy class K of H on the annihilator of its algebra, at every
-    relative position; the union over base classes is ordered by
+    relative position: the diagonal pairs (H) <= (H) of the lift rule, so
+    the union of pair_contribution(h, h) over base classes, ordered by
     subconjugation.
     """
     _validate_realizable(G, base.classes)
     if isinstance(G, (FiniteAmbient, CircleAmbient)):
         return build_lattice(base.classes)
-    found: set[ClassTag] = set()
-    for h in sorted(base.classes, key=tag_sort_key):
-        H = canonical_rep(h)
-        if isinstance(H, FullSub):
-            found.add(h)
-            continue
-        ann = isotropy_on_ann(H)
-        for E in embeddings_list(h, H):
-            for entry in ann.classes:
-                found.add(g_class_of(intersect(E, entry.representative)))
-    return build_lattice(found)
+    return build_lattice(
+        {w.lifted_class for h in base.classes for w in pair_contribution(h, h)}
+    )

@@ -29,6 +29,7 @@ from .catalog import (
     ConcreteSubgroup,
     FiniteSub,
     FullSub,
+    axis_lines,
     canonical_rep,
     g_class_of,
     parse_tag,
@@ -184,8 +185,6 @@ def default_plan(action: ConcreteAction, rng_seed: int = 0, n_random: int = 1000
         ]
     else:
         F = _finite_group(action)
-        from .catalog import axis_lines
-
         lines = axis_lines(F)
         on_sphere = action.kind == "finite_s2"
         if not on_sphere:

@@ -28,9 +28,9 @@ TOLERANCE = float(os.environ.get("ISOLAT_TOLERANCE", "1e-9"))
 CLOSURE_CAP = 240
 ORDER_CAP = 240
 
-# Digits kept by the rounded-coordinate lookup used to dedupe group elements.
-# Catalog groups keep pairwise quaternion distances far above 1e-6, so a
-# bucket probe followed by eq() confirmation is exact in practice.
+# Digits kept by the rounded-coordinate lookups that dedupe group elements and
+# axis lines.  Catalog groups keep pairwise quaternion distances far above
+# 1e-6, so a bucket probe followed by eq() confirmation is exact in practice.
 _KEY_DIGITS = 6
 
 
@@ -55,14 +55,6 @@ def norm(v: Vec3) -> float:
     return math.sqrt(dot(v, v))
 
 
-def scale(v: Vec3, s: float) -> Vec3:
-    return (v[0] * s, v[1] * s, v[2] * s)
-
-
-def vadd(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def vsub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
@@ -83,6 +75,11 @@ def canon_direction(v: Vec3) -> Vec3:
         if c < -TOLERANCE:
             return (-u[0], -u[1], -u[2])
     return u
+
+
+def line_key(d: Vec3) -> tuple[float, float, float]:
+    """Rounded lookup key of a canonical direction, shared by all axis lines."""
+    return tuple(round(c, _KEY_DIGITS) for c in d)
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,24 @@ class FiniteRotationGroup:
 
     @cached_property
     def key_set(self) -> frozenset:
-        return frozenset(r.key() for r in self.elements)
+        return frozenset(self._buckets)
+
+    @cached_property
+    def lines(self) -> dict[tuple, tuple[Vec3, list[tuple[Rotation, int | None]]]]:
+        """Rotation-axis lines of the group, from one scan of its elements.
+
+        Maps each line's line_key to its canonical direction (as found on the
+        first element about it) and to the non-identity elements on the line
+        with their orders, both in element order.
+        """
+        table: dict[tuple, tuple[Vec3, list[tuple[Rotation, int | None]]]] = {}
+        for r in self.elements:
+            aa = axis_angle_of(r)
+            if aa is None:
+                continue
+            d = canon_direction(aa.axis)
+            table.setdefault(line_key(d), (d, []))[1].append((r, aa.order))
+        return table
 
     def contains(self, r: Rotation) -> bool:
         hits = self._buckets.get(r.key())
@@ -337,6 +351,14 @@ def rotation_to_json(r: Rotation) -> dict:
     }
 
 
+def is_finite_number(c) -> bool:
+    """A JSON number that converts to a finite float (no NaN, inf or overflow)."""
+    try:
+        return isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+    except OverflowError:
+        return False
+
+
 def rotation_from_json(obj) -> Rotation:
     if not isinstance(obj, dict):
         raise ValueError("rotation record must be an object")
@@ -345,11 +367,11 @@ def rotation_from_json(obj) -> Rotation:
     if (
         not isinstance(axis, (list, tuple))
         or len(axis) != 3
-        or not all(isinstance(c, (int, float)) for c in axis)
+        or not all(is_finite_number(c) for c in axis)
     ):
-        raise ValueError("axis must be a list of three numbers")
-    if not isinstance(angle, (int, float)):
-        raise ValueError("angle_deg must be a number")
+        raise ValueError("axis must be a list of three finite numbers")
+    if not is_finite_number(angle):
+        raise ValueError("angle_deg must be a finite number")
     a = math.radians(float(angle))
     if abs(a) <= TOLERANCE:
         return Rotation.identity()

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from isolat.catalog import (
-    CANONICAL_ONLY,
     CIRCLE,
     FULL,
     ICOSA,
@@ -348,7 +347,7 @@ def test_subgroup_equal_ignores_orth_phase():
 
 
 def test_embeddings_in_full_are_canonical_only():
-    assert embeddings_of_class_in(TETRA, FullSub()) is CANONICAL_ONLY
+    assert embeddings_of_class_in(TETRA, FullSub()) == [canonical_rep(TETRA)]
 
 
 def test_embeddings_precondition():

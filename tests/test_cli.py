@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +14,7 @@ from isolat.cli import (
     parse_spec,
     run_command,
 )
-from isolat.errors import SchemaError, ValidationError
+from isolat.errors import GroupTooLarge, SchemaError, ValidationError
 from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient
 from isolat.catalog import parse_tag
 from isolat.poset import build_lattice
@@ -37,6 +42,10 @@ TETRA_SPEC = {
     },
     "base_lattice": ["1", "C2", "C3", "T"],
 }
+
+
+def finite_spec(*generators):
+    return {"group": {"kind": "finite", "generators": list(generators)}, "base_lattice": ["1"]}
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +122,11 @@ def test_parse_spec_with_order_and_action():
             "order[0]",
         ),
         ({"group": {"kind": "SO3"}, "base_lattice": ["SO3"], "action": 4}, "action"),
+        (finite_spec({"axis": [math.nan, 0, 1], "angle_deg": 90}), "group.generators[0]"),
+        (finite_spec({"axis": [0, math.inf, 1], "angle_deg": 90}), "group.generators[0]"),
+        (finite_spec({"axis": [0, 0, 1], "angle_deg": math.nan}), "group.generators[0]"),
+        (finite_spec({"axis": [0, 0, 1], "angle_deg": -math.inf}), "group.generators[0]"),
+        (finite_spec({"axis": [10**400, 0, 1], "angle_deg": 90}), "group.generators[0]"),
     ],
 )
 def test_schema_errors(doc, path):
@@ -162,6 +176,13 @@ def test_validation_errors(doc, path):
     with pytest.raises(ValidationError) as e:
         parse_spec(spec_text(doc))
     assert e.value.path == path
+
+
+def test_oversized_closure_names_the_generators():
+    doc = finite_spec({"axis": [0, 0, 1], "angle_deg": 1})
+    with pytest.raises(GroupTooLarge) as e:
+        parse_spec(spec_text(doc))
+    assert e.value.path == "group.generators"
 
 
 def test_order_must_be_complete():
@@ -314,6 +335,27 @@ def test_mu_rejects_malformed_value(tmp_path, capsys):
     assert json.loads(err)["error"]["path"] == "mu"
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["NaN", "Infinity", "[0, NaN, 0]", "1" + "0" * 400],
+    ids=["nan", "inf", "nan-component", "overflowing-int"],
+)
+def test_mu_rejects_non_finite_value(tmp_path, capsys, value):
+    path = write_spec(tmp_path, CIRCLE_SPEC)
+    code, out, err = run(capsys, "mu", path, "--mu", value)
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "validation" and rec["path"] == "mu"
+
+
+def test_lift_oversized_closure_record(tmp_path, capsys):
+    path = write_spec(tmp_path, finite_spec({"axis": [0, 0, 1], "angle_deg": 1}))
+    code, out, err = run(capsys, "lift", path)
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "group-too-large" and rec["path"] == "group.generators"
+
+
 def test_requilibria_command(tmp_path, capsys):
     path = write_spec(tmp_path, SO3_SPEC)
     code, out, _ = run(capsys, "requilibria", path)
@@ -422,3 +464,20 @@ def test_argparse_failures_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "mu", write_spec(tmp_path, SO3_SPEC))
     assert code == 2  # --mu is required
+
+
+def test_module_entry_point_prints_catalog(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "isolat.cli", "catalog"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, expected, _ = run(capsys, "catalog")
+    assert proc.stdout == expected
+    assert json.loads(proc.stdout)["classes"][0] == "1"
