@@ -475,49 +475,89 @@ def _subgroup_sort_key(F: FiniteRotationGroup):
     )
 
 
+def _cayley_table(F: FiniteRotationGroup) -> list[list[int]]:
+    """mult[i][j] is the index of compose(F.elements[i], F.elements[j])."""
+    mult = []
+    for a in F:
+        row = []
+        for b in F:
+            k = F.index_of(compose(a, b))
+            if k is None:
+                raise UnclassifiableGroup("a product escaped the parent group")
+            row.append(k)
+        mult.append(row)
+    return mult
+
+
 @lru_cache(maxsize=None)
 def _subgroups_cached(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
-    found: dict[frozenset, FiniteRotationGroup] = {}
-    gens_of: dict[frozenset, tuple[Rotation, ...]] = {}
+    """Cyclic closures of F's elements, then pairwise joins to a fixpoint.
 
-    triv = FiniteRotationGroup.from_elements([])
-    found[triv.key_set] = triv
-    gens_of[triv.key_set] = ()
+    A subgroup is tracked as an int bitmask over the indices of F.elements
+    and by the element indices that generate it.  A join's mask is the
+    closure of its generator indices over F's Cayley table; a mask already
+    found is skipped, so close_group runs once per new subgroup.  The stored
+    group is still close_group's own result (whose floats decide the sort),
+    and it must have exactly the mask's elements.
+    """
+    elements = F.elements
+    mult = _cayley_table(F)
+    ident = F.index_of(Rotation.identity())
 
-    for r in F:
+    def closure(gens: tuple[int, ...]) -> int:
+        mask, stack, uniq = 1 << ident, [ident], set(gens)
+        while stack:
+            i = stack.pop()
+            for g in uniq:
+                k = mult[g][i]
+                if not mask >> k & 1:
+                    mask |= 1 << k
+                    stack.append(k)
+        return mask
+
+    def checked(S: FiniteRotationGroup, mask: int) -> FiniteRotationGroup:
+        keys = frozenset(elements[i].key() for i in range(len(F)) if mask >> i & 1)
+        if S.key_set != keys:
+            raise UnclassifiableGroup("closure disagrees with the parent's Cayley table")
+        return S
+
+    found: dict[int, FiniteRotationGroup] = {1 << ident: FiniteRotationGroup.from_elements([])}
+    gens_of: dict[int, tuple[int, ...]] = {1 << ident: ()}
+
+    for i, r in enumerate(elements):
         if r.is_identity():
             continue
-        C = _cyclic_closure(r)
-        if C.key_set not in found:
-            found[C.key_set] = C
-            gens_of[C.key_set] = (r,)
+        mask = closure((i,))
+        if mask not in found:
+            found[mask] = checked(_cyclic_closure(r), mask)
+            gens_of[mask] = (i,)
 
     # Pairwise joins to a fixpoint.  Joins stay inside F, so the closure cap
     # is |F|; a larger join means the inputs were not subgroups of F.
-    done: set[frozenset] = set()
+    done: set[tuple[int, int]] = set()
     while True:
         items = sorted(
-            found.values(), key=lambda S: (len(S), tuple(sorted(S.key_set)))
+            found, key=lambda m: (len(found[m]), tuple(sorted(found[m].key_set)))
         )
         progress = False
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                A, B = items[i], items[j]
-                pair_key = frozenset((A.key_set, B.key_set))
-                if pair_key in done:
+                a, b = items[i], items[j]
+                if (a, b) in done:
                     continue
-                done.add(pair_key)
-                if A.key_set <= B.key_set or B.key_set <= A.key_set:
+                done.add((a, b))
+                if (a & b) in (a, b):  # one contains the other
                     continue
-                J = close_group(
-                    gens_of[A.key_set] + gens_of[B.key_set], cap=len(F) + 1
-                )
+                gens = gens_of[a] + gens_of[b]
+                mask = closure(gens)
+                if mask in found:
+                    continue
+                J = close_group([elements[k] for k in gens], cap=len(F) + 1)
                 if len(J) > len(F):
                     raise UnclassifiableGroup("join escaped the parent group")
-                if J.key_set not in found:
-                    found[J.key_set] = J
-                    gens_of[J.key_set] = gens_of[A.key_set] + gens_of[B.key_set]
-                    progress = True
+                found[mask] = checked(J, mask)
+                gens_of[mask] = gens
+                progress = True
         if not progress:
             break
 
@@ -528,7 +568,8 @@ def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
     """All subgroups of F, deterministically ordered.
 
     Every subgroup is generated by its cyclic subgroups, so closing the set
-    of cyclic closures under pairwise join is exhaustive.
+    of cyclic closures under pairwise join is exhaustive.  The joins run on
+    F's Cayley table as bitmasks (see _subgroups_cached).
     """
     if len(F) > SUBGROUPS_ORDER_CAP:
         raise ValueError(

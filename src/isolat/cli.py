@@ -71,6 +71,7 @@ from .oracle import (
 )
 from .poset import IsotropyLattice, build_lattice
 from .rotation import (
+    TOLERANCE_ERROR,
     Rotation,
     close_group,
     is_finite_number,
@@ -588,6 +589,8 @@ def run_command(argv) -> int:
         print(_USAGE, file=sys.stderr)
         return 1
     try:
+        if TOLERANCE_ERROR is not None:
+            raise TOLERANCE_ERROR
         return handler(argv[1:])
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 0

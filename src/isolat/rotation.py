@@ -7,7 +7,9 @@ every operation is a pure function, so values can be shared freely across
 threads.
 
 The tolerance tau defaults to 1e-9 and can be overridden through the
-ISOLAT_TOLERANCE environment variable (expert use only).
+ISOLAT_TOLERANCE environment variable (expert use only).  A value that is not
+a finite positive float leaves tau at 1e-9 and is kept in TOLERANCE_ERROR,
+which the CLI reports as a validation error before running any command.
 """
 
 from __future__ import annotations
@@ -17,11 +19,26 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GroupTooLarge
+from .errors import GroupTooLarge, ValidationError
 
 Vec3 = tuple[float, float, float]
 
-TOLERANCE = float(os.environ.get("ISOLAT_TOLERANCE", "1e-9"))
+
+def _tolerance_from_env() -> tuple[float, ValidationError | None]:
+    raw = os.environ.get("ISOLAT_TOLERANCE")
+    if raw is None:
+        return 1e-9, None
+    try:
+        tau = float(raw)
+    except ValueError:
+        tau = math.nan
+    if not (math.isfinite(tau) and tau > 0.0):
+        msg = f"ISOLAT_TOLERANCE must be a finite positive number, got {raw!r}"
+        return 1e-9, ValidationError(msg, "ISOLAT_TOLERANCE")
+    return tau, None
+
+
+TOLERANCE, TOLERANCE_ERROR = _tolerance_from_env()
 
 # Cap on multiplicative closures.  The largest catalog group that has to fit
 # is Dihedral(100) with 200 elements.
@@ -279,11 +296,15 @@ class FiniteRotationGroup:
             table.setdefault(line_key(d), (d, []))[1].append((r, aa.order))
         return table
 
+    def index_of(self, r: Rotation) -> int | None:
+        """Position of r in elements, or None when r is not in the group."""
+        for i in self._buckets.get(r.key(), ()):
+            if eq(self.elements[i], r):
+                return i
+        return None
+
     def contains(self, r: Rotation) -> bool:
-        hits = self._buckets.get(r.key())
-        if not hits:
-            return False
-        return any(eq(self.elements[i], r) for i in hits)
+        return self.index_of(r) is not None
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import random
 
@@ -189,6 +190,53 @@ def test_subgroups_are_subgroups():
 def test_subgroups_order_cap():
     with pytest.raises(ValueError):
         subgroups_of(canonical_rep(dihedral(100)).group)
+
+
+def test_subgroups_of_a_non_group_is_unclassifiable():
+    quarter = Rotation.from_axis_angle((0.0, 0.0, 1.0), math.pi / 2)
+    with pytest.raises(UnclassifiableGroup):
+        subgroups_of(FiniteRotationGroup.from_elements([quarter]))
+
+
+# sha256 over repr((w, x, y, z)) of every element of every subgroup, in
+# subgroups_of order, recorded from the pairwise-join code before it ran on
+# the Cayley table: same groups, same float bits, same order.
+SUBGROUP_DIGESTS = {
+    "T": "9cd0b360323443d326e3995416521a0226a152909342bee5500e960a47720128",
+    "O": "2996dad20bfea7e3f1264e177872513752f13023808c9c9568d60a2cc4db9852",
+    "I": "961688f7543d3a2000c93436faaf4a3d02e84d51d50fedd53063a4becdda2f0a",
+    "C2": "c4c7879246a03edd4cb4299df910f6ff545389aefa832005b3f507991a8722c2",
+    "C3": "0fb415063fb5a3ef140250d3a220aac7efdb573d438c29d77c3f6865cdde2d22",
+    "C4": "ba315a9b8ab52bba30012d3aabb19b559530bb4444ade547bcc6bd07e39a9710",
+    "C5": "76f8655247318a4e01e1ce07b1861a519326711f32197e5b2ec9629653356f63",
+    "C6": "851e94ae87bc4b4499cb27ec93326a4d3a96271aa31a2c4e09bb3aa1c74d644f",
+    "C7": "42c6bf26106276ecc6b64fcaba0bedacd1cfc2dd25cebb56a6a2189e1f7746b8",
+    "C8": "4e99e051abd48dbba3e08df51a471152ead0139bce71ae858f6270d5a74e3647",
+    "C9": "156c3b0306c657a681d2d0d3cc0fb77ba93a2e1879c6aad6981c5cdcf3d49966",
+    "C10": "b2960da445b808861c80ec1062a40a24f9b6d8daa4ad87d55131742e051bb9a1",
+    "C11": "51cfb361e43ecb7e7b8b6cd39e6f1ab3f6cc6087a07b7dd8da14a6b8060671a0",
+    "C12": "0addbff6d7654ef43e2a28f82ec220c213eebc5867011d7733a0d177b7b08388",
+    "D2": "b46c14d9e1af08c9c59e0b7b94e3ab046587926059133a1689bb294b85c3f546",
+    "D3": "6499148243a9c3efd3181e8061fa3a3ddfed61885829e87570e67fef346fc6bb",
+    "D4": "a63d3e1e7e63fc1511cb0fa71023fb4982e3b46bccbb15095b111c8c371ff684",
+    "D5": "6793400e33bf48d660e08815c0c4e0e47fa89032a1173da80aded1037e2a9a81",
+    "D6": "7cd41f691a3c5fe37c804cf0e42a600363dc932f65696c7e6cc8857a134a6779",
+    "D7": "14caaed118cf6bd6fb5ffaf0aaed66da333da161b65acfd6d87b67120018bdd2",
+    "D8": "2ba1e3d7e5c7302b80990e0f9dc856642ff1da9c95092aa047dcf6829369c5cf",
+    "D9": "27cd2310cc8335ac512f431dba046bfda4417cd7cff813dc3b3b008c46dd0d6f",
+    "D10": "5052685d4f0d32288d0f784ad165b703c1716d61a19993450bd6c0988f95d278",
+    "D11": "d84f5a97f01750a86c146a1adc40dce6fe06041ecbac143b58c80d984fa32849",
+    "D12": "53e8e80aea1a0472b917b52aaa9c9c7f4c22b13dd276937dc45df3191ec7650c",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SUBGROUP_DIGESTS, key=lambda s: tag_sort_key(parse_tag(s))))
+def test_subgroups_of_is_bitwise_pinned(tag):
+    h = hashlib.sha256()
+    for S in subgroups_of(canonical_rep(parse_tag(tag)).group):
+        for r in S:
+            h.update(repr((r.w, r.x, r.y, r.z)).encode())
+    assert h.hexdigest() == SUBGROUP_DIGESTS[tag]
 
 
 # ---------------------------------------------------------------------------

@@ -466,18 +466,41 @@ def test_argparse_failures_exit_2(tmp_path, capsys):
     assert code == 2  # --mu is required
 
 
-def test_module_entry_point_prints_catalog(capsys):
+def run_module(args, tolerance=None):
+    """Run python -m isolat.cli ARGS in a fresh process, ISOLAT_TOLERANCE set or unset."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "isolat.cli", "catalog"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    env.pop("ISOLAT_TOLERANCE", None)
+    if tolerance is not None:
+        env["ISOLAT_TOLERANCE"] = tolerance
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_module_entry_point_prints_catalog(capsys):
+    proc = run_module(["-m", "isolat.cli", "catalog"])
     assert proc.returncode == 0, proc.stderr
     _, expected, _ = run(capsys, "catalog")
     assert proc.stdout == expected
     assert json.loads(proc.stdout)["classes"][0] == "1"
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", [["catalog"], ["adjoint", "D2"]])
+def test_bad_tolerance_is_a_validation_record(value, command):
+    proc = run_module(["-m", "isolat.cli", *command], tolerance=value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["code"] == "validation"
+    assert err["path"] == "ISOLAT_TOLERANCE"
+
+
+@pytest.mark.parametrize("value,expected", [(None, 1e-9), ("1e-8", 1e-8)])
+def test_tolerance_from_environment(value, expected):
+    proc = run_module(["-c", "import isolat.rotation as r; print(repr(r.TOLERANCE))"], value)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == expected
