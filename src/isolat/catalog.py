@@ -45,6 +45,21 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 _Z: Vec3 = (0.0, 0.0, 1.0)
 
+# Named tolerances of the geometric tests below.  They are fixed, not tied to
+# the ISOLAT_TOLERANCE override, and their values decide output bytes.
+
+# Slack on dot products of two unit axes in the same-line, perpendicular and
+# membership tests: catalog axes come from exact constructions, so these dot
+# products sit within a few ulps of 0 or +-1.
+AXIS_DOT_TOL = 1e-9
+# Slack on the perpendicularity of the axes of a group being classified:
+# those axes are extracted from composed quaternions by sqrt and atan2, which
+# lose digits near half turns, so the test is looser than AXIS_DOT_TOL.
+CLASSIFY_PERP_TOL = 1e-7
+# perp_frame starts from the x axis unless x lies this close to the given
+# axis; any cut-off well above roundoff keeps the frame well conditioned.
+FRAME_PIVOT_MIN = 1e-6
+
 
 @dataclass(frozen=True)
 class ClassTag:
@@ -185,7 +200,7 @@ def perp_frame(axis: Vec3) -> tuple[Vec3, Vec3]:
     """Right-handed orthonormal pair (u, v) spanning the plane orthogonal to axis."""
     a = normalize(axis)
     u = vec_reject((1.0, 0.0, 0.0), a)
-    if math.sqrt(dot(u, u)) <= 1e-6:
+    if math.sqrt(dot(u, u)) <= FRAME_PIVOT_MIN:
         u = vec_reject((0.0, 1.0, 0.0), a)
     u = normalize(u)
     return (u, cross(a, u))
@@ -267,8 +282,17 @@ def classify_finite(F: FiniteRotationGroup) -> ClassTag:
     """Conjugacy class of a finite rotation group.
 
     The multiset of rotation-axis lines separates the finite subgroups of
-    SO(3) completely, so classification only inspects that.
+    SO(3) completely, so classification only inspects that.  The tag is
+    stored on F itself (groups are immutable), so each instance is
+    classified once; nothing is shared between instances.
     """
+    tag = F.__dict__.get("_class_tag")
+    if tag is None:
+        tag = F.__dict__["_class_tag"] = _classify(F)
+    return tag
+
+
+def _classify(F: FiniteRotationGroup) -> ClassTag:
     n = len(F)
     if n == 1:
         return TRIVIAL
@@ -294,7 +318,7 @@ def classify_finite(F: FiniteRotationGroup) -> ClassTag:
                 len(tops) == 1
                 and len(twos) == m
                 and len(lines) == m + 1
-                and all(abs(dot(tops[0][0], d)) <= 1e-7 for d, _ in twos)
+                and all(abs(dot(tops[0][0], d)) <= CLASSIFY_PERP_TOL for d, _ in twos)
             ):
                 if m > N_CAP:
                     raise UnclassifiableGroup(f"dihedral index {m} exceeds cap {N_CAP}")
@@ -312,7 +336,7 @@ def classify_finite(F: FiniteRotationGroup) -> ClassTag:
 def _mutually_perp(dirs: list[Vec3]) -> bool:
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
-            if abs(dot(dirs[i], dirs[j])) > 1e-7:
+            if abs(dot(dirs[i], dirs[j])) > CLASSIFY_PERP_TOL:
                 return False
     return True
 
@@ -590,20 +614,20 @@ def subgroup_contains(S: ConcreteSubgroup, r: Rotation) -> bool:
     aa = axis_angle_of(r)
     if aa is None:
         return True
-    along = abs(dot(aa.axis, S.axis)) >= 1.0 - 1e-9
+    along = abs(dot(aa.axis, S.axis)) >= 1.0 - AXIS_DOT_TOL
     if isinstance(S, CircleSub):
         return along
     if along:
         return True
-    return abs(aa.angle - math.pi) <= TOLERANCE and abs(dot(aa.axis, S.axis)) <= 1e-9
+    return abs(aa.angle - math.pi) <= TOLERANCE and abs(dot(aa.axis, S.axis)) <= AXIS_DOT_TOL
 
 
 def _same_line(a: Vec3, b: Vec3) -> bool:
-    return abs(abs(dot(a, b)) - 1.0) <= 1e-9
+    return abs(abs(dot(a, b)) - 1.0) <= AXIS_DOT_TOL
 
 
 def _perp(a: Vec3, b: Vec3) -> bool:
-    return abs(dot(a, b)) <= 1e-9
+    return abs(dot(a, b)) <= AXIS_DOT_TOL
 
 
 def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:

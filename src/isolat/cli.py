@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .adjoint import AnnIsotropy, Full3, Plane, Zero, isotropy_on_ann
+from .adjoint import AnnIsotropy, Full3, Plane, Zero
 from .catalog import (
     CIRCLE,
     FULL,
@@ -41,7 +41,6 @@ from .catalog import (
     ConcreteSubgroup,
     FiniteSub,
     OrthCircleSub,
-    canonical_rep,
     cyclic,
     dihedral,
     is_subconjugate,
@@ -57,6 +56,7 @@ from .lift import (
     FiniteAmbient,
     LiftWitness,
     ambient_class,
+    ann_of,
     cotangent_lifted_lattice,
     lift_witness_check,
     lifted_lattice,
@@ -519,7 +519,7 @@ def _cmd_adjoint(argv) -> int:
         t = parse_tag(a.tag)
     except ValueError as e:
         raise ValidationError(str(e), "tag") from None
-    ai = isotropy_on_ann(canonical_rep(t))
+    ai = ann_of(t)
     print(json.dumps(adjoint_to_json(t, ai), indent=2))
     return 0
 

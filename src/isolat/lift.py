@@ -19,8 +19,9 @@ ambients take a fast path that never touches geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .adjoint import isotropy_on_ann
+from .adjoint import AnnIsotropy, isotropy_on_ann
 from .catalog import (
     FULL,
     ClassTag,
@@ -126,6 +127,16 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
     return LiftResult(lifted, witnesses)
 
 
+@lru_cache(maxsize=None)
+def ann_of(h2: ClassTag) -> AnnIsotropy:
+    """Isotropy of the canonical h2 representative on its annihilator.
+
+    K depends on h2 alone, so it is built once per class; the cache holds at
+    most one entry per catalog tag.
+    """
+    return isotropy_on_ann(canonical_rep(h2))
+
+
 def pair_contribution(h1: ClassTag, h2: ClassTag) -> list[LiftWitness]:
     """Classes (E meet K) contributed by one base pair (h1) <= (h2).
 
@@ -135,11 +146,9 @@ def pair_contribution(h1: ClassTag, h2: ClassTag) -> list[LiftWitness]:
     the classes are first found.  Under SO(3) itself the annihilator is the
     zero subspace, so the pair contributes h1 unchanged.
     """
-    H2 = canonical_rep(h2)
-    ann = isotropy_on_ann(H2)
     found: dict[ClassTag, LiftWitness] = {}
-    for E in embeddings_of_class_in(h1, H2):
-        for entry in ann.classes:
+    for E in embeddings_of_class_in(h1, canonical_rep(h2)):
+        for entry in ann_of(h2).classes:
             t = g_class_of(intersect(E, entry.representative))
             if t not in found:
                 found[t] = LiftWitness(t, h1, h2, entry.label, E, entry.representative)
@@ -157,22 +166,23 @@ def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResul
     Verifies that each witness uses a valid base pair, that its k entry
     matches an isotropy class on the annihilator of its h2, that the claimed
     intersection lands in the claimed class, and that the witnessed classes
-    are exactly the classes of the lifted lattice.
+    are exactly the classes of the lifted lattice.  The check rebuilds its
+    own annihilator isotropy, once per h2 within a call, and never reads the
+    lift's ann_of cache.
     """
+    anns: dict[ClassTag, AnnIsotropy] = {}
     witnessed = set()
     for w in result.witnesses:
         if w.h1 not in base.classes or w.h2 not in base.classes:
             return False
         if not is_subconjugate(w.h1, w.h2):
             return False
-        H2 = canonical_rep(w.h2)
-        ann = isotropy_on_ann(H2)
-        match = None
-        for entry in ann.classes:
-            if entry.label == w.k and subgroup_equal(entry.representative, w.k_rep):
-                match = entry
-                break
-        if match is None:
+        if w.h2 not in anns:
+            anns[w.h2] = isotropy_on_ann(canonical_rep(w.h2))
+        if not any(
+            entry.label == w.k and subgroup_equal(entry.representative, w.k_rep)
+            for entry in anns[w.h2].classes
+        ):
             return False
         if g_class_of(w.embedding) != w.h1:
             return False

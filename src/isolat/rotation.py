@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import GroupTooLarge, ValidationError
 
@@ -216,7 +216,12 @@ class AxisAngle:
     order: int | None
 
 
+@lru_cache(maxsize=4096)
 def _order_of_angle(angle: float) -> int | None:
+    # Memoised on the angle float: catalog groups repeat a few hundred
+    # distinct angles, each otherwise rescanned up to ORDER_CAP steps.  A
+    # nearest-rational test (Fraction.limit_denominator) gives the same
+    # orders but costs about twice the scan, so the scan stays.
     turns = angle / (2.0 * math.pi)
     for k in range(1, ORDER_CAP + 1):
         f = k * turns
@@ -241,6 +246,14 @@ def axis_angle_of(r: Rotation) -> AxisAngle | None:
     return AxisAngle(axis, angle, _order_of_angle(angle))
 
 
+def _bucket_table(keys) -> dict[tuple, list[int]]:
+    """Map each key to the positions that carry it."""
+    table: dict[tuple, list[int]] = {}
+    for i, k in enumerate(keys):
+        table.setdefault(k, []).append(i)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteRotationGroup:
     """Immutable finite set of rotations, sorted deterministically.
@@ -253,27 +266,31 @@ class FiniteRotationGroup:
 
     @classmethod
     def from_elements(cls, elements, cap: int = CLOSURE_CAP) -> "FiniteRotationGroup":
+        """Deduplicate, add the identity and sort by descending key.
+
+        Each element's key() is computed once and serves the deduplication,
+        the sort and the group's _buckets lookup table.
+        """
         ident = Rotation.identity()
-        unique: list[Rotation] = [ident]
-        buckets: dict[tuple, list[int]] = {ident.key(): [0]}
+        unique: list[tuple[tuple, Rotation]] = [(ident.key(), ident)]
+        buckets: dict[tuple, list[int]] = {unique[0][0]: [0]}
         for r in elements:
             k = r.key()
             hits = buckets.get(k)
-            if hits is not None and any(eq(unique[i], r) for i in hits):
+            if hits is not None and any(eq(unique[i][1], r) for i in hits):
                 continue
             if len(unique) >= cap:
                 raise GroupTooLarge(f"rotation set exceeds cap {cap}")
             buckets.setdefault(k, []).append(len(unique))
-            unique.append(r)
-        unique.sort(key=lambda r: (-r.key()[0], -r.key()[1], -r.key()[2], -r.key()[3]))
-        return cls(tuple(unique))
+            unique.append((k, r))
+        unique.sort(key=lambda kr: (-kr[0][0], -kr[0][1], -kr[0][2], -kr[0][3]))
+        group = cls(tuple(r for _, r in unique))
+        group.__dict__["_buckets"] = _bucket_table(k for k, _ in unique)
+        return group
 
     @cached_property
     def _buckets(self) -> dict:
-        table: dict[tuple, list[int]] = {}
-        for i, r in enumerate(self.elements):
-            table.setdefault(r.key(), []).append(i)
-        return table
+        return _bucket_table(r.key() for r in self.elements)
 
     @cached_property
     def key_set(self) -> frozenset:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from isolat import catalog
 from isolat.catalog import (
     CIRCLE,
     FULL,
@@ -129,6 +130,21 @@ def test_classification_is_conjugation_invariant():
             h = random_rotation(rng)
             moved = conjugate_group(h, rep)
             assert g_class_of(moved) == t
+
+
+def test_classify_finite_stores_its_tag_per_instance(monkeypatch):
+    scans = []
+    real = catalog.axis_lines
+    monkeypatch.setattr(catalog, "axis_lines", lambda F: scans.append(F) or real(F))
+    els = canonical_rep(dihedral(5)).group.elements
+    A = FiniteRotationGroup.from_elements(els)
+    B = FiniteRotationGroup.from_elements(els)
+    assert A == B and A is not B
+    assert classify_finite(A) == dihedral(5)
+    assert classify_finite(A) == dihedral(5)
+    assert scans == [A]
+    assert classify_finite(B) == dihedral(5)
+    assert scans == [A, B]
 
 
 def test_classify_rejects_non_groups():

@@ -2,11 +2,20 @@ import dataclasses
 
 import pytest
 
+from isolat import lift
+from isolat.adjoint import isotropy_on_ann
 from isolat.catalog import (
+    CIRCLE,
     FULL,
+    ICOSA,
+    OCTA,
+    ORTH_CIRCLE,
     TETRA,
+    TRIVIAL,
     FiniteSub,
     canonical_rep,
+    cyclic,
+    dihedral,
     parse_tag,
     subgroup_equal,
 )
@@ -17,6 +26,7 @@ from isolat.lift import (
     FiniteAmbient,
     LiftWitness,
     ambient_class,
+    ann_of,
     cotangent_lifted_lattice,
     lift_witness_check,
     lifted_lattice,
@@ -203,3 +213,41 @@ def test_witness_k_rep_matches_label():
             e.label == w.k and subgroup_equal(e.representative, w.k_rep)
             for e in ann.classes
         )
+
+
+CATALOG = (
+    [TRIVIAL]
+    + [cyclic(n) for n in range(2, 101)]
+    + [dihedral(n) for n in range(2, 101)]
+    + [TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL]
+)
+
+
+def test_ann_of_equals_fresh_isotropy_for_every_catalog_tag():
+    for t in CATALOG:
+        cached, fresh = ann_of(t), isotropy_on_ann(canonical_rep(t))
+        assert cached is ann_of(t)
+        assert [e.label for e in cached.classes] == [e.label for e in fresh.classes]
+        assert all(
+            subgroup_equal(a.representative, b.representative)
+            for a, b in zip(cached.classes, fresh.classes)
+        )
+
+
+def test_witness_check_rebuilds_ann_once_per_h2(monkeypatch):
+    b = lattice(["C2", "C4", "D2", "D4", "T", "O", "SO2", "O2", "SO3"])
+    res = lifted_lattice(AMBIENT_SO3, b)
+    built = []
+
+    def counted(H):
+        built.append(H)
+        return isotropy_on_ann(H)
+
+    def forbidden(h2):
+        raise AssertionError("the witness check read the lift's ann_of cache")
+
+    monkeypatch.setattr(lift, "isotropy_on_ann", counted)
+    monkeypatch.setattr(lift, "ann_of", forbidden)
+    assert lift_witness_check(AMBIENT_SO3, b, res)
+    h2s = {w.h2 for w in res.witnesses}
+    assert len(built) == len(h2s) < len(res.witnesses)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep, cyclic, dihedral
 from isolat.errors import GroupTooLarge
 from isolat.rotation import (
+    ORDER_CAP,
     TOLERANCE,
     FiniteRotationGroup,
     Rotation,
+    _order_of_angle,
     apply,
     axis_angle_of,
     close_group,
@@ -284,3 +287,84 @@ def test_compose_preserves_angles_between_vectors(qa, qb):
     r = compose(Rotation(*qa), Rotation(*qb))
     u, v = (1.0, 0.2, -0.5), (0.3, -1.0, 0.8)
     assert abs(dot(apply(r, u), apply(r, v)) - dot(u, v)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# memoised order test and single-key from_elements, against the old code
+
+
+def _order_by_scan(angle):
+    """The un-memoised ORDER_CAP-step scan of _order_of_angle."""
+    turns = angle / (2.0 * math.pi)
+    for k in range(1, ORDER_CAP + 1):
+        f = k * turns
+        if abs(f - round(f)) <= TOLERANCE * k and round(f) >= 1:
+            return k
+    return None
+
+
+def test_memoised_order_matches_the_scan():
+    rng = random.Random(240)
+    # axis_angle_of only produces angles in (0, pi]
+    rational = {
+        2.0 * math.pi * p / n
+        for n in range(2, ORDER_CAP + 1)
+        for p in range(1, n // 2 + 1)
+        if math.gcd(p, n) == 1
+    }
+    perturbed = [
+        a * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -8.0))
+        for a in sorted(rational)
+    ]
+    generic = [rng.uniform(0.0, math.pi) for _ in range(1000)]
+    for a in sorted(rational) + perturbed + generic:
+        want = _order_by_scan(a)
+        assert _order_of_angle(a) == want, a
+        assert _order_of_angle(a) == want, a  # the memoised answer
+    assert _order_of_angle(2.0 * math.pi / 7.0) == 7
+    assert _order_of_angle(1.0) is None
+
+
+def _from_elements_by_lambda(elements):
+    """from_elements as it was: key() called four times per sort key."""
+    ident = Rotation.identity()
+    unique = [ident]
+    buckets = {ident.key(): [0]}
+    for r in elements:
+        k = r.key()
+        hits = buckets.get(k)
+        if hits is not None and any(eq(unique[i], r) for i in hits):
+            continue
+        buckets.setdefault(k, []).append(len(unique))
+        unique.append(r)
+    unique.sort(key=lambda r: (-r.key()[0], -r.key()[1], -r.key()[2], -r.key()[3]))
+    return tuple(unique)
+
+
+def _assert_same_order(elements):
+    F = FiniteRotationGroup.from_elements(elements)
+    old = _from_elements_by_lambda(elements)
+    assert F.elements == old
+    table = {}
+    for i, r in enumerate(old):
+        table.setdefault(r.key(), []).append(i)
+    assert F._buckets == table
+
+
+def test_from_elements_order_matches_lambda_sort_on_catalog_reps():
+    rng = random.Random(3)
+    tags = [cyclic(n) for n in range(2, 101)] + [dihedral(n) for n in range(2, 101)]
+    for t in tags + [TETRA, OCTA, ICOSA]:
+        els = list(canonical_rep(t).group.elements)
+        rng.shuffle(els)
+        _assert_same_order(els + els[: len(els) // 2])
+
+
+def test_from_elements_order_matches_lambda_sort_on_random_sets():
+    rng = random.Random(4)
+    icosa = list(canonical_rep(ICOSA).group.elements)
+    for _ in range(200):
+        picked = rng.sample(icosa, rng.randint(0, len(icosa)))
+        picked += [random_rotation(rng) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(picked)
+        _assert_same_order(picked + picked[:3])
