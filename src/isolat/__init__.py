@@ -67,7 +67,6 @@ from .lift import (
     cotangent_lifted_lattice,
     lift_witness_check,
     lifted_lattice,
-    pair_contribution,
 )
 from .momentum import (
     MuLattice,

@@ -1,13 +1,14 @@
 """Isotropy lattices of tangent-lifted actions.
 
 Given the isotropy lattice of a proper action of G on M, the lattice of the
-lifted action on TM consists exactly of the classes (H1 meet K) where
-(H1) <= (H2) runs over ordered pairs of base classes and (K) runs over the
-isotropy classes of H2 acting on the annihilator of its own algebra.  The
-cotangent lift realizes the same lattice.  pair_contribution computes what
-one pair (h1, h2) adds, with a witness per class; lifted_lattice is the
-union over all pairs, and relative equilibria (momentum.py) are the
-diagonal pairs h1 = h2 of the same function.
+lifted action on TM consists of the classes (E meet K) over base pairs
+(h1) <= (h2), E a position of h1 in H2 and K an isotropy subgroup of H2 on
+the annihilator of its algebra.  The diagonal h1 = h2 suffices: h1 lies in
+h2, so ann(h2) lies in ann(h1), and E meet (H2)_xi = E_xi is already a class
+of h1 on its own annihilator (the slice picture T_xM = g/h + N).  On the
+diagonal E meet K = K, so lifted_lattice takes the labels of ann_of(h) over
+the base classes h, with witness (h, h, K).  The cotangent lift and relative
+equilibria (momentum.py) realize the same lattice.
 
 A finite ambient group has zero Lie algebra, so every annihilator is the
 zero space; the circle is abelian, so stabilizers act trivially on their
@@ -115,44 +116,36 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
         return LiftResult(lifted, witnesses)
 
     depths = compute_depths(base)
-    h2_order = sorted(base.classes, key=lambda t: (depths[t], tag_sort_key(t)))
     found: dict[ClassTag, LiftWitness] = {}
-    for h2 in h2_order:
-        for h1 in base.classes:
-            if is_subconjugate(h1, h2):
-                for w in pair_contribution(h1, h2):
-                    found.setdefault(w.lifted_class, w)
+    for h in sorted(base.classes, key=lambda t: (depths[t], tag_sort_key(t))):
+        E = _self_embedding(h)
+        for entry in ann_of(h).classes:
+            found.setdefault(
+                entry.label,
+                LiftWitness(entry.label, h, h, entry.label, E, entry.representative),
+            )
     lifted = build_lattice(found.keys())
     witnesses = tuple(found[t] for t in lifted.classes)
     return LiftResult(lifted, witnesses)
 
 
 @lru_cache(maxsize=None)
-def ann_of(h2: ClassTag) -> AnnIsotropy:
-    """Isotropy of the canonical h2 representative on its annihilator.
+def ann_of(h: ClassTag) -> AnnIsotropy:
+    """Isotropy of the canonical h representative on its annihilator.
 
-    K depends on h2 alone, so it is built once per class; the cache holds at
+    K depends on h alone, so it is built once per class; the cache holds at
     most one entry per catalog tag.
     """
-    return isotropy_on_ann(canonical_rep(h2))
+    return isotropy_on_ann(canonical_rep(h))
 
 
-def pair_contribution(h1: ClassTag, h2: ClassTag) -> list[LiftWitness]:
-    """Classes (E meet K) contributed by one base pair (h1) <= (h2).
+@lru_cache(maxsize=None)
+def _self_embedding(h: ClassTag) -> ConcreteSubgroup:
+    """Witness position of h inside its own canonical representative.
 
-    E runs over the positions of h1 inside the canonical h2 representative
-    and K over the isotropy classes of that representative on the
-    annihilator of its algebra.  Returns one witness per class, in the order
-    the classes are first found.  Under SO(3) itself the annihilator is the
-    zero subspace, so the pair contributes h1 unchanged.
+    Equal to canonical_rep(h) as a set, but for T, O and I not bit for bit.
     """
-    found: dict[ClassTag, LiftWitness] = {}
-    for E in embeddings_of_class_in(h1, canonical_rep(h2)):
-        for entry in ann_of(h2).classes:
-            t = g_class_of(intersect(E, entry.representative))
-            if t not in found:
-                found[t] = LiftWitness(t, h1, h2, entry.label, E, entry.representative)
-    return list(found.values())
+    return embeddings_of_class_in(h, canonical_rep(h))[0]
 
 
 def cotangent_lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:

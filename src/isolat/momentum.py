@@ -9,8 +9,10 @@ it is wrapped in MuLattice rather than returned bare.
 
 The isotropy classes of relative equilibria are the classes (H meet K) with
 (H) a base class and (K) a linear isotropy class of H on the annihilator of
-its own algebra, i.e. the diagonal slice h1 = h2 of the lift construction:
-the union of lift.pair_contribution(h, h) over the base classes.
+its own algebra: the diagonal pairs h1 = h2 of the lift construction.  The
+off-diagonal pairs add nothing (for h1 in h2, ann(h2) lies in ann(h1), so
+E meet (H2)_xi = E_xi is already a class of h1 on its own annihilator), so
+relative_equilibria_lattice is lift.lifted_lattice(G, base).lifted.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .lift import (
     CircleAmbient,
     FiniteAmbient,
     _validate_realizable,
-    pair_contribution,
+    lifted_lattice,
 )
 from .poset import IsotropyLattice, build_lattice, up_set
 from .rotation import TOLERANCE, Vec3
@@ -118,14 +120,7 @@ def relative_equilibria_lattice(G: AmbientGroup, base: IsotropyLattice) -> Isotr
     """Isotropy classes realized by relative equilibria of invariant systems.
 
     Every base class (H) contributes the classes of H meet K for each linear
-    isotropy class K of H on the annihilator of its algebra, at every
-    relative position: the diagonal pairs (H) <= (H) of the lift rule, so
-    the union of pair_contribution(h, h) over base classes, ordered by
-    subconjugation.
+    isotropy class K of H on the annihilator of its algebra: the diagonal
+    pairs of the lift rule, which already give the whole lifted lattice.
     """
-    _validate_realizable(G, base.classes)
-    if isinstance(G, (FiniteAmbient, CircleAmbient)):
-        return build_lattice(base.classes)
-    return build_lattice(
-        {w.lifted_class for h in base.classes for w in pair_contribution(h, h)}
-    )
+    return lifted_lattice(G, base).lifted

@@ -53,6 +53,13 @@ from .rotation import (
     vsub,
 )
 
+# Slack of the sample tests (fixed, tangent, parallel, zero momentum): fixing moves x by ulps.
+SAMPLE_TOL = 1e-8
+# _any_perp leaves the x axis below this; any cut-off far above roundoff is well conditioned.
+PERP_PIVOT_MIN = 1e-6
+# Sphere draws this near the origin are skipped: normalising them would magnify rounding.
+SPHERE_DRAW_MIN_NORM = 1e-3
+
 
 @dataclass(frozen=True)
 class ConcreteAction:
@@ -102,16 +109,16 @@ def stabilizer_of_point(action: ConcreteAction, x: Vec3) -> ConcreteSubgroup:
     F = _finite_group(action)
     if action.kind == "finite_r3" and norm(x) <= TOLERANCE:
         return FiniteSub(F)
-    kept = [g for g in F if norm(vsub(apply(g, x), x)) <= 1e-8 * max(1.0, norm(x))]
+    kept = [g for g in F if norm(vsub(apply(g, x), x)) <= SAMPLE_TOL * max(1.0, norm(x))]
     return FiniteSub(FiniteRotationGroup.from_elements(kept))
 
 
 def stabilizer_of_tangent(action: ConcreteAction, x: Vec3, v: Vec3) -> ConcreteSubgroup:
     """Stabilizer of (x, v) in the lifted action."""
     if action.kind in ("so3_s2", "finite_s2"):
-        if abs(norm(x) - 1.0) > 1e-8:
+        if abs(norm(x) - 1.0) > SAMPLE_TOL:
             raise NotTangent("sphere points must have unit length")
-        if abs(dot(x, v)) > 1e-8:
+        if abs(dot(x, v)) > SAMPLE_TOL:
             raise NotTangent("tangent vectors to the sphere are orthogonal to the point")
     if action.kind == "so3_r3":
         nx, nv = norm(x), norm(v)
@@ -121,7 +128,7 @@ def stabilizer_of_tangent(action: ConcreteAction, x: Vec3, v: Vec3) -> ConcreteS
             return CircleSub(v)
         if nv <= TOLERANCE:
             return CircleSub(x)
-        if norm(cross(x, v)) <= 1e-8 * nx * nv:
+        if norm(cross(x, v)) <= SAMPLE_TOL * nx * nv:
             return CircleSub(x)
         return FiniteSub(FiniteRotationGroup.from_elements([]))
     if action.kind == "so3_s2":
@@ -140,8 +147,8 @@ def stabilizer_of_tangent(action: ConcreteAction, x: Vec3, v: Vec3) -> ConcreteS
     kept = [
         g
         for g in F
-        if norm(vsub(apply(g, x), x)) <= 1e-8 * sx
-        and norm(vsub(apply(g, v), v)) <= 1e-8 * sv
+        if norm(vsub(apply(g, x), x)) <= SAMPLE_TOL * sx
+        and norm(vsub(apply(g, v), v)) <= SAMPLE_TOL * sv
     ]
     return FiniteSub(FiniteRotationGroup.from_elements(kept))
 
@@ -204,7 +211,7 @@ def default_plan(action: ConcreteAction, rng_seed: int = 0, n_random: int = 1000
 
 def _any_perp(d: Vec3) -> Vec3:
     u = cross(d, (1.0, 0.0, 0.0))
-    if norm(u) <= 1e-6:
+    if norm(u) <= PERP_PIVOT_MIN:
         u = cross(d, (0.0, 1.0, 0.0))
     return normalize(u)
 
@@ -217,7 +224,7 @@ def _iter_pairs(action: ConcreteAction, plan: SamplePlan):
         x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         v = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         if action.kind in ("so3_s2", "finite_s2"):
-            if norm(x) <= 1e-3:
+            if norm(x) <= SPHERE_DRAW_MIN_NORM:
                 continue
             x = normalize(x)
             d = dot(v, x)
@@ -263,14 +270,14 @@ def empirical_zero_momentum_lattice(
     for x, v in _iter_pairs(action, plan):
         if action.kind == "so3_r3":
             # J((x, v)) = x x v; zero iff v is radial or x = 0
-            if norm(cross(x, v)) > 1e-8:
+            if norm(cross(x, v)) > SAMPLE_TOL:
                 continue
         elif action.kind == "so3_s2":
             # tangentially constrained: x x v = 0 with v _|_ x forces v = 0
-            if norm(v) > 1e-8:
+            if norm(v) > SAMPLE_TOL:
                 continue
         elif action.kind == "circle_r2":
-            if abs(x[0] * v[1] - x[1] * v[0]) > 1e-8:
+            if abs(x[0] * v[1] - x[1] * v[0]) > SAMPLE_TOL:
                 continue
         # finite ambients: the dual is zero, every pair sits on the level set
         out.add(g_class_of(stabilizer_of_tangent(action, x, v)))

@@ -321,6 +321,35 @@ def test_mu_zero_vector(tmp_path, capsys):
     assert doc["classes"] == ["SO2", "SO3"]
 
 
+CIRCLE_WITH_ONE_SPEC = {"group": {"kind": "circle"}, "base_lattice": ["1", "C2", "SO2"]}
+
+
+@pytest.mark.parametrize(
+    "doc,value,classes",
+    [
+        (CIRCLE_WITH_ONE_SPEC, "[0,0,0]", ["1", "C2", "SO2"]),
+        (CIRCLE_WITH_ONE_SPEC, "[1,0,0]", ["1", "C2"]),
+        (TETRA_SPEC, "[0,0,0]", ["1", "C2", "C3", "T"]),
+    ],
+    ids=["circle-zero", "circle-nonzero", "finite-zero"],
+)
+def test_mu_vector_on_circle_and_finite_ambients(tmp_path, capsys, doc, value, classes):
+    # a three-component mu reaches the list branch of momentum._mu_is_zero
+    path = write_spec(tmp_path, doc)
+    code, out, _ = run(capsys, "mu", path, "--mu", value)
+    assert code == 0
+    doc_out = json.loads(out)
+    assert doc_out["mu"] == json.loads(value)
+    assert doc_out["classes"] == classes
+
+
+def test_mu_nonzero_vector_on_finite_ambient_is_rejected(tmp_path, capsys):
+    path = write_spec(tmp_path, TETRA_SPEC)
+    code, out, err = run(capsys, "mu", path, "--mu", "[1,0,0]")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "not-totally-isotropic"
+
+
 def test_mu_rejects_nonisotropic(tmp_path, capsys):
     path = write_spec(tmp_path, SO3_SPEC)
     code, _, err = run(capsys, "mu", path, "--mu", "[0,0,2]")

@@ -1,0 +1,253 @@
+"""The lift from the diagonal pairs only, checked against exact rules.
+
+The lift takes, for each base class h, the labels of ann_of(h).  Three
+independent routes pin that down:
+
+- an integer rule per catalog kind (no rotations) for the isotropy classes
+  of h on the annihilator of its algebra, checked against ann_of and, for
+  every off-diagonal pair h1 < h2, against the classes of E meet K built
+  geometrically;
+- the lifted lattice of any base equals build_lattice(base + rule(h) ...);
+- a copy of the former h1 x h2 pair loop, whose output bytes must equal the
+  diagonal engine's on fixed and seeded random bases.
+"""
+
+import json
+import random
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isolat.adjoint import isotropy_on_ann
+from isolat.catalog import (
+    CIRCLE,
+    FULL,
+    ICOSA,
+    N_CAP,
+    OCTA,
+    ORTH_CIRCLE,
+    TETRA,
+    TRIVIAL,
+    canonical_rep,
+    cyclic,
+    dihedral,
+    embeddings_of_class_in,
+    g_class_of,
+    intersect,
+    is_subconjugate,
+    parse_tag,
+    subgroup_equal,
+    tag_sort_key,
+)
+from isolat.cli import lattice_to_json, witness_to_json
+from isolat.lift import (
+    AMBIENT_CIRCLE,
+    AMBIENT_SO3,
+    FiniteAmbient,
+    LiftWitness,
+    _self_embedding,
+    ann_of,
+    lift_witness_check,
+    lifted_lattice,
+)
+from isolat.momentum import relative_equilibria_lattice
+from isolat.poset import build_lattice, compute_depths
+
+
+def catalog(n_max):
+    return (
+        [TRIVIAL]
+        + [cyclic(n) for n in range(2, n_max + 1)]
+        + [dihedral(n) for n in range(2, n_max + 1)]
+        + [TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL]
+    )
+
+
+CATALOG = catalog(N_CAP)
+# the off-diagonal pair sweep over all of N_CAP takes seconds; n <= 24
+# covers every kind and both parities of the dihedral rule
+PAIR_N_MAX = 24
+
+_EXCEPTIONAL_AXES = {"T": (2, 3), "O": (2, 3, 4), "I": (2, 3, 5)}
+
+
+def above_sets(tags):
+    """For each tag, the other tags it is subconjugate to."""
+    return {m: [t for t in tags if t != m and is_subconjugate(m, t)] for m in tags}
+
+
+ABOVE = above_sets(CATALOG)
+
+
+def rule(t):
+    """Isotropy classes of t on the annihilator of its algebra, by kind."""
+    if t.kind == "1":
+        return {TRIVIAL}
+    if t.kind == "C":
+        return {TRIVIAL, t}
+    if t.kind == "D":  # three classes for D2, where C_n is C2
+        return {TRIVIAL, cyclic(2), cyclic(t.n), t}
+    if t.kind in _EXCEPTIONAL_AXES:
+        return {TRIVIAL, t} | {cyclic(k) for k in _EXCEPTIONAL_AXES[t.kind]}
+    if t.kind == "SO2":
+        return {TRIVIAL, CIRCLE}
+    if t.kind == "O2":
+        return {cyclic(2), ORTH_CIRCLE}
+    return {FULL}
+
+
+def pair_classes(h1, h2):
+    """Classes of E meet K over the positions E of h1 in h2, built geometrically."""
+    return {
+        g_class_of(intersect(E, entry.representative))
+        for E in embeddings_of_class_in(h1, canonical_rep(h2))
+        for entry in isotropy_on_ann(canonical_rep(h2)).classes
+    }
+
+
+def test_rule_matches_ann_of_for_every_tag():
+    for t in CATALOG:
+        assert {e.label for e in ann_of(t).classes} == rule(t), t.short()
+
+
+def test_off_diagonal_pairs_add_nothing():
+    tags = catalog(PAIR_N_MAX)
+    pairs = 0
+    for h2 in tags:
+        for h1 in tags:
+            if h1 != h2 and is_subconjugate(h1, h2):
+                assert pair_classes(h1, h2) <= rule(h1), (h1.short(), h2.short())
+                pairs += 1
+    assert pairs > 300
+
+
+def test_self_embedding_is_the_canonical_rep_as_a_set():
+    for t in CATALOG:
+        E = _self_embedding(t)
+        assert E is _self_embedding(t)
+        assert subgroup_equal(E, canonical_rep(t)), t.short()
+
+
+# ---------------------------------------------------------------------------
+# The former h1 x h2 pair loop, kept here as a reference engine
+
+
+@lru_cache(maxsize=None)
+def old_pair_contribution(h1, h2):
+    found = {}
+    for E in embeddings_of_class_in(h1, canonical_rep(h2)):
+        for entry in ann_of(h2).classes:
+            t = g_class_of(intersect(E, entry.representative))
+            if t not in found:
+                found[t] = LiftWitness(t, h1, h2, entry.label, E, entry.representative)
+    return tuple(found.values())
+
+
+def old_lifted_lattice_so3(base):
+    depths = compute_depths(base)
+    h2_order = sorted(base.classes, key=lambda t: (depths[t], tag_sort_key(t)))
+    found = {}
+    for h2 in h2_order:
+        for h1 in base.classes:
+            if is_subconjugate(h1, h2):
+                for w in old_pair_contribution(h1, h2):
+                    found.setdefault(w.lifted_class, w)
+    lifted = build_lattice(found.keys())
+    return lifted, tuple(found[t] for t in lifted.classes)
+
+
+def dump(lifted, witnesses):
+    return json.dumps([lattice_to_json(lifted), [witness_to_json(w) for w in witnesses]])
+
+
+def random_base(rng):
+    """A base with a unique minimum: a random floor and classes above it."""
+    floor = rng.choice(CATALOG)
+    k = min(len(ABOVE[floor]), rng.randint(0, 5))
+    return build_lattice([floor] + rng.sample(ABOVE[floor], k))
+
+
+def test_diagonal_lift_is_byte_identical_to_the_pair_loop():
+    axial_98 = [t for t in catalog(48) if t not in (TETRA, OCTA, ICOSA)]
+    bases = [
+        build_lattice(axial_98),
+        build_lattice([parse_tag(s) for s in ["1", "C2", "D2", "T", "O", "I", "SO3"]]),
+        build_lattice(
+            [parse_tag(s) for s in ["1", "C2", "C4", "D2", "D4", "D8", "SO2", "O2", "SO3"]]
+        ),
+    ]
+    rng = random.Random(20261018)
+    bases += [random_base(rng) for _ in range(200)]
+    mismatched = []
+    for base in bases:
+        res = lifted_lattice(AMBIENT_SO3, base)
+        if dump(res.lifted, res.witnesses) != dump(*old_lifted_lattice_so3(base)):
+            mismatched.append([t.short() for t in base.classes])
+    assert mismatched == []
+
+
+# ---------------------------------------------------------------------------
+# Properties over random bases
+
+
+@st.composite
+def so3_bases(draw):
+    floor = draw(st.sampled_from(CATALOG))
+    rest = draw(st.lists(st.sampled_from(ABOVE[floor] or [floor]), max_size=5))
+    return build_lattice([floor] + rest)
+
+
+CIRCLE_TAGS = [TRIVIAL] + [cyclic(n) for n in range(2, N_CAP + 1)] + [CIRCLE]
+CIRCLE_ABOVE = above_sets(CIRCLE_TAGS)
+
+
+@st.composite
+def circle_bases(draw):
+    floor = draw(st.sampled_from(CIRCLE_TAGS))
+    rest = draw(st.lists(st.sampled_from(CIRCLE_ABOVE[floor] or [floor]), max_size=4))
+    return build_lattice([floor] + rest)
+
+
+FINITE_PARENTS = [dihedral(12), TETRA, OCTA, ICOSA]
+
+
+@st.composite
+def finite_bases(draw):
+    parent = draw(st.sampled_from(FINITE_PARENTS))
+    inside = [t for t in catalog(12) if is_subconjugate(t, parent)]
+    floor = draw(st.sampled_from(inside))
+    rest = draw(st.lists(st.sampled_from(above_sets(inside)[floor] or [floor]), max_size=4))
+    return FiniteAmbient(canonical_rep(parent).group), build_lattice([floor] + rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(so3_bases())
+def test_so3_lift_properties(base):
+    res = lifted_lattice(AMBIENT_SO3, base)
+    assert set(base.classes) <= set(res.lifted.classes)
+    assert res.lifted.unique_min
+    assert res.lifted == build_lattice(set(base.classes).union(*map(rule, base.classes)))
+    assert relative_equilibria_lattice(AMBIENT_SO3, base) == res.lifted
+    assert lift_witness_check(AMBIENT_SO3, base, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circle_bases())
+def test_circle_lift_is_idempotent(base):
+    res = lifted_lattice(AMBIENT_CIRCLE, base)
+    assert res.lifted == base
+    assert lifted_lattice(AMBIENT_CIRCLE, res.lifted).lifted == res.lifted
+    assert relative_equilibria_lattice(AMBIENT_CIRCLE, base) == res.lifted
+    assert lift_witness_check(AMBIENT_CIRCLE, base, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_bases())
+def test_finite_lift_is_idempotent(case):
+    G, base = case
+    res = lifted_lattice(G, base)
+    assert res.lifted == base
+    assert lifted_lattice(G, res.lifted).lifted == res.lifted
+    assert relative_equilibria_lattice(G, base) == res.lifted
+    assert lift_witness_check(G, base, res)
