@@ -12,7 +12,6 @@ the lifted-lattice construction and the symplectic corollaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .catalog import (
@@ -28,6 +27,7 @@ from .catalog import (
     OrthCircleSub,
     classify_finite,
     cyclic,
+    cyclic_group,
     g_class_of,
     in_plane_direction,
     trivial_group,
@@ -134,12 +134,7 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
     if isinstance(H, OrthCircleSub):
         # a nonzero covector in the plane is fixed exactly by the half turn
         # about its own line; the marked flip is the representative position
-        flip_dir = in_plane_direction(H.axis, H.flip_phase)
-        flip = FiniteSub(
-            FiniteRotationGroup.from_elements(
-                [Rotation.from_axis_angle(flip_dir, math.pi)]
-            )
-        )
+        flip = cyclic_group(2, in_plane_direction(H.axis, H.flip_phase))
         return AnnIsotropy(
             H, sub, (AnnClass(cyclic(2), flip), AnnClass(ORTH_CIRCLE, H))
         )

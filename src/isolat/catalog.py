@@ -45,8 +45,8 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 _Z: Vec3 = (0.0, 0.0, 1.0)
 
-# Named tolerances of the geometric tests below.  They are fixed, not tied to
-# the ISOLAT_TOLERANCE override, and their values decide output bytes.
+# Named tolerances of the geometric tests below.  Like rotation.TOLERANCE they
+# are fixed constants, and their values decide output bytes.
 
 # Slack on dot products of two unit axes in the same-line, perpendicular and
 # membership tests: catalog axes come from exact constructions, so these dot
@@ -661,12 +661,12 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
                 Rotation.from_axis_angle(common, math.pi),
             ]
             return FiniteSub(FiniteRotationGroup.from_elements(els))
-        return _flip_group(common)
+        return cyclic_group(2, common)
     circ, orth = (A, B) if isinstance(A, CircleSub) else (B, A)
     if _same_line(circ.axis, orth.axis):
         return CircleSub(circ.axis)
     if _perp(circ.axis, orth.axis):
-        return _flip_group(circ.axis)
+        return cyclic_group(2, circ.axis)
     return trivial_group()
 
 
@@ -685,19 +685,6 @@ def subgroup_equal(A: ConcreteSubgroup, B: ConcreteSubgroup) -> bool:
 
 # ---------------------------------------------------------------------------
 # Embeddings of a class into a concrete subgroup
-
-
-def _axial_cyclic(axis: Vec3, n: int) -> FiniteSub:
-    els = [Rotation.from_axis_angle(axis, 2.0 * math.pi * k / n) for k in range(1, n)]
-    return FiniteSub(FiniteRotationGroup.from_elements(els))
-
-
-def _flip_group(direction: Vec3) -> FiniteSub:
-    return FiniteSub(
-        FiniteRotationGroup.from_elements(
-            [Rotation.from_axis_angle(direction, math.pi)]
-        )
-    )
 
 
 def _cyclic_part_about(members, m: int) -> list[Rotation] | None:
@@ -824,7 +811,7 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
     if isinstance(H2, CircleSub):
         if t.kind == "SO2":
             return [CircleSub(H2.axis)]
-        return [_axial_cyclic(H2.axis, t.n)]
+        return [cyclic_group(t.n, H2.axis)]
     if isinstance(H2, OrthCircleSub):
         a, phi = H2.axis, H2.flip_phase
         if t.kind == "O2":
@@ -833,13 +820,13 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
             return [CircleSub(a)]
         if t.kind == "C":
             if t.n >= 3:
-                return [_axial_cyclic(a, t.n)]
+                return [cyclic_group(t.n, a)]
             # order-2 positions: the axial half turn, a flip on the marked
             # direction, and a flip in generic position relative to the mark
             return [
-                _axial_cyclic(a, 2),
-                _flip_group(in_plane_direction(a, phi)),
-                _flip_group(in_plane_direction(a, phi + math.pi / 4.0)),
+                cyclic_group(2, a),
+                cyclic_group(2, in_plane_direction(a, phi)),
+                cyclic_group(2, in_plane_direction(a, phi + math.pi / 4.0)),
             ]
         # D_m positions in O(2): flip set aligned with the mark or not
         m = t.n

@@ -24,7 +24,6 @@ from .errors import NotTotallyIsotropic
 from .lift import (
     AmbientGroup,
     CircleAmbient,
-    FiniteAmbient,
     _validate_realizable,
     lifted_lattice,
 )
@@ -54,12 +53,9 @@ def is_totally_isotropic(G: AmbientGroup, mu) -> bool:
     points, so every value does.  A finite group has a zero dual, so zero is
     the only momentum value there is.
     """
-    if isinstance(G, FiniteAmbient):
-        return _mu_is_zero(G, mu)
     if isinstance(G, CircleAmbient):
         return True
-    m = _as_vec3(mu)
-    return max(abs(c) for c in m) <= TOLERANCE
+    return _mu_is_zero(mu)
 
 
 def _as_vec3(mu) -> Vec3:
@@ -71,11 +67,7 @@ def _as_vec3(mu) -> Vec3:
     return t
 
 
-def _mu_is_zero(G: AmbientGroup, mu) -> bool:
-    if isinstance(G, (FiniteAmbient, CircleAmbient)):
-        if isinstance(mu, (int, float)):
-            return abs(float(mu)) <= TOLERANCE
-        return max(abs(float(c)) for c in mu) <= TOLERANCE
+def _mu_is_zero(mu) -> bool:
     return max(abs(c) for c in _as_vec3(mu)) <= TOLERANCE
 
 
@@ -99,7 +91,7 @@ def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> MuLattice:
             "the level-set description applies to totally isotropic momentum "
             "values only"
         )
-    if _mu_is_zero(G, mu):
+    if _mu_is_zero(mu):
         return MuLattice(build_lattice(base.classes, require_unique_min=False))
     # nonzero totally isotropic mu exists only for the circle ambient, where
     # the algebra of the circle itself is not annihilated

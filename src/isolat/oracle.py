@@ -33,6 +33,7 @@ from .catalog import (
     canonical_rep,
     g_class_of,
     parse_tag,
+    trivial_group,
 )
 from .errors import NotTangent
 from .lift import (
@@ -86,11 +87,6 @@ def make_action(name: str) -> ConcreteAction:
     raise ValueError(f"unknown action {name!r}")
 
 
-def _finite_group(action: ConcreteAction) -> FiniteRotationGroup:
-    rep = canonical_rep(action.tag)
-    return rep.group
-
-
 # ---------------------------------------------------------------------------
 # Stabilizers
 
@@ -105,8 +101,8 @@ def stabilizer_of_point(action: ConcreteAction, x: Vec3) -> ConcreteSubgroup:
     if action.kind == "circle_r2":
         if abs(x[0]) <= TOLERANCE and abs(x[1]) <= TOLERANCE:
             return CircleSub((0.0, 0.0, 1.0))
-        return FiniteSub(FiniteRotationGroup.from_elements([]))
-    F = _finite_group(action)
+        return trivial_group()
+    F = action.ambient.group
     if action.kind == "finite_r3" and norm(x) <= TOLERANCE:
         return FiniteSub(F)
     kept = [g for g in F if norm(vsub(apply(g, x), x)) <= SAMPLE_TOL * max(1.0, norm(x))]
@@ -130,18 +126,18 @@ def stabilizer_of_tangent(action: ConcreteAction, x: Vec3, v: Vec3) -> ConcreteS
             return CircleSub(x)
         if norm(cross(x, v)) <= SAMPLE_TOL * nx * nv:
             return CircleSub(x)
-        return FiniteSub(FiniteRotationGroup.from_elements([]))
+        return trivial_group()
     if action.kind == "so3_s2":
         if norm(v) <= TOLERANCE:
             return CircleSub(x)
-        return FiniteSub(FiniteRotationGroup.from_elements([]))
+        return trivial_group()
     if action.kind == "circle_r2":
         planar_x = abs(x[0]) <= TOLERANCE and abs(x[1]) <= TOLERANCE
         planar_v = abs(v[0]) <= TOLERANCE and abs(v[1]) <= TOLERANCE
         if planar_x and planar_v:
             return CircleSub((0.0, 0.0, 1.0))
-        return FiniteSub(FiniteRotationGroup.from_elements([]))
-    F = _finite_group(action)
+        return trivial_group()
+    F = action.ambient.group
     sx = max(1.0, norm(x))
     sv = max(1.0, norm(v))
     kept = [
@@ -191,7 +187,7 @@ def default_plan(action: ConcreteAction, rng_seed: int = 0, n_random: int = 1000
             ((1.0, 2.0, 0.0), (-2.0, 1.0, 0.0)),
         ]
     else:
-        F = _finite_group(action)
+        F = action.ambient.group
         lines = axis_lines(F)
         on_sphere = action.kind == "finite_s2"
         if not on_sphere:

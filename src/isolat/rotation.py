@@ -6,39 +6,20 @@ and -q collapse to a single representation.  All types here are immutable and
 every operation is a pure function, so values can be shared freely across
 threads.
 
-The tolerance tau defaults to 1e-9 and can be overridden through the
-ISOLAT_TOLERANCE environment variable (expert use only).  A value that is not
-a finite positive float leaves tau at 1e-9 and is kept in TOLERANCE_ERROR,
-which the CLI reports as a validation error before running any command.
+The tolerance tau is the fixed constant TOLERANCE = 1e-9.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import GroupTooLarge, ValidationError
+from .errors import GroupTooLarge
 
 Vec3 = tuple[float, float, float]
 
-
-def _tolerance_from_env() -> tuple[float, ValidationError | None]:
-    raw = os.environ.get("ISOLAT_TOLERANCE")
-    if raw is None:
-        return 1e-9, None
-    try:
-        tau = float(raw)
-    except ValueError:
-        tau = math.nan
-    if not (math.isfinite(tau) and tau > 0.0):
-        msg = f"ISOLAT_TOLERANCE must be a finite positive number, got {raw!r}"
-        return 1e-9, ValidationError(msg, "ISOLAT_TOLERANCE")
-    return tau, None
-
-
-TOLERANCE, TOLERANCE_ERROR = _tolerance_from_env()
+TOLERANCE = 1e-9
 
 # Cap on multiplicative closures.  The largest catalog group that has to fit
 # is Dihedral(100) with 200 elements.
@@ -178,14 +159,14 @@ def apply(r: Rotation, v: Vec3) -> Vec3:
     )
 
 
-def eq(a: Rotation, b: Rotation, tol: float | None = None) -> bool:
+def eq(a: Rotation, b: Rotation) -> bool:
     """Same rotation within tolerance.
 
     Both arguments are already sign-canonical, but canonicalization is
     discontinuous where the leading component sits within tau of zero, so the
     flipped comparison is checked as well.
     """
-    t = TOLERANCE if tol is None else tol
+    t = TOLERANCE
     if (
         abs(a.w - b.w) <= t
         and abs(a.x - b.x) <= t

@@ -334,7 +334,7 @@ CIRCLE_WITH_ONE_SPEC = {"group": {"kind": "circle"}, "base_lattice": ["1", "C2",
     ids=["circle-zero", "circle-nonzero", "finite-zero"],
 )
 def test_mu_vector_on_circle_and_finite_ambients(tmp_path, capsys, doc, value, classes):
-    # a three-component mu reaches the list branch of momentum._mu_is_zero
+    # a three-component mu goes through momentum._mu_is_zero on these ambients
     path = write_spec(tmp_path, doc)
     code, out, _ = run(capsys, "mu", path, "--mu", value)
     assert code == 0
@@ -495,16 +495,13 @@ def test_argparse_failures_exit_2(tmp_path, capsys):
     assert code == 2  # --mu is required
 
 
-def run_module(args, tolerance=None):
-    """Run python -m isolat.cli ARGS in a fresh process, ISOLAT_TOLERANCE set or unset."""
+def run_module(args, env=None):
+    """Run python -m isolat.cli ARGS in a fresh process, with extra ENV variables."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("ISOLAT_TOLERANCE", None)
-    if tolerance is not None:
-        env["ISOLAT_TOLERANCE"] = tolerance
+    full_env = dict(os.environ, **(env or {}))
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in (src, full_env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=full_env, timeout=60
     )
 
 
@@ -516,20 +513,10 @@ def test_module_entry_point_prints_catalog(capsys):
     assert json.loads(proc.stdout)["classes"][0] == "1"
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("command", [["catalog"], ["adjoint", "D2"]])
-def test_bad_tolerance_is_a_validation_record(value, command):
-    proc = run_module(["-m", "isolat.cli", *command], tolerance=value)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    err = json.loads(proc.stderr)["error"]
-    assert err["code"] == "validation"
-    assert err["path"] == "ISOLAT_TOLERANCE"
-
-
-@pytest.mark.parametrize("value,expected", [(None, 1e-9), ("1e-8", 1e-8)])
-def test_tolerance_from_environment(value, expected):
-    proc = run_module(["-c", "import isolat.rotation as r; print(repr(r.TOLERANCE))"], value)
+@pytest.mark.parametrize("value", ["1e-16", "1e-3", "abc"])
+def test_tolerance_environment_variable_is_ignored(value, capsys):
+    # the tolerance is a fixed constant; no environment variable moves it
+    proc = run_module(["-m", "isolat.cli", "adjoint", "D48"], {"ISOLAT_TOLERANCE": value})
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) == expected
+    _, expected, _ = run(capsys, "adjoint", "D48")
+    assert proc.stdout == expected

@@ -148,7 +148,7 @@ def test_eq_near_the_sign_boundary():
     for ang in (math.pi - 5e-10, math.pi, math.pi + 5e-10):
         a = Rotation.from_axis_angle((0, 1, 0), ang)
         b = Rotation.from_axis_angle((0, 1, 0), math.pi)
-        assert eq(a, b, 1e-8)
+        assert eq(a, b)
 
 
 def test_inverse():
