@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .adjoint import AnnIsotropy, Full3, Plane, Zero
+from .adjoint import AnnIsotropy, Plane, Zero
 from .catalog import (
     CIRCLE,
     FULL,
@@ -369,14 +369,32 @@ def _cmd_lift(argv) -> int:
     if not lift_witness_check(spec.ambient, base, result):
         _emit_error("witness-check", "", "internal witness recheck failed")
         return 3
-    out = {"bundle": "T*M" if a.cotangent else "TM"}
-    out.update(lattice_to_json(result.lifted))
-    if not a.no_witnesses:
-        out["witnesses"] = [witness_to_json(w) for w in result.witnesses]
-    print(json.dumps(out, indent=2))
     if a.dot:
         _write_dot(a.dot, result.lifted)
+    out = {"bundle": "T*M" if a.cotangent else "TM"}
+    out.update(lattice_to_json(result.lifted))
+    text = json.dumps(out, indent=2)
+    if not a.no_witnesses:
+        items = ",\n    ".join(_witness_text(w) for w in result.witnesses)
+        # the same bytes as a "witnesses" list inside the json.dumps above
+        text = text[:-2] + f',\n  "witnesses": [\n    {items}\n  ]\n}}'
+    print(text)
     return 0
+
+
+def _witness_text(w: LiftWitness) -> str:
+    """w as JSON at its depth in the lift document, rendered once per object.
+
+    Witnesses are immutable and lifted_lattice returns the same objects on
+    every call, so the text is stored on the instance, as classify_finite
+    stores its tag.  Equal witnesses may differ in their float bits, so the
+    text is never shared between instances.
+    """
+    text = w.__dict__.get("_json_text")
+    if text is None:
+        text = json.dumps(witness_to_json(w), indent=2).replace("\n", "\n    ")
+        w.__dict__["_json_text"] = text
+    return text
 
 
 def _parse_mu(raw: str):
@@ -436,9 +454,9 @@ def _cmd_requilibria(argv) -> int:
     spec = parse_spec(_read_spec_file(a.specfile))
     base = build_lattice(spec.base_tags)
     L = relative_equilibria_lattice(spec.ambient, base)
-    print(json.dumps(lattice_to_json(L), indent=2))
     if a.dot:
         _write_dot(a.dot, L)
+    print(json.dumps(lattice_to_json(L), indent=2))
     return 0
 
 

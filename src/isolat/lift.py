@@ -7,7 +7,8 @@ the annihilator of its algebra.  The diagonal h1 = h2 suffices: h1 lies in
 h2, so ann(h2) lies in ann(h1), and E meet (H2)_xi = E_xi is already a class
 of h1 on its own annihilator (the slice picture T_xM = g/h + N).  On the
 diagonal E meet K = K, so lifted_lattice takes the labels of ann_of(h) over
-the base classes h, with witness (h, h, K).  The cotangent lift and relative
+the base classes h, with witness (h, h, K); those witnesses depend on h
+alone and are built once per tag.  The cotangent lift and relative
 equilibria (momentum.py) realize the same lattice.
 
 A finite ambient group has zero Lie algebra, so every annihilator is the
@@ -78,7 +79,10 @@ class LiftWitness:
 
     embedding is a concrete position of h1 inside the canonical h2
     representative; k_rep is the concrete linear-isotropy subgroup whose
-    intersection with the embedding lands in lifted_class.
+    intersection with the embedding lands in lifted_class.  lifted_lattice
+    builds one witness object per class tag and returns the same objects on
+    every call, so data derived from one (the cli's JSON text) may be stored
+    on the instance.
     """
 
     lifted_class: ClassTag
@@ -109,21 +113,13 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
     _validate_realizable(G, base.classes)
     if isinstance(G, (FiniteAmbient, CircleAmbient)):
         lifted = build_lattice(base.classes)
-        witnesses = tuple(
-            LiftWitness(t, t, t, t, canonical_rep(t), canonical_rep(t))
-            for t in lifted.classes
-        )
-        return LiftResult(lifted, witnesses)
+        return LiftResult(lifted, tuple(_trivial_witness(t) for t in lifted.classes))
 
     depths = compute_depths(base)
     found: dict[ClassTag, LiftWitness] = {}
     for h in sorted(base.classes, key=lambda t: (depths[t], tag_sort_key(t))):
-        E = _self_embedding(h)
-        for entry in ann_of(h).classes:
-            found.setdefault(
-                entry.label,
-                LiftWitness(entry.label, h, h, entry.label, E, entry.representative),
-            )
+        for w in _diagonal_witnesses(h):
+            found.setdefault(w.lifted_class, w)
     lifted = build_lattice(found.keys())
     witnesses = tuple(found[t] for t in lifted.classes)
     return LiftResult(lifted, witnesses)
@@ -140,12 +136,24 @@ def ann_of(h: ClassTag) -> AnnIsotropy:
 
 
 @lru_cache(maxsize=None)
-def _self_embedding(h: ClassTag) -> ConcreteSubgroup:
-    """Witness position of h inside its own canonical representative.
+def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
+    """The witnesses (K, h, h, K) of h over the entries K of ann_of(h).
 
-    Equal to canonical_rep(h) as a set, but for T, O and I not bit for bit.
+    The embedding is h's position inside its own canonical representative:
+    equal to canonical_rep(h) as a set, but for T, O and I not bit for bit.
+    One tuple per catalog tag, so every lift returns the same objects.
     """
-    return embeddings_of_class_in(h, canonical_rep(h))[0]
+    E = embeddings_of_class_in(h, canonical_rep(h))[0]
+    return tuple(
+        LiftWitness(e.label, h, h, e.label, E, e.representative) for e in ann_of(h).classes
+    )
+
+
+@lru_cache(maxsize=None)
+def _trivial_witness(t: ClassTag) -> LiftWitness:
+    """The witness of t in a finite or circle ambient, one object per tag."""
+    rep = canonical_rep(t)
+    return LiftWitness(t, t, t, t, rep, rep)
 
 
 def cotangent_lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:

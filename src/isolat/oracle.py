@@ -19,7 +19,6 @@ lattices are reproducible.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 

@@ -280,6 +280,27 @@ def test_lift_writes_dot(tmp_path, capsys):
     assert "digraph isotropy {" in text and "n1 -> n2;" in text
 
 
+@pytest.mark.parametrize("command", ["lift", "requilibria"])
+def test_dot_keeps_stdout_unchanged(tmp_path, capsys, command):
+    path = write_spec(tmp_path, SO3_SPEC)
+    dot_path = tmp_path / "out.dot"
+    code, out, err = run(capsys, command, path, "--dot", str(dot_path))
+    assert code == 0 and err == ""
+    assert out == run(capsys, command, path)[1]
+    classes = [parse_tag(s) for s in json.loads(out)["classes"]]
+    assert dot_path.read_text() == lattice_to_dot(build_lattice(classes))
+
+
+@pytest.mark.parametrize("command", ["lift", "requilibria"])
+def test_failed_dot_write_prints_no_result(tmp_path, capsys, command):
+    path = write_spec(tmp_path, SO3_SPEC)
+    dot_path = tmp_path / "missing" / "out.dot"
+    code, out, err = run(capsys, command, path, "--dot", str(dot_path))
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "validation" and rec["path"] == "dot"
+
+
 def test_lift_missing_file(capsys):
     code, _, err = run(capsys, "lift", "/nonexistent/spec.json")
     assert code == 2

@@ -46,7 +46,7 @@ from isolat.lift import (
     AMBIENT_SO3,
     FiniteAmbient,
     LiftWitness,
-    _self_embedding,
+    _diagonal_witnesses,
     ann_of,
     lift_witness_check,
     lifted_lattice,
@@ -124,9 +124,11 @@ def test_off_diagonal_pairs_add_nothing():
 
 def test_self_embedding_is_the_canonical_rep_as_a_set():
     for t in CATALOG:
-        E = _self_embedding(t)
-        assert E is _self_embedding(t)
-        assert subgroup_equal(E, canonical_rep(t)), t.short()
+        witnesses = _diagonal_witnesses(t)
+        assert witnesses is _diagonal_witnesses(t)
+        for w in witnesses:
+            assert w.embedding is witnesses[0].embedding
+            assert subgroup_equal(w.embedding, canonical_rep(t)), t.short()
 
 
 # ---------------------------------------------------------------------------
