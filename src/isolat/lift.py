@@ -79,10 +79,10 @@ class LiftWitness:
 
     embedding is a concrete position of h1 inside the canonical h2
     representative; k_rep is the concrete linear-isotropy subgroup whose
-    intersection with the embedding lands in lifted_class.  lifted_lattice
-    builds one witness object per class tag and returns the same objects on
-    every call, so data derived from one (the cli's JSON text) may be stored
-    on the instance.
+    intersection with the embedding lands in lifted_class.  Over SO(3),
+    lifted_lattice returns the same witness objects on every call (one tuple
+    per base tag), so data derived from one (the cli's JSON text) may be
+    stored on the instance.
     """
 
     lifted_class: ClassTag
@@ -113,7 +113,11 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
     _validate_realizable(G, base.classes)
     if isinstance(G, (FiniteAmbient, CircleAmbient)):
         lifted = build_lattice(base.classes)
-        return LiftResult(lifted, tuple(_trivial_witness(t) for t in lifted.classes))
+        witnesses = tuple(
+            LiftWitness(t, t, t, t, canonical_rep(t), canonical_rep(t))
+            for t in lifted.classes
+        )
+        return LiftResult(lifted, witnesses)
 
     depths = compute_depths(base)
     found: dict[ClassTag, LiftWitness] = {}
@@ -147,13 +151,6 @@ def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
     return tuple(
         LiftWitness(e.label, h, h, e.label, E, e.representative) for e in ann_of(h).classes
     )
-
-
-@lru_cache(maxsize=None)
-def _trivial_witness(t: ClassTag) -> LiftWitness:
-    """The witness of t in a finite or circle ambient, one object per tag."""
-    rep = canonical_rep(t)
-    return LiftWitness(t, t, t, t, rep, rep)
 
 
 def cotangent_lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:

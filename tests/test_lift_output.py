@@ -20,7 +20,7 @@ from isolat.cli import (
     subgroup_to_json,
     witness_to_json,
 )
-from isolat.lift import _diagonal_witnesses, _trivial_witness, lifted_lattice
+from isolat.lift import FiniteAmbient, _diagonal_witnesses, lifted_lattice
 from isolat.poset import build_lattice
 
 
@@ -56,7 +56,6 @@ FLAGS = [(), ("--cotangent",), ("--no-witnesses",)]
 def fresh_witnesses():
     """New witness objects, so the first lift in a test renders every text."""
     _diagonal_witnesses.cache_clear()
-    _trivial_witness.cache_clear()
 
 
 def write(tmp_path, name):
@@ -112,7 +111,8 @@ def test_finite_parents_after_an_so3_lift(tmp_path, capsys):
 @pytest.mark.parametrize("tag", [TETRA, OCTA, ICOSA], ids=lambda t: t.short())
 def test_equal_witnesses_keep_their_own_bits(tag):
     so3 = next(w for w in _diagonal_witnesses(tag) if w.lifted_class == tag)
-    finite = _trivial_witness(tag)
+    parent = FiniteAmbient(canonical_rep(tag).group)
+    (finite,) = lifted_lattice(parent, build_lattice([tag])).witnesses
     assert so3.embedding == canonical_rep(tag) and so3 == finite
     assert subgroup_to_json(so3.embedding) != subgroup_to_json(canonical_rep(tag))
     assert _witness_text(so3) != _witness_text(finite)
