@@ -90,15 +90,26 @@ def ann_h(H: ConcreteSubgroup) -> AnnSubspace:
 
 def axis_line_orbits(
     F: FiniteRotationGroup,
-) -> list[tuple[Vec3, int, FiniteRotationGroup]]:
+) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
     """Orbits of F on its own rotation-axis lines.
 
     Each orbit yields (representative direction, axial order k, axial
     subgroup at the representative).  The representative is the
     lexicographically largest canonical direction in the orbit.  Orbits are
-    sorted by (k, representative).  F is a group, so one pass of F over a
-    line already sweeps out the line's whole orbit.
+    sorted by (k, representative).  The tuple is stored on F itself (groups
+    are immutable), as classify_finite stores its tag, so each instance is
+    swept once and keeps the same axial group objects; nothing is shared
+    between instances.
     """
+    orbits = F.__dict__.get("_line_orbits")
+    if orbits is None:
+        orbits = F.__dict__["_line_orbits"] = _line_orbits(F)
+    return orbits
+
+
+def _line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
+    # F is a group, so one pass of F over a line already sweeps out the
+    # line's whole orbit
     table = F.lines
     seen: set[tuple] = set()
     orbits: list[tuple[Vec3, int, FiniteRotationGroup]] = []
@@ -114,7 +125,7 @@ def axis_line_orbits(
         axial = [Rotation.identity()] + [r for r, _ in table[line_key(rep)][1]]
         orbits.append((rep, len(on_line) + 1, FiniteRotationGroup.from_elements(axial)))
     orbits.sort(key=lambda item: (item[1], item[0]))
-    return orbits
+    return tuple(orbits)
 
 
 def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:

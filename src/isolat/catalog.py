@@ -631,7 +631,11 @@ def _perp(a: Vec3, b: Vec3) -> bool:
 
 
 def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
-    """Exact intersection of two concrete subgroups."""
+    """Exact intersection of two concrete subgroups.
+
+    When the intersection is a whole operand, that operand itself is
+    returned (its stored class and line table come with it), not a copy.
+    """
     if isinstance(A, FullSub):
         return B
     if isinstance(B, FullSub):
@@ -644,6 +648,8 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
         else:
             small, other = B, A
         kept = [r for r in small.group if subgroup_contains(other, r)]
+        if len(kept) == len(small.group):
+            return small
         return FiniteSub(FiniteRotationGroup.from_elements(kept))
     if isinstance(A, CircleSub) and isinstance(B, CircleSub):
         return A if _same_line(A.axis, B.axis) else trivial_group()

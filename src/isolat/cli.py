@@ -47,7 +47,7 @@ from .catalog import (
     parse_tag,
     tag_sort_key,
 )
-from .errors import GroupTooLarge, IsolatError, SchemaError, ValidationError
+from .errors import ClassNotInLattice, GroupTooLarge, IsolatError, SchemaError, ValidationError
 from .lift import (
     AMBIENT_CIRCLE,
     AMBIENT_SO3,
@@ -435,10 +435,11 @@ def _cmd_mu(argv) -> int:
             t = parse_tag(a.closure)
         except ValueError as e:
             raise ValidationError(str(e), "closure") from None
-        out["closure"] = {
-            "class": t.short(),
-            "classes": [x.short() for x in mu_closure(ML, t)],
-        }
+        try:
+            classes = mu_closure(ML, t)
+        except ClassNotInLattice as e:
+            raise ClassNotInLattice(str(e), "closure") from None
+        out["closure"] = {"class": t.short(), "classes": [x.short() for x in classes]}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -472,8 +473,15 @@ def _cmd_check(argv) -> int:
     p.add_argument("specfile")
     p.add_argument("--action", help="action name; defaults to the spec's 'action' field")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=4000,
+        help="random draws per lattice besides the strata seeds; 0 uses the seeds only",
+    )
     a = p.parse_args(argv)
+    if a.samples < 0:
+        raise ValidationError(f"--samples must be 0 or more, got {a.samples}", "samples")
     spec = parse_spec(_read_spec_file(a.specfile))
     name = a.action or spec.action
     if name is None:

@@ -159,14 +159,17 @@ def cotangent_lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResu
 
 
 def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResult) -> bool:
-    """Recheck every witness of a lift result from scratch.
+    """Recheck every witness of a lift result.
 
     Verifies that each witness uses a valid base pair, that its k entry
     matches an isotropy class on the annihilator of its h2, that the claimed
     intersection lands in the claimed class, and that the witnessed classes
-    are exactly the classes of the lifted lattice.  The check rebuilds its
-    own annihilator isotropy, once per h2 within a call, and never reads the
-    lift's ann_of cache.
+    are exactly the classes of the lifted lattice.  Every witness is compared
+    on every call and no verdict is stored.  The check rebuilds its own
+    annihilator isotropy, once per h2 within a call, and never reads the
+    lift's ann_of cache; what it reuses is data stored on the immutable
+    groups themselves (classes, line tables, axis-line orbits), and
+    intersect hands back a contained operand instead of copying it.
     """
     anns: dict[ClassTag, AnnIsotropy] = {}
     witnessed = set()

@@ -45,28 +45,28 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
         raise ValueError("a lattice needs at least one class")
     n = len(tags)
     less = set()
+    # above[i] holds the j with i < j, below[j] the i with i < j
+    above: list[set[int]] = [set() for _ in range(n)]
+    below: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and is_subconjugate(tags[i], tags[j]):
                 less.add((i, j))
+                above[i].add(j)
+                below[j].add(i)
     for i, j in less:
         if (j, i) in less:
             raise ValueError(
                 f"distinct classes {tags[i].short()} and {tags[j].short()} "
                 "are mutually subconjugate"
             )
-    minimal = [i for i in range(n) if not any((j, i) in less for j in range(n))]
+    minimal = [i for i in range(n) if not below[i]]
     unique_min = len(minimal) == 1
     if require_unique_min and not unique_min:
         names = ", ".join(tags[i].short() for i in minimal)
         raise NoUniqueMinimum(f"minimal classes are {names}, expected exactly one")
-    hasse = tuple(
-        sorted(
-            (i, j)
-            for (i, j) in less
-            if not any((i, k) in less and (k, j) in less for k in range(n))
-        )
-    )
+    # (i, j) is a cover when no k lies strictly between them
+    hasse = tuple(sorted((i, j) for (i, j) in less if above[i].isdisjoint(below[j])))
     return IsotropyLattice(tuple(tags), frozenset(less), hasse, unique_min)
 
 

@@ -196,3 +196,36 @@ def test_trivial_group_entry():
     ai = isotropy_on_ann(canonical_rep(TRIVIAL))
     assert [e.label for e in ai.classes] == [TRIVIAL]
     assert subgroup_equal(ai.classes[0].representative, canonical_rep(TRIVIAL))
+
+
+FINITE_CATALOG = (
+    [TRIVIAL]
+    + [cyclic(n) for n in range(2, 101)]
+    + [dihedral(n) for n in range(2, 101)]
+    + [TETRA, OCTA, ICOSA]
+)
+
+
+def test_axis_line_orbits_are_stored_per_instance():
+    for t in FINITE_CATALOG:
+        F = canonical_rep(t).group
+        orbits = axis_line_orbits(F)
+        assert isinstance(orbits, tuple)
+        assert axis_line_orbits(F) is orbits, t.short()
+        # a new instance over the same elements sweeps its orbits afresh
+        fresh = axis_line_orbits(FiniteRotationGroup(F.elements))
+        assert [(rep, k, axial.key_set) for rep, k, axial in fresh] == [
+            (rep, k, axial.key_set) for rep, k, axial in orbits
+        ], t.short()
+
+
+def test_isotropy_on_ann_reuses_the_stored_axial_groups():
+    F = canonical_rep(dihedral(4)).group
+    axial = {id(a) for _, _, a in axis_line_orbits(F)}
+    first = isotropy_on_ann(canonical_rep(dihedral(4)))
+    again = isotropy_on_ann(canonical_rep(dihedral(4)))
+    assert first is not again
+    for a, b in zip(first.classes, again.classes):
+        if a.label not in (TRIVIAL, dihedral(4)):
+            assert id(a.representative.group) in axial
+            assert a.representative.group is b.representative.group

@@ -533,3 +533,47 @@ def test_cyclic_group_constructor_about_tilted_axis():
     assert classify_finite(F.group) == cyclic(5)
     F2 = dihedral_group(3, (1.0, 0.0, 1.0), 0.4)
     assert classify_finite(F2.group) == dihedral(3)
+
+
+def _old_finite_intersect(A, B):
+    """The former finite branch of intersect: always a from_elements copy."""
+    small, other = (A, B) if len(A.group) <= len(B.group) else (B, A)
+    kept = [r for r in small.group if subgroup_contains(other, r)]
+    return small, FiniteSub(FiniteRotationGroup.from_elements(kept))
+
+
+SMALL_FINITE = (
+    [TRIVIAL]
+    + [cyclic(n) for n in range(2, 25)]
+    + [dihedral(n) for n in range(2, 25)]
+    + [TETRA, OCTA, ICOSA]
+)
+
+
+def _finite_pairs():
+    reps = [canonical_rep(t) for t in SMALL_FINITE]
+    for A in reps:
+        for B in reps:
+            yield A, B
+    for h in SMALL_FINITE:
+        P = canonical_rep(h)
+        for t in SMALL_FINITE:
+            if is_subconjugate(t, h):
+                for E in embeddings_of_class_in(t, P):
+                    yield E, P
+                    yield P, E
+
+
+def test_intersect_returns_a_contained_operand_itself():
+    contained = copied = 0
+    for A, B in _finite_pairs():
+        got = intersect(A, B)
+        small, old = _old_finite_intersect(A, B)
+        if len(old.group) == len(small.group):
+            assert got is small
+            contained += 1
+        else:
+            assert got.group.key_set == old.group.key_set
+            assert g_class_of(got) == g_class_of(old)
+            copied += 1
+    assert contained > 1000 and copied > 1000

@@ -333,6 +333,15 @@ def test_mu_command(tmp_path, capsys):
     assert doc["closure"] == {"class": "C2", "classes": ["C2", "C4"]}
 
 
+def test_mu_closure_outside_the_level_set_names_closure(tmp_path, capsys):
+    path = write_spec(tmp_path, SO3_SPEC)
+    code, out, err = run(capsys, "mu", path, "--mu", "0", "--closure", "C7")
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "class-not-in-lattice" and rec["path"] == "closure"
+    assert "C7" in rec["message"]
+
+
 def test_mu_zero_vector(tmp_path, capsys):
     path = write_spec(tmp_path, SO3_SPEC)
     code, out, _ = run(capsys, "mu", path, "--mu", "[0,0,0]")
@@ -441,6 +450,26 @@ def test_check_mismatch_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, "check", path, "--action", "SO3_on_S2", "--samples", "300")
     assert code == 3
     assert out.strip().splitlines()[-1] == "MISMATCH"
+
+
+def test_check_rejects_negative_samples(tmp_path, capsys):
+    doc = dict(SO3_SPEC)
+    doc["action"] = "SO3_on_R3"
+    path = write_spec(tmp_path, doc)
+    code, out, err = run(capsys, "check", path, "--samples", "-5")
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "validation" and rec["path"] == "samples"
+
+
+def test_check_with_zero_samples_uses_the_strata_seeds(tmp_path, capsys):
+    doc = dict(SO3_SPEC)
+    doc["action"] = "SO3_on_R3"
+    path = write_spec(tmp_path, doc)
+    code, out, _ = run(capsys, "check", path, "--samples", "0")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == "MATCH" and len(lines) == 5
 
 
 def test_check_needs_an_action(tmp_path, capsys):

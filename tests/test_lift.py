@@ -251,3 +251,56 @@ def test_witness_check_rebuilds_ann_once_per_h2(monkeypatch):
     assert lift_witness_check(AMBIENT_SO3, b, res)
     h2s = {w.h2 for w in res.witnesses}
     assert len(built) == len(h2s) < len(res.witnesses)
+
+
+def _d4_tampered_results():
+    """A passing SO(3) lift of {D4, SO3} and four tampered copies of it."""
+    from isolat.adjoint import axis_line_orbits
+    from isolat.catalog import cyclic_group
+    from isolat.rotation import apply, canon_direction, line_key
+
+    b = lattice(["D4", "SO3"])
+    res = lifted_lattice(AMBIENT_SO3, b)
+    ws = list(res.witnesses)
+    i = next(n for n, w in enumerate(ws) if w.lifted_class == cyclic(2))
+    w = ws[i]
+    assert w.h2 == dihedral(4)
+
+    def swap(**changes):
+        tampered = list(ws)
+        tampered[i] = dataclasses.replace(w, **changes)
+        return dataclasses.replace(res, witnesses=tuple(tampered))
+
+    # another line of the orbit whose representative is w.k_rep: same label,
+    # same class for E meet K, but not an isotropy representative of D4
+    F = canonical_rep(dihedral(4)).group
+    rep = next(d for d, k, axial in axis_line_orbits(F) if axial == w.k_rep.group)
+    moved = next(
+        canon_direction(apply(g, rep))
+        for g in F
+        if line_key(canon_direction(apply(g, rep))) != line_key(rep)
+    )
+    tampered = {
+        "lifted_class": swap(lifted_class=cyclic(4)),
+        "k_rep": swap(k_rep=cyclic_group(2, moved)),
+        "embedding": swap(embedding=canonical_rep(cyclic(4))),
+        "dropped": dataclasses.replace(res, witnesses=tuple(ws[:i] + ws[i + 1:])),
+    }
+    # the other C2 orbit's representative is a genuine entry of ann(D4)
+    other = next(
+        e.representative
+        for e in isotropy_on_ann(canonical_rep(dihedral(4))).classes
+        if e.label == cyclic(2) and not subgroup_equal(e.representative, w.k_rep)
+    )
+    return b, res, swap(k_rep=other), tampered
+
+
+def test_tampered_witnesses_fail_on_every_call():
+    b, res, also_valid, tampered = _d4_tampered_results()
+    for _ in range(3):
+        assert lift_witness_check(AMBIENT_SO3, b, res)
+        assert lift_witness_check(AMBIENT_SO3, b, also_valid)
+        for name, bad in tampered.items():
+            assert not lift_witness_check(AMBIENT_SO3, b, bad), name
+    # the lift still hands out the same, untouched witness objects
+    assert all(x is y for x, y in zip(lifted_lattice(AMBIENT_SO3, b).witnesses, res.witnesses))

@@ -115,3 +115,47 @@ def test_full_is_unique_maximum():
     for i in range(len(L.classes)):
         if i != top:
             assert (i, top) in L.less
+
+
+def _old_build_lattice(tags_in):
+    """The former triple-loop Hasse reduction, kept here as a reference."""
+    from isolat.catalog import is_subconjugate, tag_sort_key
+
+    ts = sorted(set(tags_in), key=tag_sort_key)
+    n = len(ts)
+    less = {(i, j) for i in range(n) for j in range(n) if i != j and is_subconjugate(ts[i], ts[j])}
+    minimal = [i for i in range(n) if not any((j, i) in less for j in range(n))]
+    hasse = tuple(
+        sorted(
+            (i, j)
+            for (i, j) in less
+            if not any((i, k) in less and (k, j) in less for k in range(n))
+        )
+    )
+    return tuple(ts), frozenset(less), hasse, len(minimal) == 1
+
+
+def _fields(L):
+    return L.classes, L.less, L.hasse, L.unique_min
+
+
+def test_build_lattice_matches_the_triple_loop():
+    big = tags("1", *[f"C{n}" for n in range(2, 49)], *[f"D{n}" for n in range(2, 49)],
+               "SO2", "O2", "SO3")
+    assert len(big) == 98
+    assert _fields(build_lattice(big)) == _old_build_lattice(big)
+    pool = tags(*[f"C{n}" for n in range(2, 25)], *[f"D{n}" for n in range(2, 25)],
+                "1", "T", "O", "I", "SO2", "O2", "SO3")
+    rng = random.Random(20261018)
+    seen_multi_min = False
+    for _ in range(300):
+        drawn = rng.sample(pool, rng.randint(1, 14))
+        want = _old_build_lattice(drawn)
+        assert _fields(build_lattice(drawn, require_unique_min=False)) == want
+        if want[3]:
+            assert _fields(build_lattice(drawn)) == want
+        else:
+            seen_multi_min = True
+            with pytest.raises(NoUniqueMinimum):
+                build_lattice(drawn)
+    assert seen_multi_min
