@@ -6,15 +6,17 @@ cyclic C_n and dihedral D_n families, the three exceptional rotation groups
 extension O(2), and SO(3) itself.  Concrete subgroups carry enough geometry
 to intersect and conjugate them exactly.
 
-The subconjugation partial order on tags is a closed rule table; it is what
-the lattice layers consume.  Everything geometric (classification, canonical
-representatives, subgroup enumeration, intersections, embeddings) lives here
-too so that the lattice layers never touch raw quaternions.
+The subconjugation partial order on tags is a table of per-tag down-sets
+(strictly_below); it is what the lattice layers consume.  Everything
+geometric (classification, canonical representatives, subgroup enumeration,
+intersections, embeddings) lives here too so that the lattice layers never
+touch raw quaternions.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,13 +133,23 @@ def tag_sort_key(t: ClassTag):
     return (mo if mo is not None else 10**6 + rank, rank, t.n or 0)
 
 
+# An indexed tag: C or D, then an index in ASCII decimal without leading zeros
+# ([0-9] matches no other script's digits, unlike str.isdigit).
+_INDEXED_TAG = re.compile(r"([CD])(0|[1-9][0-9]*)")
+
+
 def parse_tag(s: str) -> ClassTag:
     """Short-form parser: '1', 'C4', 'D6', 'T', 'O', 'I', 'SO2', 'O2', 'SO3'."""
     if s in ("1", "T", "O", "I", "SO2", "O2", "SO3"):
         return ClassTag(s)
-    if len(s) >= 2 and s[0] in ("C", "D") and s[1:].isdigit():
-        return ClassTag(s[0], int(s[1:]))
-    raise ValueError(f"cannot parse class tag {s!r}")
+    m = _INDEXED_TAG.fullmatch(s)
+    if m is None:
+        raise ValueError(f"cannot parse class tag {s!r}")
+    kind, digits = m.groups()
+    if len(digits) > len(str(N_CAP)):
+        # past N_CAP, and int() refuses strings of thousands of digits
+        raise ValueError(f"{kind} index must lie in 2..{N_CAP}, got {digits}")
+    return ClassTag(kind, int(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -421,37 +433,42 @@ def canonical_rep(t: ClassTag) -> ConcreteSubgroup:
 # ---------------------------------------------------------------------------
 # Subconjugation partial order on tags
 
+# Indices of the cyclic and dihedral subgroup classes of T, O and I
+# (Golubitsky-Stewart-Schaeffer II, ch. XIII).
 _EXC_CYCLIC = {"T": (2, 3), "O": (2, 3, 4), "I": (2, 3, 5)}
 _EXC_DIHEDRAL = {"T": (2,), "O": (2, 3, 4), "I": (2, 3, 5)}
 
 
+@lru_cache(maxsize=None)
+def strictly_below(b: ClassTag) -> frozenset:
+    """The classes a != b with a subconjugate to b: b's strict down-set.
+
+    This table is the subconjugation order; is_subconjugate reads it.  C_n
+    and D_n take the divisors of n (and C2, the half turns of every D_n);
+    the other kinds take fixed lists.  The cache holds at most one entry per
+    catalog tag.
+    """
+    if b.kind == "1":
+        return frozenset()
+    if b.kind in ("C", "D"):
+        divisors = [d for d in range(2, b.n) if b.n % d == 0]
+        below = {TRIVIAL, *map(cyclic, divisors)}
+        if b.kind == "D":
+            below |= {cyclic(2), cyclic(b.n), *map(dihedral, divisors)}
+        return frozenset(below)
+    if b.kind in _EXC_CYCLIC:
+        below = {TRIVIAL, *map(cyclic, _EXC_CYCLIC[b.kind]), *map(dihedral, _EXC_DIHEDRAL[b.kind])}
+        return frozenset(below if b.kind == "T" else below | {TETRA})
+    if b.kind == "SO2":
+        return frozenset([TRIVIAL, *map(cyclic, range(2, N_CAP + 1))])
+    if b.kind == "O2":
+        return strictly_below(CIRCLE) | {CIRCLE, *map(dihedral, range(2, N_CAP + 1))}
+    return strictly_below(ORTH_CIRCLE) | {ORTH_CIRCLE, TETRA, OCTA, ICOSA}
+
+
 def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
     """True when some conjugate of a representative of a lies inside b's."""
-    if a == b:
-        return True
-    if a.kind == "1" or b.kind == "SO3":
-        return True
-    if b.kind == "1":
-        return False
-    if a.kind == "C":
-        if b.kind == "C":
-            return b.n % a.n == 0
-        if b.kind == "D":
-            return b.n % a.n == 0 or a.n == 2
-        if b.kind in _EXC_CYCLIC:
-            return a.n in _EXC_CYCLIC[b.kind]
-        return b.kind in ("SO2", "O2")
-    if a.kind == "D":
-        if b.kind == "D":
-            return b.n % a.n == 0
-        if b.kind in _EXC_DIHEDRAL:
-            return a.n in _EXC_DIHEDRAL[b.kind]
-        return b.kind == "O2"
-    if a.kind == "T":
-        return b.kind in ("O", "I")
-    if a.kind == "SO2":
-        return b.kind == "O2"
-    return False
+    return a == b or a in strictly_below(b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .adjoint import AnnIsotropy, Plane, Zero
 from .catalog import (
@@ -47,7 +48,14 @@ from .catalog import (
     parse_tag,
     tag_sort_key,
 )
-from .errors import ClassNotInLattice, GroupTooLarge, IsolatError, SchemaError, ValidationError
+from .errors import (
+    ClassNotInLattice,
+    GroupTooLarge,
+    IsolatError,
+    NoUniqueMinimum,
+    SchemaError,
+    ValidationError,
+)
 from .lift import (
     AMBIENT_CIRCLE,
     AMBIENT_SO3,
@@ -172,7 +180,7 @@ def parse_spec(text: str) -> ProblemSpec:
     if not isinstance(raw_tags, list) or not raw_tags:
         raise SchemaError("a non-empty 'base_lattice' list is required", "base_lattice")
     amb = ambient_class(ambient)
-    tags: list[ClassTag] = []
+    tags: dict[ClassTag, None] = {}  # an insertion-ordered set
     for i, s in enumerate(raw_tags):
         if not isinstance(s, str):
             raise SchemaError("class tags are strings", f"base_lattice[{i}]")
@@ -187,7 +195,7 @@ def parse_spec(text: str) -> ProblemSpec:
                 f"{t.short()} is not a subgroup class of the ambient {amb.short()}",
                 f"base_lattice[{i}]",
             )
-        tags.append(t)
+        tags[t] = None
 
     declared = None
     if "order" in doc:
@@ -338,6 +346,14 @@ def _read_spec_file(path: str) -> str:
         raise ValidationError(f"cannot read spec file: {e}", "specfile") from None
 
 
+def _base_lattice(spec: ProblemSpec) -> IsotropyLattice:
+    """The spec's base lattice; a missing unique minimum names base_lattice."""
+    try:
+        return build_lattice(spec.base_tags)
+    except NoUniqueMinimum as e:
+        raise NoUniqueMinimum(str(e), "base_lattice") from None
+
+
 def _write_dot(path: str, L: IsotropyLattice) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -346,7 +362,12 @@ def _write_dot(path: str, L: IsotropyLattice) -> None:
         raise ValidationError(f"cannot write DOT file: {e}", "dot") from None
 
 
-def _cmd_lift(argv) -> int:
+# Each command's parser is built once per process; parse_args leaves it as
+# it was, so one call's options never reach the next.
+
+
+@lru_cache(maxsize=None)
+def _lift_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat lift",
         description="Isotropy lattice of the tangent or cotangent lifted action.",
@@ -361,9 +382,13 @@ def _cmd_lift(argv) -> int:
     p.add_argument(
         "--no-witnesses", action="store_true", help="omit witnesses from the output"
     )
-    a = p.parse_args(argv)
+    return p
+
+
+def _cmd_lift(argv) -> int:
+    a = _lift_parser().parse_args(argv)
     spec = parse_spec(_read_spec_file(a.specfile))
-    base = build_lattice(spec.base_tags)
+    base = _base_lattice(spec)
     compute = cotangent_lifted_lattice if a.cotangent else lifted_lattice
     result = compute(spec.ambient, base)
     if not lift_witness_check(spec.ambient, base, result):
@@ -413,7 +438,8 @@ def _parse_mu(raw: str):
     )
 
 
-def _cmd_mu(argv) -> int:
+@lru_cache(maxsize=None)
+def _mu_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat mu",
         description="Isotropy classes on a totally isotropic momentum level set.",
@@ -423,10 +449,14 @@ def _cmd_mu(argv) -> int:
     p.add_argument(
         "--closure", metavar="TAG", help="also report the level-set closure of TAG"
     )
-    a = p.parse_args(argv)
+    return p
+
+
+def _cmd_mu(argv) -> int:
+    a = _mu_parser().parse_args(argv)
     mu = _parse_mu(a.mu)
     spec = parse_spec(_read_spec_file(a.specfile))
-    base = build_lattice(spec.base_tags)
+    base = _base_lattice(spec)
     ML = mu_lattice(spec.ambient, base, mu)
     out = {"mu": mu if isinstance(mu, (int, float)) else list(mu)}
     out.update(lattice_to_json(ML.restricted))
@@ -444,16 +474,21 @@ def _cmd_mu(argv) -> int:
     return 0
 
 
-def _cmd_requilibria(argv) -> int:
+@lru_cache(maxsize=None)
+def _requilibria_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat requilibria",
         description="Isotropy classes realized by relative equilibria.",
     )
     p.add_argument("specfile")
     p.add_argument("--dot", metavar="FILE", help="write a DOT rendering as well")
-    a = p.parse_args(argv)
+    return p
+
+
+def _cmd_requilibria(argv) -> int:
+    a = _requilibria_parser().parse_args(argv)
     spec = parse_spec(_read_spec_file(a.specfile))
-    base = build_lattice(spec.base_tags)
+    base = _base_lattice(spec)
     L = relative_equilibria_lattice(spec.ambient, base)
     if a.dot:
         _write_dot(a.dot, L)
@@ -465,7 +500,8 @@ def _fmt_tags(tags) -> str:
     return ",".join(t.short() for t in sorted(tags, key=tag_sort_key))
 
 
-def _cmd_check(argv) -> int:
+@lru_cache(maxsize=None)
+def _check_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat check",
         description="Compare predicted lattices against brute-force sampling of a concrete action.",
@@ -479,7 +515,11 @@ def _cmd_check(argv) -> int:
         default=4000,
         help="random draws per lattice besides the strata seeds; 0 uses the seeds only",
     )
-    a = p.parse_args(argv)
+    return p
+
+
+def _cmd_check(argv) -> int:
+    a = _check_parser().parse_args(argv)
     if a.samples < 0:
         raise ValidationError(f"--samples must be 0 or more, got {a.samples}", "samples")
     spec = parse_spec(_read_spec_file(a.specfile))
@@ -489,7 +529,7 @@ def _cmd_check(argv) -> int:
             "no action given on the command line or in the spec", "action"
         )
     action = _resolve_action(name, spec.ambient, "action")
-    base = build_lattice(spec.base_tags)
+    base = _base_lattice(spec)
     rows = []
     rows.append(
         ("base", set(base.classes), empirical_base_lattice(action, a.seed, a.samples))
@@ -531,13 +571,18 @@ def _cmd_check(argv) -> int:
     return 0 if ok else 3
 
 
-def _cmd_adjoint(argv) -> int:
+@lru_cache(maxsize=None)
+def _adjoint_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat adjoint",
         description="Isotropy classes of a catalog subgroup on the annihilator of its algebra.",
     )
     p.add_argument("tag")
-    a = p.parse_args(argv)
+    return p
+
+
+def _cmd_adjoint(argv) -> int:
+    a = _adjoint_parser().parse_args(argv)
     try:
         t = parse_tag(a.tag)
     except ValueError as e:
@@ -547,7 +592,8 @@ def _cmd_adjoint(argv) -> int:
     return 0
 
 
-def _cmd_catalog(argv) -> int:
+@lru_cache(maxsize=None)
+def _catalog_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat catalog",
         description="Subconjugation table over the catalog classes.",
@@ -555,7 +601,11 @@ def _cmd_catalog(argv) -> int:
     p.add_argument(
         "--max-n", type=int, default=6, help="largest cyclic/dihedral index to include"
     )
-    a = p.parse_args(argv)
+    return p
+
+
+def _cmd_catalog(argv) -> int:
+    a = _catalog_parser().parse_args(argv)
     if a.max_n < 2 or a.max_n > N_CAP:
         raise ValidationError(f"--max-n must lie in 2..{N_CAP}", "max-n")
     tags = [TRIVIAL]

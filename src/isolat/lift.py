@@ -172,9 +172,10 @@ def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResul
     intersect hands back a contained operand instead of copying it.
     """
     anns: dict[ClassTag, AnnIsotropy] = {}
+    base_classes = set(base.classes)
     witnessed = set()
     for w in result.witnesses:
-        if w.h1 not in base.classes or w.h2 not in base.classes:
+        if w.h1 not in base_classes or w.h2 not in base_classes:
             return False
         if not is_subconjugate(w.h1, w.h2):
             return False

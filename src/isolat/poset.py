@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import ClassTag, is_subconjugate, tag_sort_key
+from .catalog import ClassTag, strictly_below, tag_sort_key
 from .errors import ClassNotInLattice, NoUniqueMinimum
 
 
@@ -44,16 +44,16 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
     if not tags:
         raise ValueError("a lattice needs at least one class")
     n = len(tags)
-    less = set()
-    # above[i] holds the j with i < j, below[j] the i with i < j
+    index = {t: i for i, t in enumerate(tags)}
+    present = frozenset(tags)
+    # below[j] holds the i with i < j, read off j's down-set; above[i] the j
+    below = [{index[t] for t in strictly_below(b) & present} for b in tags]
     above: list[set[int]] = [set() for _ in range(n)]
-    below: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and is_subconjugate(tags[i], tags[j]):
-                less.add((i, j))
-                above[i].add(j)
-                below[j].add(i)
+    less = set()
+    for j, down in enumerate(below):
+        for i in down:
+            above[i].add(j)
+            less.add((i, j))
     for i, j in less:
         if (j, i) in less:
             raise ValueError(
@@ -71,15 +71,16 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
 
 
 def compute_depths(L: IsotropyLattice) -> dict[ClassTag, int]:
-    """Longest-chain depth of each class; minimal classes sit at depth 0."""
-    n = len(L.classes)
-    depth = [0] * n
-    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if (j, i) in L.less))
-    for i in order:
-        covers = [a for (a, b) in L.hasse if b == i]
-        if covers:
-            depth[i] = 1 + max(depth[a] for a in covers)
-    return {L.classes[i]: depth[i] for i in range(n)}
+    """Longest-chain depth of each class; minimal classes sit at depth 0.
+
+    tag_sort_key grows along every strict pair, so a cover (a, b) has a < b
+    and the sorted hasse lists every cover into a before any cover out of a:
+    one pass in that order finishes each depth before it is read.
+    """
+    depth = [0] * len(L.classes)
+    for a, b in L.hasse:
+        depth[b] = max(depth[b], depth[a] + 1)
+    return dict(zip(L.classes, depth))
 
 
 def up_set(L: IsotropyLattice, t: ClassTag) -> tuple[ClassTag, ...]:

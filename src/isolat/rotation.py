@@ -120,12 +120,16 @@ class Rotation:
         return Rotation(self.w, -self.x, -self.y, -self.z)
 
     def key(self) -> tuple[float, float, float, float]:
-        return (
-            round(self.w, _KEY_DIGITS),
-            round(self.x, _KEY_DIGITS),
-            round(self.y, _KEY_DIGITS),
-            round(self.z, _KEY_DIGITS),
-        )
+        """Rounded lookup key, stored on the instance on the first call."""
+        k = self.__dict__.get("_key")
+        if k is None:
+            k = self.__dict__["_key"] = (
+                round(self.w, _KEY_DIGITS),
+                round(self.x, _KEY_DIGITS),
+                round(self.y, _KEY_DIGITS),
+                round(self.z, _KEY_DIGITS),
+            )
+        return k
 
     def is_identity(self) -> bool:
         return (

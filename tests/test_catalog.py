@@ -10,6 +10,7 @@ from isolat.catalog import (
     CIRCLE,
     FULL,
     ICOSA,
+    N_CAP,
     OCTA,
     ORTH_CIRCLE,
     TETRA,
@@ -33,6 +34,7 @@ from isolat.catalog import (
     is_subconjugate,
     parse_tag,
     principal_axis,
+    strictly_below,
     subgroup_contains,
     subgroup_equal,
     subgroups_of,
@@ -68,6 +70,22 @@ def test_tag_parse_and_display():
 def test_tag_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_tag(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["C\u0662", "C0002", "C02", "D00", "D\u00b2", "C\uff12", "C+2", "C-2", "C 2", "C2\n"]
+)
+def test_tag_parse_takes_ascii_digits_without_leading_zeros(bad):
+    # other scripts' digits, superscripts and padding would parse to a tag
+    # that prints differently from what was written
+    with pytest.raises(ValueError, match="^cannot parse class tag"):
+        parse_tag(bad)
+
+
+def test_tag_parse_keeps_the_range_message_for_long_indices():
+    for s in ("C0", "C101", "D" + "9" * 5000):
+        with pytest.raises(ValueError, match=r"index must lie in 2\.\.100"):
+            parse_tag(s)
 
 
 def test_tag_validation():
@@ -577,3 +595,66 @@ def test_intersect_returns_a_contained_operand_itself():
             assert g_class_of(got) == g_class_of(old)
             copied += 1
     assert contained > 1000 and copied > 1000
+
+
+# ---------------------------------------------------------------------------
+# the subconjugation order as per-tag down-sets
+
+
+def _catalog_tags():
+    return [
+        TRIVIAL,
+        *map(cyclic, range(2, N_CAP + 1)),
+        *map(dihedral, range(2, N_CAP + 1)),
+        TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL,
+    ]
+
+
+_OLD_EXC_CYCLIC = {"T": (2, 3), "O": (2, 3, 4), "I": (2, 3, 5)}
+_OLD_EXC_DIHEDRAL = {"T": (2,), "O": (2, 3, 4), "I": (2, 3, 5)}
+
+
+def _old_is_subconjugate(a, b):
+    """The former rule chain of is_subconjugate, kept here as a reference."""
+    if a == b:
+        return True
+    if a.kind == "1" or b.kind == "SO3":
+        return True
+    if b.kind == "1":
+        return False
+    if a.kind == "C":
+        if b.kind == "C":
+            return b.n % a.n == 0
+        if b.kind == "D":
+            return b.n % a.n == 0 or a.n == 2
+        if b.kind in _OLD_EXC_CYCLIC:
+            return a.n in _OLD_EXC_CYCLIC[b.kind]
+        return b.kind in ("SO2", "O2")
+    if a.kind == "D":
+        if b.kind == "D":
+            return b.n % a.n == 0
+        if b.kind in _OLD_EXC_DIHEDRAL:
+            return a.n in _OLD_EXC_DIHEDRAL[b.kind]
+        return b.kind == "O2"
+    if a.kind == "T":
+        return b.kind in ("O", "I")
+    if a.kind == "SO2":
+        return b.kind == "O2"
+    return False
+
+
+def test_is_subconjugate_matches_the_old_rule_on_every_catalog_pair():
+    tags = _catalog_tags()
+    assert len(tags) == 205
+    for b in tags:
+        want = {a for a in tags if a != b and _old_is_subconjugate(a, b)}
+        assert strictly_below(b) == want, b
+        for a in tags:
+            assert is_subconjugate(a, b) is _old_is_subconjugate(a, b), (a, b)
+
+
+def test_strictly_below_is_stored_per_tag():
+    for t in _catalog_tags():
+        first = strictly_below(t)
+        assert isinstance(first, frozenset)
+        assert strictly_below(ClassTag(t.kind, t.n)) is first

@@ -570,3 +570,54 @@ def test_tolerance_environment_variable_is_ignored(value, capsys):
     assert proc.returncode == 0, proc.stderr
     _, expected, _ = run(capsys, "adjoint", "D48")
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["lift"], ["mu", "--mu", "0"], ["requilibria"], ["check", "--samples", "0"]]
+)
+def test_no_unique_minimum_names_base_lattice(tmp_path, capsys, argv):
+    doc = {"group": {"kind": "SO3"}, "base_lattice": ["C2", "C3"], "action": "SO3_on_R3"}
+    path = write_spec(tmp_path, doc)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "no-unique-minimum" and rec["path"] == "base_lattice"
+    assert rec["message"] == "minimal classes are C2, C3, expected exactly one"
+
+
+def test_non_ascii_digits_are_not_a_tag(tmp_path, capsys):
+    code, out, err = run(capsys, "adjoint", "C\u0662")
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "validation" and rec["path"] == "tag"
+    assert rec["message"] == "cannot parse class tag 'C\u0662'"
+    path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "C0002"]})
+    code, out, err = run(capsys, "lift", path)
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "validation" and rec["path"] == "base_lattice[1]"
+    assert rec["message"] == "cannot parse class tag 'C0002'"
+
+
+def test_one_process_answers_like_fresh_ones(tmp_path, capsys, monkeypatch):
+    # parsers are built once per process; nothing of one call may leak into
+    # the next (help text width is pinned, since it follows the terminal)
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_spec(
+        tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "C2", "D4", "SO2", "O2", "SO3"]}
+    )
+    argvs = [
+        ["lift", path, "--cotangent"],
+        ["lift", path],
+        ["lift", path, "--no-witnesses"],
+        ["lift", "--help"],
+        ["lift", path, "--bogus"],
+        ["mu", path, "--mu", "0", "--closure", "C2"],
+        ["mu", path, "--mu", "0"],
+    ]
+    in_process = [run(capsys, *argv) for argv in argvs]
+    for argv, got in zip(argvs, in_process):
+        proc = run_module(["-m", "isolat.cli", *argv], {"COLUMNS": "80"})
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert "closure" in in_process[5][1] and "closure" not in in_process[6][1]
+    assert in_process[4][0] == 2 and in_process[3][0] == 0

@@ -159,3 +159,27 @@ def test_build_lattice_matches_the_triple_loop():
             with pytest.raises(NoUniqueMinimum):
                 build_lattice(drawn)
     assert seen_multi_min
+
+
+def _old_compute_depths(L):
+    """The former count-sort and per-class hasse scan, kept as a reference."""
+    n = len(L.classes)
+    depth = [0] * n
+    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if (j, i) in L.less))
+    for i in order:
+        covers = [a for (a, b) in L.hasse if b == i]
+        if covers:
+            depth[i] = 1 + max(depth[a] for a in covers)
+    return {L.classes[i]: depth[i] for i in range(n)}
+
+
+def test_compute_depths_matches_the_count_sort():
+    big = build_lattice(tags("1", *[f"C{n}" for n in range(2, 49)],
+                             *[f"D{n}" for n in range(2, 49)], "SO2", "O2", "SO3"))
+    assert list(compute_depths(big).items()) == list(_old_compute_depths(big).items())
+    pool = tags(*[f"C{n}" for n in range(2, 25)], *[f"D{n}" for n in range(2, 25)],
+                "1", "T", "O", "I", "SO2", "O2", "SO3")
+    rng = random.Random(20261019)
+    for _ in range(300):
+        L = build_lattice(rng.sample(pool, rng.randint(1, 14)), require_unique_min=False)
+        assert list(compute_depths(L).items()) == list(_old_compute_depths(L).items())

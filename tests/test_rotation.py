@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep, cyclic, dihedral
+from isolat.catalog import ICOSA, N_CAP, OCTA, TETRA, TRIVIAL, canonical_rep, cyclic, dihedral
 from isolat.errors import GroupTooLarge
 from isolat.rotation import (
+    _KEY_DIGITS,
     ORDER_CAP,
     TOLERANCE,
     FiniteRotationGroup,
@@ -368,3 +369,13 @@ def test_from_elements_order_matches_lambda_sort_on_random_sets():
         picked += [random_rotation(rng) for _ in range(rng.randint(0, 5))]
         rng.shuffle(picked)
         _assert_same_order(picked + picked[:3])
+
+
+def test_key_is_stored_on_the_instance():
+    finite = [TRIVIAL, *map(cyclic, range(2, N_CAP + 1)),
+              *map(dihedral, range(2, N_CAP + 1)), TETRA, OCTA, ICOSA]
+    for t in finite:
+        for r in canonical_rep(t).group:
+            fresh = tuple(round(c, _KEY_DIGITS) for c in (r.w, r.x, r.y, r.z))
+            assert r.key() == fresh
+            assert r.key() is r.key() is r.__dict__["_key"]
