@@ -12,8 +12,6 @@ the lifted-lattice construction and the symplectic corollaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import (
     CIRCLE,
     FULL,
@@ -35,6 +33,7 @@ from .catalog import (
 from .rotation import (
     FiniteRotationGroup,
     Rotation,
+    Value,
     Vec3,
     apply,
     canon_direction,
@@ -42,39 +41,34 @@ from .rotation import (
 )
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(Value):
     """Plane through the origin orthogonal to axis."""
 
     axis: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", canon_direction(self.axis))
+        self.__dict__["axis"] = canon_direction(self.axis)
 
 
-@dataclass(frozen=True)
-class Full3:
+class Full3(Value):
     pass
 
 
 AnnSubspace = Zero | Plane | Full3
 
 
-@dataclass(frozen=True)
-class AnnClass:
+class AnnClass(Value):
     """One isotropy class on the annihilator with a concrete witness."""
 
     label: ClassTag
     representative: ConcreteSubgroup
 
 
-@dataclass(frozen=True)
-class AnnIsotropy:
+class AnnIsotropy(Value):
     subgroup: ConcreteSubgroup
     subspace: AnnSubspace
     classes: tuple[AnnClass, ...]

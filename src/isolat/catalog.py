@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GroupTooLarge, NotSubconjugate, UnclassifiableGroup
@@ -26,6 +25,7 @@ from .rotation import (
     TOLERANCE,
     FiniteRotationGroup,
     Rotation,
+    Value,
     Vec3,
     apply,
     axis_angle_of,
@@ -63,12 +63,28 @@ CLASSIFY_PERP_TOL = 1e-7
 FRAME_PIVOT_MIN = 1e-6
 
 
-@dataclass(frozen=True)
-class ClassTag:
-    """Conjugacy class of a closed subgroup of SO(3)."""
+class ClassTag(Value):
+    """Conjugacy class of a closed subgroup of SO(3), interned: one instance per (kind, n)."""
 
     kind: str
     n: int | None = None
+    _interned = {}  # keyed on type(n) too, or 2.0 would find C2
+
+    def __new__(cls, kind: str, n: int | None = None):
+        key = (kind, n.__class__, n)
+        tag = cls._interned.get(key)
+        if tag is None:
+            tag = super().__new__(cls)
+            Value.__init__(tag, kind, n)
+            tag = cls._interned.setdefault(key, tag)
+        return tag
+
+    __init__ = object.__init__  # __new__ built the instance
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return ClassTag, (self.kind, self.n)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -156,23 +172,20 @@ def parse_tag(s: str) -> ClassTag:
 # Concrete subgroups
 
 
-@dataclass(frozen=True)
-class FiniteSub:
+class FiniteSub(Value):
     group: FiniteRotationGroup
 
 
-@dataclass(frozen=True)
-class CircleSub:
+class CircleSub(Value):
     """All rotations about a fixed axis (axis sign is quotiented away)."""
 
     axis: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", canon_direction(self.axis))
+        self.__dict__["axis"] = canon_direction(self.axis)
 
 
-@dataclass(frozen=True)
-class OrthCircleSub:
+class OrthCircleSub(Value):
     """Rotations about the axis plus half turns about every orthogonal axis.
 
     flip_phase in [0, pi) fixes a reference orthogonal direction
@@ -186,17 +199,16 @@ class OrthCircleSub:
     flip_phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", canon_direction(self.axis))
+        self.__dict__["axis"] = canon_direction(self.axis)
         p = math.fmod(self.flip_phase, math.pi)
         if p < 0.0:
             p += math.pi
         if math.pi - p <= TOLERANCE:
             p = 0.0
-        object.__setattr__(self, "flip_phase", p)
+        self.__dict__["flip_phase"] = p
 
 
-@dataclass(frozen=True)
-class FullSub:
+class FullSub(Value):
     pass
 
 
@@ -228,7 +240,9 @@ def in_plane_direction(axis: Vec3, phase: float) -> Vec3:
     )
 
 
+@lru_cache(maxsize=None)
 def trivial_group() -> FiniteSub:
+    """The trivial subgroup, one shared instance (groups are immutable)."""
     return FiniteSub(FiniteRotationGroup.from_elements([]))
 
 

@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .adjoint import AnnIsotropy, Plane, Zero
@@ -81,6 +80,7 @@ from .oracle import (
 from .poset import IsotropyLattice, build_lattice
 from .rotation import (
     Rotation,
+    Value,
     close_group,
     is_finite_number,
     rotation_from_json,
@@ -102,8 +102,7 @@ run 'isolat COMMAND --help' for details on one command
 """
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Value):
     ambient: AmbientGroup
     generators: tuple[Rotation, ...]
     base_tags: tuple[ClassTag, ...]

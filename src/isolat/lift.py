@@ -20,7 +20,6 @@ ambients take a fast path that never touches geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .adjoint import AnnIsotropy, isotropy_on_ann
@@ -39,23 +38,20 @@ from .catalog import (
 )
 from .errors import NotRealizableInG
 from .poset import IsotropyLattice, build_lattice, compute_depths
-from .rotation import FiniteRotationGroup
+from .rotation import FiniteRotationGroup, Value
 
 
-@dataclass(frozen=True)
-class SO3Ambient:
+class SO3Ambient(Value):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteAmbient:
+class FiniteAmbient(Value):
     """A finite symmetry group, realized as a rotation group for cataloging."""
 
     group: FiniteRotationGroup
 
 
-@dataclass(frozen=True)
-class CircleAmbient:
+class CircleAmbient(Value):
     pass
 
 
@@ -73,8 +69,7 @@ def ambient_class(G: AmbientGroup) -> ClassTag:
     return classify_finite(G.group)
 
 
-@dataclass(frozen=True)
-class LiftWitness:
+class LiftWitness(Value):
     """One realization of a lifted class: h1 meet k inside h2.
 
     embedding is a concrete position of h1 inside the canonical h2
@@ -93,8 +88,7 @@ class LiftWitness:
     k_rep: ConcreteSubgroup
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Value):
     lifted: IsotropyLattice
     witnesses: tuple[LiftWitness, ...]
 

@@ -17,8 +17,6 @@ relative_equilibria_lattice is lift.lifted_lattice(G, base).lifted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import ClassTag
 from .errors import NotTotallyIsotropic
 from .lift import (
@@ -28,11 +26,10 @@ from .lift import (
     lifted_lattice,
 )
 from .poset import IsotropyLattice, build_lattice, up_set
-from .rotation import TOLERANCE, Vec3
+from .rotation import TOLERANCE, Value, Vec3
 
 
-@dataclass(frozen=True)
-class MuLattice:
+class MuLattice(Value):
     """Isotropy classes on a momentum level set.
 
     Unlike a plain isotropy lattice this poset may have several minimal

@@ -20,7 +20,6 @@ lattices are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .catalog import (
     CircleSub,
@@ -44,6 +43,7 @@ from .lift import (
 from .rotation import (
     TOLERANCE,
     FiniteRotationGroup,
+    Value,
     Vec3,
     apply,
     cross,
@@ -61,8 +61,7 @@ PERP_PIVOT_MIN = 1e-6
 SPHERE_DRAW_MIN_NORM = 1e-3
 
 
-@dataclass(frozen=True)
-class ConcreteAction:
+class ConcreteAction(Value):
     name: str
     kind: str  # so3_r3 | so3_s2 | finite_r3 | finite_s2 | circle_r2
     ambient: AmbientGroup
@@ -152,8 +151,7 @@ def stabilizer_of_tangent(action: ConcreteAction, x: Vec3, v: Vec3) -> ConcreteS
 # Sampling plans
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(Value):
     rng_seed: int
     n_random: int
     stratum_seeds: tuple[tuple[Vec3, Vec3], ...]

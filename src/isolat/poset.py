@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import ClassTag, strictly_below, tag_sort_key
 from .errors import ClassNotInLattice, NoUniqueMinimum
+from .rotation import Value
 
 
-@dataclass(frozen=True)
-class IsotropyLattice:
+class IsotropyLattice(Value):
     """Classes sorted by tag_sort_key, order relation, and Hasse diagram.
 
     less holds strict pairs (i, j) of indices with classes[i] < classes[j];

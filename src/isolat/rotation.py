@@ -12,7 +12,6 @@ The tolerance tau is the fixed constant TOLERANCE = 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import GroupTooLarge
@@ -80,8 +79,60 @@ def line_key(d: Vec3) -> tuple[float, float, float]:
     return tuple(round(c, _KEY_DIGITS) for c in d)
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Value:
+    """Immutable record of the fields its subclass annotates, in that order.
+
+    Built from the fields by position or keyword (class attributes are the
+    defaults), then __post_init__ may canonicalize them through __dict__,
+    where derived data may be cached too.  Values of one class with equal
+    fields are equal and hash alike.  Assignment and deletion raise
+    AttributeError.
+    """
+
+    _fields = ()  # the field names, set per subclass
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, d = type(self), self.__dict__
+        d.update(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                d[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                d[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__} needs field {name!r}")
+        if kwargs or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class Rotation(Value):
     """Unit quaternion in canonical sign; construction normalizes the input."""
 
     w: float
@@ -89,21 +140,18 @@ class Rotation:
     y: float
     z: float
 
-    def __post_init__(self):
-        n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+    def __init__(self, w: float, x: float, y: float, z: float):
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if n < 0.5:
             raise ValueError("quaternion magnitude too small to normalize")
-        w, x, y, z = self.w / n, self.x / n, self.y / n, self.z / n
+        w, x, y, z = w / n, x / n, y / n, z / n
         for c in (w, x, y, z):
             if c > TOLERANCE:
                 break
             if c < -TOLERANCE:
                 w, x, y, z = -w, -x, -y, -z
                 break
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        self.__dict__.update(w=w, x=x, y=y, z=z)
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -186,8 +234,7 @@ def eq(a: Rotation, b: Rotation) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class AxisAngle:
+class AxisAngle(Value):
     """Canonical axis-angle form: unit axis, angle in (0, pi].
 
     For a half turn the axis sign is free and is canonicalized; for smaller
@@ -239,8 +286,7 @@ def _bucket_table(keys) -> dict[tuple, list[int]]:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteRotationGroup:
+class FiniteRotationGroup(Value):
     """Immutable finite set of rotations, sorted deterministically.
 
     Closure is a construction-time guarantee (use close_group), not something

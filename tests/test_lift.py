@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from isolat import lift
@@ -32,6 +30,12 @@ from isolat.lift import (
     lifted_lattice,
 )
 from isolat.poset import build_lattice
+
+
+def replaced(value, **changes):
+    """A LiftWitness or LiftResult rebuilt from its fields, some of them changed."""
+    fields = {name: getattr(value, name) for name in type(value)._fields}
+    return type(value)(**{**fields, **changes})
 
 
 def tags(names):
@@ -127,15 +131,15 @@ def test_tampered_class_fails_recheck():
     b = lattice(["SO2", "SO3"])
     res = lifted_lattice(AMBIENT_SO3, b)
     bad_w = list(res.witnesses)
-    bad_w[0] = dataclasses.replace(bad_w[0], lifted_class=parse_tag("C5"))
-    bad = dataclasses.replace(res, witnesses=tuple(bad_w))
+    bad_w[0] = replaced(bad_w[0], lifted_class=parse_tag("C5"))
+    bad = replaced(res, witnesses=tuple(bad_w))
     assert not lift_witness_check(AMBIENT_SO3, b, bad)
 
 
 def test_missing_witness_fails_recheck():
     b = lattice(["SO2", "SO3"])
     res = lifted_lattice(AMBIENT_SO3, b)
-    bad = dataclasses.replace(res, witnesses=res.witnesses[1:])
+    bad = replaced(res, witnesses=res.witnesses[1:])
     assert not lift_witness_check(AMBIENT_SO3, b, bad)
 
 
@@ -143,8 +147,8 @@ def test_foreign_base_pair_fails_recheck():
     b = lattice(["SO2", "SO3"])
     res = lifted_lattice(AMBIENT_SO3, b)
     bad_w = list(res.witnesses)
-    bad_w[0] = dataclasses.replace(bad_w[0], h1=parse_tag("D7"))
-    bad = dataclasses.replace(res, witnesses=tuple(bad_w))
+    bad_w[0] = replaced(bad_w[0], h1=parse_tag("D7"))
+    bad = replaced(res, witnesses=tuple(bad_w))
     assert not lift_witness_check(AMBIENT_SO3, b, bad)
 
 
@@ -199,7 +203,7 @@ def test_rebuilt_witness_passes():
         LiftWitness(w.lifted_class, w.h1, w.h2, w.k, w.embedding, w.k_rep)
         for w in res.witnesses
     )
-    assert lift_witness_check(AMBIENT_SO3, b, dataclasses.replace(res, witnesses=rebuilt))
+    assert lift_witness_check(AMBIENT_SO3, b, replaced(res, witnesses=rebuilt))
 
 
 def test_witness_k_rep_matches_label():
@@ -268,8 +272,8 @@ def _d4_tampered_results():
 
     def swap(**changes):
         tampered = list(ws)
-        tampered[i] = dataclasses.replace(w, **changes)
-        return dataclasses.replace(res, witnesses=tuple(tampered))
+        tampered[i] = replaced(w, **changes)
+        return replaced(res, witnesses=tuple(tampered))
 
     # another line of the orbit whose representative is w.k_rep: same label,
     # same class for E meet K, but not an isotropy representative of D4
@@ -284,7 +288,7 @@ def _d4_tampered_results():
         "lifted_class": swap(lifted_class=cyclic(4)),
         "k_rep": swap(k_rep=cyclic_group(2, moved)),
         "embedding": swap(embedding=canonical_rep(cyclic(4))),
-        "dropped": dataclasses.replace(res, witnesses=tuple(ws[:i] + ws[i + 1:])),
+        "dropped": replaced(res, witnesses=tuple(ws[:i] + ws[i + 1:])),
     }
     # the other C2 orbit's representative is a genuine entry of ann(D4)
     other = next(
