@@ -80,10 +80,8 @@ from .oracle import (
     ConcreteAction,
     SamplePlan,
     default_plan,
-    empirical_base_lattice,
-    empirical_lifted_lattice,
+    empirical_lattices,
     empirical_requilibria_lattice,
-    empirical_zero_momentum_lattice,
     make_action,
     stabilizer_of_point,
     stabilizer_of_tangent,

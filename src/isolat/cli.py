@@ -71,10 +71,8 @@ from .lift import (
 from .momentum import mu_closure, mu_lattice, relative_equilibria_lattice, zero_level_lattice
 from .oracle import (
     ConcreteAction,
-    empirical_base_lattice,
-    empirical_lifted_lattice,
+    empirical_lattices,
     empirical_requilibria_lattice,
-    empirical_zero_momentum_lattice,
     make_action,
 )
 from .poset import IsotropyLattice, build_lattice
@@ -529,32 +527,16 @@ def _cmd_check(argv) -> int:
         )
     action = _resolve_action(name, spec.ambient, "action")
     base = _base_lattice(spec)
-    rows = []
-    rows.append(
-        ("base", set(base.classes), empirical_base_lattice(action, a.seed, a.samples))
-    )
-    lifted = lifted_lattice(spec.ambient, base).lifted
-    rows.append(
-        (
-            "lifted",
-            set(lifted.classes),
-            empirical_lifted_lattice(action, a.seed, a.samples),
-        )
-    )
-    zero = zero_level_lattice(spec.ambient, base)
-    rows.append(
-        (
-            "zero-level",
-            set(zero.classes),
-            empirical_zero_momentum_lattice(action, a.seed, a.samples),
-        )
-    )
+    lifted = set(lifted_lattice(spec.ambient, base).lifted.classes)
+    zero = set(zero_level_lattice(spec.ambient, base).classes)
+    found = empirical_lattices(action, a.seed, a.samples)
+    rows = list(zip(("base", "lifted", "zero-level"), (set(base.classes), lifted, zero), found))
     if not isinstance(spec.ambient, FiniteAmbient):
         # relative equilibria realize exactly the lifted lattice
         rows.append(
             (
                 "requilibria",
-                set(lifted.classes),
+                lifted,
                 empirical_requilibria_lattice(action, a.seed, min(a.samples, 2000)),
             )
         )

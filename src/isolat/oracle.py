@@ -11,10 +11,12 @@ two sides can be compared.  Supported actions:
   Circle_on_R2      the circle acting by rotation on the plane, modeled as
                     rotations about the z axis restricted to z = 0
 
-Point stabilizers are closed-form; tangent stabilizers intersect the point
-stabilizer with the direction constraint.  Sampling walks a deterministic
-plan of hand-placed strata seeds plus seeded random draws, so empirical
-lattices are reproducible.
+The lifted stabilizer G_(x,v) = {g : gx = x, gv = v} is computed as (G_x)_v,
+the isotropy of v under the point stabilizer G_x, with one helper that keeps
+the elements of a concrete subgroup fixing a vector.  Sampling walks a
+deterministic plan of hand-placed strata seeds plus seeded random draws, once
+for the base, lifted and zero-level lattices together, so empirical lattices
+are reproducible.
 """
 
 from __future__ import annotations
@@ -89,62 +91,50 @@ def make_action(name: str) -> ConcreteAction:
 # Stabilizers
 
 
+def _fixing(S: ConcreteSubgroup, p: Vec3) -> ConcreteSubgroup:
+    """The elements of the concrete subgroup S that fix the vector p."""
+    if isinstance(S, FiniteSub) and len(S.group) == 1:
+        return S  # the identity fixes every vector
+    n = norm(p)
+    if n <= TOLERANCE:
+        return S
+    if isinstance(S, CircleSub):
+        # a circle fixes the points of its axis and moves every other one
+        return S if norm(cross(S.axis, p)) <= SAMPLE_TOL * n else trivial_group()
+    if isinstance(S, FullSub):
+        return CircleSub(p)
+    tol = SAMPLE_TOL * max(1.0, n)
+    kept = [g for g in S.group if norm(vsub(apply(g, p), p)) <= tol]
+    if len(kept) == len(S.group):
+        return S
+    return FiniteSub(FiniteRotationGroup.from_elements(kept))
+
+
 def stabilizer_of_point(action: ConcreteAction, x: Vec3) -> ConcreteSubgroup:
-    if action.kind == "so3_r3":
-        if norm(x) <= TOLERANCE:
-            return FullSub()
-        return CircleSub(x)
-    if action.kind == "so3_s2":
-        return CircleSub(x)
+    """The isotropy G_x of the point x."""
+    if action.kind in ("so3_s2", "finite_s2") and abs(norm(x) - 1.0) > SAMPLE_TOL:
+        raise NotTangent("sphere points must have unit length")
     if action.kind == "circle_r2":
         if abs(x[0]) <= TOLERANCE and abs(x[1]) <= TOLERANCE:
             return CircleSub((0.0, 0.0, 1.0))
         return trivial_group()
-    F = action.ambient.group
-    if action.kind == "finite_r3" and norm(x) <= TOLERANCE:
-        return FiniteSub(F)
-    kept = [g for g in F if norm(vsub(apply(g, x), x)) <= SAMPLE_TOL * max(1.0, norm(x))]
-    return FiniteSub(FiniteRotationGroup.from_elements(kept))
+    if action.kind in ("so3_r3", "so3_s2"):
+        return _fixing(FullSub(), x)
+    return _fixing(FiniteSub(action.ambient.group), x)
+
+
+def _tangent_isotropy(
+    action: ConcreteAction, x: Vec3, Gx: ConcreteSubgroup, v: Vec3
+) -> ConcreteSubgroup:
+    """(G_x)_v: the elements of the point stabilizer Gx of x that fix v."""
+    if action.kind in ("so3_s2", "finite_s2") and abs(dot(x, v)) > SAMPLE_TOL:
+        raise NotTangent("tangent vectors to the sphere are orthogonal to the point")
+    return _fixing(Gx, v)
 
 
 def stabilizer_of_tangent(action: ConcreteAction, x: Vec3, v: Vec3) -> ConcreteSubgroup:
-    """Stabilizer of (x, v) in the lifted action."""
-    if action.kind in ("so3_s2", "finite_s2"):
-        if abs(norm(x) - 1.0) > SAMPLE_TOL:
-            raise NotTangent("sphere points must have unit length")
-        if abs(dot(x, v)) > SAMPLE_TOL:
-            raise NotTangent("tangent vectors to the sphere are orthogonal to the point")
-    if action.kind == "so3_r3":
-        nx, nv = norm(x), norm(v)
-        if nx <= TOLERANCE and nv <= TOLERANCE:
-            return FullSub()
-        if nx <= TOLERANCE:
-            return CircleSub(v)
-        if nv <= TOLERANCE:
-            return CircleSub(x)
-        if norm(cross(x, v)) <= SAMPLE_TOL * nx * nv:
-            return CircleSub(x)
-        return trivial_group()
-    if action.kind == "so3_s2":
-        if norm(v) <= TOLERANCE:
-            return CircleSub(x)
-        return trivial_group()
-    if action.kind == "circle_r2":
-        planar_x = abs(x[0]) <= TOLERANCE and abs(x[1]) <= TOLERANCE
-        planar_v = abs(v[0]) <= TOLERANCE and abs(v[1]) <= TOLERANCE
-        if planar_x and planar_v:
-            return CircleSub((0.0, 0.0, 1.0))
-        return trivial_group()
-    F = action.ambient.group
-    sx = max(1.0, norm(x))
-    sv = max(1.0, norm(v))
-    kept = [
-        g
-        for g in F
-        if norm(vsub(apply(g, x), x)) <= SAMPLE_TOL * sx
-        and norm(vsub(apply(g, v), v)) <= SAMPLE_TOL * sv
-    ]
-    return FiniteSub(FiniteRotationGroup.from_elements(kept))
+    """Stabilizer G_(x,v) of (x, v) in the lifted action, as (G_x)_v."""
+    return _tangent_isotropy(action, x, stabilizer_of_point(action, x), v)
 
 
 # ---------------------------------------------------------------------------
@@ -228,53 +218,44 @@ def _iter_pairs(action: ConcreteAction, plan: SamplePlan):
         yield x, v
 
 
-def empirical_base_lattice(
-    action: ConcreteAction, rng_seed: int = 0, n_random: int = 10000
-) -> set[ClassTag]:
-    plan = default_plan(action, rng_seed, n_random)
-    out: set[ClassTag] = set()
-    for x, _ in _iter_pairs(action, plan):
-        out.add(g_class_of(stabilizer_of_point(action, x)))
-    return out
-
-
-def empirical_lifted_lattice(
-    action: ConcreteAction, rng_seed: int = 0, n_random: int = 10000
-) -> set[ClassTag]:
-    plan = default_plan(action, rng_seed, n_random)
-    out: set[ClassTag] = set()
-    for x, v in _iter_pairs(action, plan):
-        out.add(g_class_of(stabilizer_of_tangent(action, x, v)))
-    return out
-
-
-def empirical_zero_momentum_lattice(
-    action: ConcreteAction, rng_seed: int = 0, n_random: int = 10000
-) -> set[ClassTag]:
-    """Tangent isotropy classes over the zero level of the momentum map.
+def _on_zero_level(action: ConcreteAction, x: Vec3, v: Vec3) -> bool:
+    """Whether (x, v) lies on the zero level of the momentum map.
 
     A covector at x pairs to zero with every algebra generator exactly when
     its vector presentation is radial for the rotation actions (and anything
     at the origin), tangentially zero for the restricted sphere and circle
-    cases.  Pairs off the level set are skipped.
+    cases.
     """
-    plan = default_plan(action, rng_seed, n_random)
-    out: set[ClassTag] = set()
-    for x, v in _iter_pairs(action, plan):
-        if action.kind == "so3_r3":
-            # J((x, v)) = x x v; zero iff v is radial or x = 0
-            if norm(cross(x, v)) > SAMPLE_TOL:
-                continue
-        elif action.kind == "so3_s2":
-            # tangentially constrained: x x v = 0 with v _|_ x forces v = 0
-            if norm(v) > SAMPLE_TOL:
-                continue
-        elif action.kind == "circle_r2":
-            if abs(x[0] * v[1] - x[1] * v[0]) > SAMPLE_TOL:
-                continue
-        # finite ambients: the dual is zero, every pair sits on the level set
-        out.add(g_class_of(stabilizer_of_tangent(action, x, v)))
-    return out
+    if action.kind == "so3_r3":
+        # J((x, v)) = x x v; zero iff v is radial or x = 0
+        return norm(cross(x, v)) <= SAMPLE_TOL
+    if action.kind == "so3_s2":
+        # tangentially constrained: x x v = 0 with v _|_ x forces v = 0
+        return norm(v) <= SAMPLE_TOL
+    if action.kind == "circle_r2":
+        return abs(x[0] * v[1] - x[1] * v[0]) <= SAMPLE_TOL
+    # finite ambients: the dual is zero, every pair sits on the level set
+    return True
+
+
+def empirical_lattices(
+    action: ConcreteAction, rng_seed: int = 0, n_random: int = 10000
+) -> tuple[set[ClassTag], set[ClassTag], set[ClassTag]]:
+    """Base, lifted and zero-level isotropy classes from one walk of the plan.
+
+    Each pair (x, v) costs one point stabilizer G_x: its class goes to the
+    base, and the class of (G_x)_v to the lifted set, and to the zero level
+    when the pair lies on it.
+    """
+    base, lifted, zero_level = set(), set(), set()
+    for x, v in _iter_pairs(action, default_plan(action, rng_seed, n_random)):
+        Gx = stabilizer_of_point(action, x)
+        base.add(g_class_of(Gx))
+        tag = g_class_of(_tangent_isotropy(action, x, Gx, v))
+        lifted.add(tag)
+        if _on_zero_level(action, x, v):
+            zero_level.add(tag)
+    return base, lifted, zero_level
 
 
 def empirical_requilibria_lattice(
@@ -288,17 +269,16 @@ def empirical_requilibria_lattice(
     """
     if isinstance(action.ambient, FiniteAmbient):
         raise ValueError("relative equilibria need a continuous ambient group")
-    plan = default_plan(action, rng_seed, n_random)
-    rng = random.Random(plan.rng_seed + 1)
+    rng = random.Random(rng_seed + 1)
     out: set[ClassTag] = set()
     xis: list[Vec3] = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -1.2, 0.7)]
-    for _ in range(40):
-        xis.append((rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    for x, _ in _iter_pairs(action, plan):
+    xis += [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+    for x, _ in _iter_pairs(action, default_plan(action, rng_seed, n_random)):
+        Gx = stabilizer_of_point(action, x)
         for xi in xis:
             if action.kind == "circle_r2":
                 v = (-xi[2] * x[1], xi[2] * x[0], 0.0)
             else:
                 v = cross(xi, x)
-            out.add(g_class_of(stabilizer_of_tangent(action, x, v)))
+            out.add(g_class_of(_tangent_isotropy(action, x, Gx, v)))
     return out

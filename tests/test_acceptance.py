@@ -41,10 +41,8 @@ from isolat.errors import NoUniqueMinimum
 from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, lift_witness_check, lifted_lattice
 from isolat.momentum import mu_lattice, relative_equilibria_lattice
 from isolat.oracle import (
-    empirical_base_lattice,
-    empirical_lifted_lattice,
+    empirical_lattices,
     empirical_requilibria_lattice,
-    empirical_zero_momentum_lattice,
     make_action,
 )
 from isolat.poset import build_lattice
@@ -121,7 +119,7 @@ def test_criterion_03(tmp_path, capsys):
     }
     for name, want in expected_bases.items():
         action = make_action(f"Finite_on_R3:{name}")
-        oracle_base = empirical_base_lattice(action, 0, 1000)
+        oracle_base, empirical, _ = empirical_lattices(action, 0, 1000)
         assert sorted(shorts(oracle_base)) == sorted(want), name
 
         base = build_lattice(oracle_base)
@@ -130,7 +128,6 @@ def test_criterion_03(tmp_path, capsys):
         assert res.lifted.hasse == base.hasse, name
         assert lift_witness_check(action.ambient, base, res), name
 
-        empirical = empirical_lifted_lattice(action, 0, 1000)
         assert empirical == set(base.classes), name
 
         path = write_spec(
@@ -257,7 +254,7 @@ def test_criterion_07(tmp_path, capsys):
         base = build_lattice(tags(base_names))
         level = mu_lattice(action.ambient, base, (0.0, 0.0, 0.0))
         assert level.classes == base.classes, name
-        empirical = empirical_zero_momentum_lattice(action, 0, 600)
+        empirical = empirical_lattices(action, 0, 600)[2]
         assert empirical == set(base.classes), name
 
     path = write_spec(

@@ -1,14 +1,16 @@
 import pytest
 
+from isolat import oracle
 from isolat.catalog import CircleSub, FiniteSub, FullSub, g_class_of, parse_tag
 from isolat.errors import NotTangent
 from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient
+from isolat.rotation import FiniteRotationGroup, apply, norm, vsub
 from isolat.oracle import (
+    SAMPLE_TOL,
+    _iter_pairs,
     default_plan,
-    empirical_base_lattice,
-    empirical_lifted_lattice,
+    empirical_lattices,
     empirical_requilibria_lattice,
-    empirical_zero_momentum_lattice,
     make_action,
     stabilizer_of_point,
     stabilizer_of_tangent,
@@ -93,6 +95,19 @@ def test_tangent_rejects_off_sphere_data():
         stabilizer_of_tangent(b, (0.0, 0.0, 0.3), (1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("name", ["SO3_on_S2", "Finite_on_S2:T"])
+def test_sphere_point_stabilizer_rejects_off_sphere_points(name):
+    a = make_action(name)
+    for x in [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (0.3, 0.0, 0.0)]:
+        with pytest.raises(NotTangent, match="^sphere points must have unit length$"):
+            stabilizer_of_point(a, x)
+    # the unit length is tested before the orthogonality
+    with pytest.raises(NotTangent, match="^sphere points must have unit length$"):
+        stabilizer_of_tangent(a, (0.0, 0.0, 2.0), (0.0, 0.0, 1.0))
+    with pytest.raises(NotTangent, match="^tangent vectors to the sphere are orthogonal"):
+        stabilizer_of_tangent(a, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+
+
 def test_tangent_stabilizers_finite():
     a = make_action("Finite_on_R3:T")
     d = (1.0, 1.0, 1.0)
@@ -121,9 +136,10 @@ ACTION_TABLES = [
 @pytest.mark.parametrize("name,base,lifted,zero", ACTION_TABLES)
 def test_empirical_lattices(name, base, lifted, zero):
     a = make_action(name)
-    assert shorts(empirical_base_lattice(a, 0, 600)) == base
-    assert shorts(empirical_lifted_lattice(a, 0, 600)) == lifted
-    assert shorts(empirical_zero_momentum_lattice(a, 0, 600)) == zero
+    found_base, found_lifted, found_zero = empirical_lattices(a, 0, 600)
+    assert shorts(found_base) == base
+    assert shorts(found_lifted) == lifted
+    assert shorts(found_zero) == zero
 
 
 @pytest.mark.parametrize(
@@ -144,16 +160,74 @@ def test_requilibria_needs_continuous_ambient():
         empirical_requilibria_lattice(make_action("Finite_on_R3:T"))
 
 
+@pytest.mark.parametrize(
+    "name", ["SO3_on_R3", "SO3_on_S2", "Circle_on_R2", "Finite_on_S2:T", "Finite_on_R3:O"]
+)
+def test_empirical_lattices_is_one_walk(monkeypatch, name):
+    a = make_action(name)
+    points = [x for x, _ in _iter_pairs(a, default_plan(a, 1, 200))]
+    seen = []
+    real = oracle.stabilizer_of_point
+
+    def counting(action, x):
+        seen.append(x)
+        return real(action, x)
+
+    monkeypatch.setattr(oracle, "stabilizer_of_point", counting)
+    empirical_lattices(a, 1, 200)
+    assert seen == points
+
+
+ZERO_LEVEL_ACTIONS = [
+    "SO3_on_R3",
+    "SO3_on_S2",
+    "Circle_on_R2",
+    "Finite_on_R3:T",
+    "Finite_on_R3:O",
+    "Finite_on_R3:I",
+    "Finite_on_R3:D4",
+    "Finite_on_S2:D4",
+    "Finite_on_S2:O",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ZERO_LEVEL_ACTIONS)
+def test_zero_level_lies_in_lifted(name, seed):
+    _, lifted, zero_level = empirical_lattices(make_action(name), seed, 300)
+    assert zero_level <= lifted
+
+
+def _fixes(g, p):
+    return norm(vsub(apply(g, p), p)) <= SAMPLE_TOL * max(1.0, norm(p))
+
+
+@pytest.mark.parametrize("space", ["R3", "S2"])
+@pytest.mark.parametrize("tag", ["C5", "D4", "T", "O", "I"])
+def test_tangent_stabilizer_matches_direct_filter(space, tag):
+    a = make_action(f"Finite_on_{space}:{tag}")
+    F = a.ambient.group
+    for x, v in _iter_pairs(a, default_plan(a, 0, 300)):
+        for w in (v, (0.0, 0.0, 0.0), x):
+            if space == "S2" and w is x:
+                with pytest.raises(NotTangent):
+                    stabilizer_of_tangent(a, x, w)
+                continue
+            kept = [g for g in F if _fixes(g, x) and _fixes(g, w)]
+            want = g_class_of(FiniteSub(FiniteRotationGroup.from_elements(kept)))
+            assert g_class_of(stabilizer_of_tangent(a, x, w)) is want, (x, w)
+
+
 def test_sampling_is_monotone():
     a = make_action("Finite_on_R3:O")
-    small = empirical_lifted_lattice(a, 3, 200)
-    big = empirical_lifted_lattice(a, 3, 1000)
+    small = empirical_lattices(a, 3, 200)[1]
+    big = empirical_lattices(a, 3, 1000)[1]
     assert small <= big
 
 
 def test_sampling_is_deterministic():
     a = make_action("SO3_on_R3")
-    assert empirical_base_lattice(a, 5, 400) == empirical_base_lattice(a, 5, 400)
+    assert empirical_lattices(a, 5, 400) == empirical_lattices(a, 5, 400)
 
 
 def test_plan_seeds_cover_axis_strata():
@@ -172,9 +246,9 @@ def test_sphere_plan_pairs_are_tangent():
 
 def test_empirical_octa_base_matches_catalog():
     a = make_action("Finite_on_R3:O")
-    assert shorts(empirical_base_lattice(a, 0, 600)) == ["1", "C2", "C3", "C4", "O"]
+    assert shorts(empirical_lattices(a, 0, 600)[0]) == ["1", "C2", "C3", "C4", "O"]
 
 
 def test_empirical_icosa_base_matches_catalog():
     a = make_action("Finite_on_R3:I")
-    assert shorts(empirical_base_lattice(a, 0, 400)) == ["1", "C2", "C3", "C5", "I"]
+    assert shorts(empirical_lattices(a, 0, 400)[0]) == ["1", "C2", "C3", "C5", "I"]
