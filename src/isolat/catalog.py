@@ -7,10 +7,11 @@ extension O(2), and SO(3) itself.  Concrete subgroups carry enough geometry
 to intersect and conjugate them exactly.
 
 The subconjugation partial order on tags is a table of per-tag down-sets
-(strictly_below); it is what the lattice layers consume.  Everything
-geometric (classification, canonical representatives, subgroup enumeration,
-intersections, embeddings) lives here too so that the lattice layers never
-touch raw quaternions.
+(strictly_below), also kept as int bitmasks over each tag's position in
+tag_sort_key order (below_mask); the masks are what the lattice layers
+consume.  Everything geometric (classification, canonical representatives,
+subgroup enumeration, intersections, embeddings) lives here too so that the
+lattice layers never touch raw quaternions.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .rotation import (
     compose,
     cross,
     dot,
+    eq,
     normalize,
 )
 
@@ -409,12 +411,7 @@ def _octa_elements() -> list[Rotation]:
         (0.0, 1.0, -1.0),
     ):
         els.append(Rotation.from_axis_angle(d, math.pi))
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            d = (sx, sy, 1.0)
-            els.append(Rotation.from_axis_angle(d, 2.0 * math.pi / 3.0))
-            els.append(Rotation.from_axis_angle(d, -2.0 * math.pi / 3.0))
-    return els
+    return els + _tetra_elements()[3:]  # the eight 3-fold rotations of T
 
 
 @lru_cache(maxsize=None)
@@ -483,6 +480,30 @@ def strictly_below(b: ClassTag) -> frozenset:
 def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
     """True when some conjugate of a representative of a lies inside b's."""
     return a == b or a in strictly_below(b)
+
+
+@lru_cache(maxsize=None)
+def tag_positions() -> dict:
+    """Each catalog tag's position in tag_sort_key order, built on first use."""
+    tags = sorted(strictly_below(FULL) | {FULL}, key=tag_sort_key)  # every catalog tag
+    return {t: i for i, t in enumerate(tags)}
+
+
+@lru_cache(maxsize=None)
+def below_mask(b: ClassTag) -> int:
+    """strictly_below(b) as an int with the bit of each tag's position set.
+
+    Every bit lies below b's own position (tag_sort_key grows along every
+    strict pair); the lattice layers rely on it, so it is checked here.
+    """
+    pos = tag_positions()
+    mask = sum(1 << pos[a] for a in strictly_below(b))
+    if mask >> pos[b]:
+        a = list(pos)[mask.bit_length() - 1]
+        raise ValueError(
+            f"distinct classes {b.short()} and {a.short()} are mutually subconjugate"
+        )
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +693,18 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
     if isinstance(B, FullSub):
         return A
     if isinstance(A, FiniteSub) or isinstance(B, FiniteSub):
-        if isinstance(A, FiniteSub) and isinstance(B, FiniteSub):
-            small, other = (A, B) if len(A.group) <= len(B.group) else (B, A)
-        elif isinstance(A, FiniteSub):
-            small, other = A, B
+        a_len = len(A.group) if isinstance(A, FiniteSub) else math.inf
+        b_len = len(B.group) if isinstance(B, FiniteSub) else math.inf
+        small, other = (A, B) if a_len <= b_len else (B, A)
+        if isinstance(other, FiniteSub):  # other.group.index_of, inlined
+            els, table, kept = other.group.elements, other.group._buckets, []
+            for r in small.group:
+                for i in table.get(r.key(), ()):
+                    if els[i] is r or eq(els[i], r):
+                        kept.append(r)
+                        break
         else:
-            small, other = B, A
-        kept = [r for r in small.group if subgroup_contains(other, r)]
+            kept = [r for r in small.group if subgroup_contains(other, r)]
         if len(kept) == len(small.group):
             return small
         return FiniteSub(FiniteRotationGroup.from_elements(kept))

@@ -28,23 +28,15 @@ from functools import lru_cache
 
 from .adjoint import AnnIsotropy, Plane, Zero
 from .catalog import (
-    CIRCLE,
-    FULL,
-    ICOSA,
     N_CAP,
-    OCTA,
-    ORTH_CIRCLE,
-    TETRA,
-    TRIVIAL,
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
     FiniteSub,
     OrthCircleSub,
-    cyclic,
-    dihedral,
     is_subconjugate,
     parse_tag,
+    tag_positions,
     tag_sort_key,
 )
 from .errors import (
@@ -52,6 +44,7 @@ from .errors import (
     GroupTooLarge,
     IsolatError,
     NoUniqueMinimum,
+    NotTotallyIsotropic,
     SchemaError,
     ValidationError,
 )
@@ -291,6 +284,27 @@ def lattice_to_json(L: IsotropyLattice) -> dict:
     }
 
 
+def _lattice_text(L: IsotropyLattice) -> str:
+    """The "classes" and "hasse" members of an indent=2 JSON object holding L.
+
+    Byte for byte what json.dumps gives lattice_to_json(L), from per-tag fragments.
+    """
+    classes = ",\n    ".join(f'"{t.short()}"' for t in L.classes)  # never empty: see build_lattice
+    hasse = ",\n    ".join(f"[\n      {i},\n      {j}\n    ]" for i, j in L.hasse)
+    hasse = f"[\n    {hasse}\n  ]" if hasse else "[]"
+    return f'"classes": [\n    {classes}\n  ],\n  "hasse": {hasse}'
+
+
+def _member(key: str, value) -> str:
+    """One member of an indent=2 JSON object, rendered by json.dumps."""
+    return json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _document(members: list) -> str:
+    """The indent=2 JSON object made of the given rendered members."""
+    return "{\n  " + ",\n  ".join(members) + "\n}"
+
+
 def lattice_to_dot(L: IsotropyLattice) -> str:
     lines = ["digraph isotropy {", "  rankdir=BT;"]
     for i, t in enumerate(L.classes):
@@ -393,14 +407,14 @@ def _cmd_lift(argv) -> int:
         return 3
     if a.dot:
         _write_dot(a.dot, result.lifted)
-    out = {"bundle": "T*M" if a.cotangent else "TM"}
-    out.update(lattice_to_json(result.lifted))
-    text = json.dumps(out, indent=2)
+    members = [_member("bundle", "T*M" if a.cotangent else "TM"), _lattice_text(result.lifted)]
+    parts = [_document(members)]
     if not a.no_witnesses:
-        items = ",\n    ".join(_witness_text(w) for w in result.witnesses)
-        # the same bytes as a "witnesses" list inside the json.dumps above
-        text = text[:-2] + f',\n  "witnesses": [\n    {items}\n  ]\n}}'
-    print(text)
+        # reopen the object (cut its "\n}") and print the witness list as joined:
+        # it runs to megabytes on large bases and is never copied into one string
+        witnesses = ",\n    ".join(_witness_text(w) for w in result.witnesses)
+        parts = [parts[0][:-2], ',\n  "witnesses": [\n    ', witnesses, "\n  ]\n}"]
+    print(*parts, sep="")
     return 0
 
 
@@ -454,9 +468,11 @@ def _cmd_mu(argv) -> int:
     mu = _parse_mu(a.mu)
     spec = parse_spec(_read_spec_file(a.specfile))
     base = _base_lattice(spec)
-    ML = mu_lattice(spec.ambient, base, mu)
-    out = {"mu": mu if isinstance(mu, (int, float)) else list(mu)}
-    out.update(lattice_to_json(ML.restricted))
+    try:
+        ML = mu_lattice(spec.ambient, base, mu)
+    except NotTotallyIsotropic as e:
+        raise NotTotallyIsotropic(str(e), "mu") from None
+    members = [_member("mu", mu), _lattice_text(ML.restricted)]  # a tuple renders as a list
     if a.closure:
         try:
             t = parse_tag(a.closure)
@@ -466,8 +482,9 @@ def _cmd_mu(argv) -> int:
             classes = mu_closure(ML, t)
         except ClassNotInLattice as e:
             raise ClassNotInLattice(str(e), "closure") from None
-        out["closure"] = {"class": t.short(), "classes": [x.short() for x in classes]}
-    print(json.dumps(out, indent=2))
+        closure = {"class": t.short(), "classes": [x.short() for x in classes]}
+        members.append(_member("closure", closure))
+    print(_document(members))
     return 0
 
 
@@ -489,7 +506,7 @@ def _cmd_requilibria(argv) -> int:
     L = relative_equilibria_lattice(spec.ambient, base)
     if a.dot:
         _write_dot(a.dot, L)
-    print(json.dumps(lattice_to_json(L), indent=2))
+    print(_document([_lattice_text(L)]))
     return 0
 
 
@@ -589,11 +606,7 @@ def _cmd_catalog(argv) -> int:
     a = _catalog_parser().parse_args(argv)
     if a.max_n < 2 or a.max_n > N_CAP:
         raise ValidationError(f"--max-n must lie in 2..{N_CAP}", "max-n")
-    tags = [TRIVIAL]
-    tags += [cyclic(n) for n in range(2, a.max_n + 1)]
-    tags += [dihedral(n) for n in range(2, a.max_n + 1)]
-    tags += [TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL]
-    tags.sort(key=tag_sort_key)
+    tags = [t for t in tag_positions() if t.n is None or t.n <= a.max_n]  # in tag_sort_key order
     out = {
         "classes": [t.short() for t in tags],
         "orders": {t.short(): t.min_order() for t in tags},

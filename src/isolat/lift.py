@@ -34,7 +34,6 @@ from .catalog import (
     intersect,
     is_subconjugate,
     subgroup_equal,
-    tag_sort_key,
 )
 from .errors import NotRealizableInG
 from .poset import IsotropyLattice, build_lattice, compute_depths
@@ -115,7 +114,7 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
 
     depths = compute_depths(base)
     found: dict[ClassTag, LiftWitness] = {}
-    for h in sorted(base.classes, key=lambda t: (depths[t], tag_sort_key(t))):
+    for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
         for w in _diagonal_witnesses(h):
             found.setdefault(w.lifted_class, w)
     lifted = build_lattice(found.keys())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .catalog import ClassTag, strictly_below, tag_sort_key
+from .catalog import ClassTag, below_mask, tag_positions
 from .errors import ClassNotInLattice, NoUniqueMinimum
 from .rotation import Value
 
@@ -38,34 +38,34 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
     one minimal element, which is what a connected action guarantees for its
     isotropy classes.
     """
-    tags = sorted(set(classes), key=tag_sort_key)
+    pos = tag_positions()
+    tags = sorted(set(classes), key=pos.__getitem__)
     if not tags:
         raise ValueError("a lattice needs at least one class")
-    n = len(tags)
-    index = {t: i for i, t in enumerate(tags)}
-    present = frozenset(tags)
-    # below[j] holds the i with i < j, read off j's down-set; above[i] the j
-    below = [{index[t] for t in strictly_below(b) & present} for b in tags]
-    above: list[set[int]] = [set() for _ in range(n)]
-    less = set()
-    for j, down in enumerate(below):
-        for i in down:
-            above[i].add(j)
-            less.add((i, j))
-    for i, j in less:
-        if (j, i) in less:
-            raise ValueError(
-                f"distinct classes {tags[i].short()} and {tags[j].short()} "
-                "are mutually subconjugate"
-            )
-    minimal = [i for i in range(n) if not below[i]]
+    at = {pos[t]: i for i, t in enumerate(tags)}  # catalog position -> index
+    present = sum(1 << p for p in at)
+    # down[j]: the position bits of the classes below tags[j], all below its own
+    down = [below_mask(t) & present for t in tags]
+    less, hasse = [], []
+    for j, m in enumerate(down):
+        # highest bit first: every class between i and j sits above i, so its
+        # down-set is in covered when i is reached; (i, j) is a cover iff i is not
+        covered = 0
+        while m:
+            p = m.bit_length() - 1
+            m ^= 1 << p
+            i = at[p]
+            less.append((i, j))
+            if not covered >> p & 1:
+                hasse.append((i, j))
+            covered |= down[i]
+    minimal = [i for i, m in enumerate(down) if not m]
     unique_min = len(minimal) == 1
     if require_unique_min and not unique_min:
         names = ", ".join(tags[i].short() for i in minimal)
         raise NoUniqueMinimum(f"minimal classes are {names}, expected exactly one")
-    # (i, j) is a cover when no k lies strictly between them
-    hasse = tuple(sorted((i, j) for (i, j) in less if above[i].isdisjoint(below[j])))
-    return IsotropyLattice(tuple(tags), frozenset(less), hasse, unique_min)
+    hasse.sort()
+    return IsotropyLattice(tuple(tags), frozenset(less), tuple(hasse), unique_min)
 
 
 def compute_depths(L: IsotropyLattice) -> dict[ClassTag, int]:

@@ -1,4 +1,5 @@
 import collections
+import copy
 import hashlib
 import math
 import random
@@ -20,6 +21,7 @@ from isolat.catalog import (
     FiniteSub,
     FullSub,
     OrthCircleSub,
+    below_mask,
     canonical_rep,
     classify_finite,
     conjugate_group,
@@ -38,11 +40,12 @@ from isolat.catalog import (
     subgroup_contains,
     subgroup_equal,
     subgroups_of,
+    tag_positions,
     tag_sort_key,
     trivial_group,
 )
 from isolat.errors import NotSubconjugate, UnclassifiableGroup
-from isolat.rotation import FiniteRotationGroup, Rotation
+from isolat.rotation import FiniteRotationGroup, Rotation, compose, eq
 
 
 def random_rotation(rng):
@@ -597,6 +600,46 @@ def test_intersect_returns_a_contained_operand_itself():
     assert contained > 1000 and copied > 1000
 
 
+def _subgroup_contains_path(A, B):
+    """intersect's finite branch before the inlined bucket loop, as a reference."""
+    small, other = (A, B) if len(A.group) <= len(B.group) else (B, A)
+    kept = [r for r in small.group if subgroup_contains(other, r)]
+    if len(kept) == len(small.group):
+        return small
+    return FiniteSub(FiniteRotationGroup.from_elements(kept))
+
+
+def _twins(S):
+    """Copies of S whose elements are new Rotation objects equal to S's.
+
+    One holds field-for-field copies; the other conjugates by a rotation so
+    close to the identity that each element moves well inside the tolerance.
+    """
+    copies = [copy.copy(r) for r in S.group]
+    nudge = Rotation.from_axis_angle((0.3, -0.5, 0.8), 1e-13)
+    moved = [compose(nudge, compose(r, nudge.inverse())) for r in S.group]
+    return [FiniteSub(FiniteRotationGroup.from_elements(els)) for els in (copies, moved)]
+
+
+def test_the_bucket_loop_keeps_what_subgroup_contains_keeps():
+    pairs = list(_finite_pairs())
+    for t in SMALL_FINITE:
+        P = canonical_rep(t)
+        subs = [embeddings_of_class_in(s, P)[0] for s in SMALL_FINITE if is_subconjugate(s, t)]
+        for twin in _twins(P):
+            assert all(a is not b and eq(a, b) for a, b in zip(twin.group, P.group))
+            pairs += [(S, twin) for S in subs] + [(twin, S) for S in subs]
+    shared = 0
+    for A, B in pairs:
+        got, want = intersect(A, B), _subgroup_contains_path(A, B)
+        if want is A or want is B:
+            assert got is want
+        else:
+            assert got.group.elements == want.group.elements
+        shared += any(a is not b and eq(a, b) for a in A.group for b in B.group)
+    assert shared > 1000
+
+
 # ---------------------------------------------------------------------------
 # the subconjugation order as per-tag down-sets
 
@@ -651,6 +694,21 @@ def test_is_subconjugate_matches_the_old_rule_on_every_catalog_pair():
         assert strictly_below(b) == want, b
         for a in tags:
             assert is_subconjugate(a, b) is _old_is_subconjugate(a, b), (a, b)
+
+
+def test_tag_positions_follow_tag_sort_key():
+    tags = _catalog_tags()
+    assert list(tag_positions()) == sorted(tags, key=tag_sort_key)
+
+
+def test_below_mask_is_strictly_below_as_position_bits():
+    tags, pos = _catalog_tags(), tag_positions()
+    for b in tags:
+        mask = below_mask(b)
+        assert {a for a in tags if mask >> pos[a] & 1} == strictly_below(b), b
+        assert mask >> pos[b] == 0, b  # every bit lies below b's own position
+        assert mask < 1 << len(tags)
+        assert below_mask(ClassTag(b.kind, b.n)) is mask
 
 
 def test_strictly_below_is_stored_per_tag():

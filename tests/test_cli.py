@@ -378,6 +378,7 @@ def test_mu_nonzero_vector_on_finite_ambient_is_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "mu", path, "--mu", "[1,0,0]")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "not-totally-isotropic"
+    assert json.loads(err)["error"]["path"] == "mu"
 
 
 def test_mu_rejects_nonisotropic(tmp_path, capsys):
@@ -385,6 +386,17 @@ def test_mu_rejects_nonisotropic(tmp_path, capsys):
     code, _, err = run(capsys, "mu", path, "--mu", "[0,0,2]")
     assert code == 2
     assert json.loads(err)["error"]["code"] == "not-totally-isotropic"
+    assert json.loads(err)["error"]["path"] == "mu"
+
+
+def test_mu_with_no_surviving_class_names_mu(tmp_path, capsys):
+    # a nonzero value on the circle keeps only 1 and the C_n; here there are none
+    path = write_spec(tmp_path, {"group": {"kind": "circle"}, "base_lattice": ["SO2"]})
+    code, out, err = run(capsys, "mu", path, "--mu", "3")
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "not-totally-isotropic" and rec["path"] == "mu"
+    assert "no base class has an algebra annihilated" in rec["message"]
 
 
 def test_mu_rejects_malformed_value(tmp_path, capsys):

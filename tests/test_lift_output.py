@@ -1,7 +1,8 @@
-"""The lift command's stored witness text is the text json.dumps would give.
+"""The lift, requilibria and mu output is the text json.dumps would give.
 
 _cmd_lift renders each witness once and stores the text on the witness
-object.  Here its stdout is compared with a plain json.dumps of the whole
+object, and all three commands render their classes and hasse members from
+fragments.  Here stdout is compared with a plain json.dumps of the whole
 document, on a cold memo, on a warm one, and for finite parents after an
 SO(3) lift whose witnesses compare equal to theirs but carry other floats.
 """
@@ -11,8 +12,10 @@ import json
 import pytest
 
 import isolat.cli
-from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep
+from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep, parse_tag
 from isolat.cli import (
+    _document,
+    _lattice_text,
     _witness_text,
     lattice_to_json,
     parse_spec,
@@ -20,7 +23,8 @@ from isolat.cli import (
     subgroup_to_json,
     witness_to_json,
 )
-from isolat.lift import FiniteAmbient, _diagonal_witnesses, lifted_lattice
+from isolat.lift import AMBIENT_CIRCLE, FiniteAmbient, _diagonal_witnesses, lifted_lattice
+from isolat.momentum import mu_lattice, relative_equilibria_lattice
 from isolat.poset import build_lattice
 
 
@@ -118,3 +122,57 @@ def test_equal_witnesses_keep_their_own_bits(tag):
     assert _witness_text(so3) != _witness_text(finite)
     assert _witness_text(finite) is _witness_text(finite)
     assert json.loads(_witness_text(finite)) == witness_to_json(finite)
+
+
+def plain_dump(L, **members):
+    doc = dict(members)
+    doc.update(lattice_to_json(L))
+    return json.dumps(doc, indent=2)
+
+
+def tags(*names):
+    return tuple(parse_tag(s) for s in names)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_lattice_text_is_the_plain_json_dump(tmp_path, name):
+    spec = parse_spec(write(tmp_path, name).read_text())
+    base = build_lattice(spec.base_tags)
+    lattices = [
+        base,
+        lifted_lattice(spec.ambient, base).lifted,
+        relative_equilibria_lattice(spec.ambient, base),
+        mu_lattice(spec.ambient, base, 0).restricted,
+    ]
+    for L in lattices:
+        assert _document([_lattice_text(L)]) == plain_dump(L)
+
+
+def test_lattice_text_of_one_class_and_of_several_minima():
+    single = build_lattice(tags("SO3"))
+    assert single.classes == tags("SO3") and single.hasse == ()
+    assert _document([_lattice_text(single)]) == plain_dump(single)
+    assert '"hasse": []' in _lattice_text(single)
+    # on the circle a nonzero mu keeps the finite classes, here two minima
+    base = build_lattice(tags("C2", "C3", "C6", "SO2"), require_unique_min=False)
+    level = mu_lattice(AMBIENT_CIRCLE, base, 1.0).restricted
+    assert level.classes == tags("C2", "C3", "C6") and not level.unique_min
+    assert _document([_lattice_text(level)]) == plain_dump(level)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_requilibria_and_mu_stdout_are_the_plain_json_dump(tmp_path, capsys, name):
+    path = write(tmp_path, name)
+    spec = parse_spec(path.read_text())
+    base = build_lattice(spec.base_tags)
+    capsys.readouterr()
+    assert run_command(["requilibria", str(path)]) == 0
+    L = relative_equilibria_lattice(spec.ambient, base)
+    assert capsys.readouterr().out == plain_dump(L) + "\n"
+    bottom = base.classes[0].short()  # the unique minimum: its closure is the whole level set
+    for value, mu in (("0", 0), ("[0, 0, 0]", [0.0, 0.0, 0.0])):
+        assert run_command(["mu", str(path), "--mu", value, "--closure", bottom]) == 0
+        level = mu_lattice(spec.ambient, base, mu).restricted
+        doc = {"mu": mu, **lattice_to_json(level)}
+        doc["closure"] = {"class": bottom, "classes": [t.short() for t in level.classes]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from isolat import catalog
 from isolat.catalog import (
     CIRCLE,
     FULL,
     TRIVIAL,
+    below_mask,
     cyclic,
     dihedral,
     parse_tag,
+    tag_positions,
 )
 from isolat.errors import ClassNotInLattice, NoUniqueMinimum
 from isolat.poset import build_lattice, compute_depths, up_set
@@ -107,6 +110,23 @@ def test_deterministic_under_shuffling():
         rng.shuffle(shuffled)
         L = build_lattice(shuffled)
         assert L == L0
+
+
+def test_a_two_cycle_in_the_order_is_rejected(monkeypatch):
+    tag_positions()  # from the real table
+    real = catalog.strictly_below
+    extra = {cyclic(2): cyclic(3), cyclic(3): cyclic(2)}
+
+    def two_cycle(b):
+        return real(b) | {extra[b]} if b in extra else real(b)
+
+    monkeypatch.setattr(catalog, "strictly_below", two_cycle)
+    below_mask.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="C2 and C3 are mutually subconjugate"):
+            build_lattice(tags("1", "C2", "C3"))
+    finally:
+        below_mask.cache_clear()  # drop the masks read off the patched table
 
 
 def test_full_is_unique_maximum():
