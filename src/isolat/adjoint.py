@@ -69,7 +69,6 @@ class AnnClass(Value):
 
 
 class AnnIsotropy(Value):
-    subgroup: ConcreteSubgroup
     subspace: AnnSubspace
     classes: tuple[AnnClass, ...]
 
@@ -130,19 +129,15 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
     """
     sub = ann_h(H)
     if isinstance(H, FullSub):
-        return AnnIsotropy(H, sub, (AnnClass(FULL, FullSub()),))
+        return AnnIsotropy(sub, (AnnClass(FULL, FullSub()),))
     if isinstance(H, CircleSub):
         # the circle rotates its orthogonal plane freely off the origin
-        return AnnIsotropy(
-            H, sub, (AnnClass(TRIVIAL, trivial_group()), AnnClass(CIRCLE, H))
-        )
+        return AnnIsotropy(sub, (AnnClass(TRIVIAL, trivial_group()), AnnClass(CIRCLE, H)))
     if isinstance(H, OrthCircleSub):
         # a nonzero covector in the plane is fixed exactly by the half turn
         # about its own line; the marked flip is the representative position
         flip = cyclic_group(2, in_plane_direction(H.axis, H.flip_phase))
-        return AnnIsotropy(
-            H, sub, (AnnClass(cyclic(2), flip), AnnClass(ORTH_CIRCLE, H))
-        )
+        return AnnIsotropy(sub, (AnnClass(cyclic(2), flip), AnnClass(ORTH_CIRCLE, H)))
     F = H.group
     entries: list[AnnClass] = []
     if len(F) > 1:
@@ -155,4 +150,4 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
             continue
         entries.append(AnnClass(classify_finite(axial), stab))
     entries.append(AnnClass(g_class_of(H), H))
-    return AnnIsotropy(H, sub, tuple(entries))
+    return AnnIsotropy(sub, tuple(entries))

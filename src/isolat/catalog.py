@@ -6,12 +6,12 @@ cyclic C_n and dihedral D_n families, the three exceptional rotation groups
 extension O(2), and SO(3) itself.  Concrete subgroups carry enough geometry
 to intersect and conjugate them exactly.
 
-The subconjugation partial order on tags is a table of per-tag down-sets
-(strictly_below), also kept as int bitmasks over each tag's position in
-tag_sort_key order (below_mask); the masks are what the lattice layers
-consume.  Everything geometric (classification, canonical representatives,
-subgroup enumeration, intersections, embeddings) lives here too so that the
-lattice layers never touch raw quaternions.
+The subconjugation partial order on tags is one table of per-tag down-sets,
+kept as int bitmasks over each tag's position in tag_sort_key order
+(below_mask); is_subconjugate and the lattice layers read it.  Everything
+geometric (classification, canonical representatives, subgroup enumeration,
+intersections, embeddings) lives here too so that the lattice layers never
+touch raw quaternions.
 """
 
 from __future__ import annotations
@@ -451,59 +451,56 @@ _EXC_DIHEDRAL = {"T": (2,), "O": (2, 3, 4), "I": (2, 3, 5)}
 
 
 @lru_cache(maxsize=None)
-def strictly_below(b: ClassTag) -> frozenset:
-    """The classes a != b with a subconjugate to b: b's strict down-set.
-
-    This table is the subconjugation order; is_subconjugate reads it.  C_n
-    and D_n take the divisors of n (and C2, the half turns of every D_n);
-    the other kinds take fixed lists.  The cache holds at most one entry per
-    catalog tag.
-    """
-    if b.kind == "1":
-        return frozenset()
-    if b.kind in ("C", "D"):
-        divisors = [d for d in range(2, b.n) if b.n % d == 0]
-        below = {TRIVIAL, *map(cyclic, divisors)}
-        if b.kind == "D":
-            below |= {cyclic(2), cyclic(b.n), *map(dihedral, divisors)}
-        return frozenset(below)
-    if b.kind in _EXC_CYCLIC:
-        below = {TRIVIAL, *map(cyclic, _EXC_CYCLIC[b.kind]), *map(dihedral, _EXC_DIHEDRAL[b.kind])}
-        return frozenset(below if b.kind == "T" else below | {TETRA})
-    if b.kind == "SO2":
-        return frozenset([TRIVIAL, *map(cyclic, range(2, N_CAP + 1))])
-    if b.kind == "O2":
-        return strictly_below(CIRCLE) | {CIRCLE, *map(dihedral, range(2, N_CAP + 1))}
-    return strictly_below(ORTH_CIRCLE) | {ORTH_CIRCLE, TETRA, OCTA, ICOSA}
-
-
-def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
-    """True when some conjugate of a representative of a lies inside b's."""
-    return a == b or a in strictly_below(b)
-
-
-@lru_cache(maxsize=None)
 def tag_positions() -> dict:
     """Each catalog tag's position in tag_sort_key order, built on first use."""
-    tags = sorted(strictly_below(FULL) | {FULL}, key=tag_sort_key)  # every catalog tag
-    return {t: i for i, t in enumerate(tags)}
+    indexed = [ClassTag(kind, n) for kind in ("C", "D") for n in range(2, N_CAP + 1)]
+    tags = [TRIVIAL, *indexed, TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL]
+    return {t: i for i, t in enumerate(sorted(tags, key=tag_sort_key))}
 
 
 @lru_cache(maxsize=None)
 def below_mask(b: ClassTag) -> int:
-    """strictly_below(b) as an int with the bit of each tag's position set.
+    """The classes a != b subconjugate to b, as the bits of their positions.
 
-    Every bit lies below b's own position (tag_sort_key grows along every
-    strict pair); the lattice layers rely on it, so it is checked here.
+    This table is the subconjugation order; is_subconjugate and the lattice
+    layers read it.  C_n and D_n take the divisors of n (and C2, the half
+    turns of every D_n); T, O and I take fixed lists; O(2) and SO(3) extend
+    the class before them.  Every bit lies below b's own position
+    (tag_sort_key grows along every strict pair); the lattice layers rely on
+    it, so it is checked here.  The cache holds one entry per catalog tag.
     """
     pos = tag_positions()
-    mask = sum(1 << pos[a] for a in strictly_below(b))
+    if b.kind == "1":
+        below = []
+    elif b.kind in ("C", "D"):
+        divisors = [d for d in range(2, b.n) if b.n % d == 0]
+        below = [TRIVIAL, *map(cyclic, divisors)]
+        if b.kind == "D":
+            below += [cyclic(2), cyclic(b.n), *map(dihedral, divisors)]
+    elif b.kind in _EXC_CYCLIC:
+        below = [TRIVIAL, *map(cyclic, _EXC_CYCLIC[b.kind]), *map(dihedral, _EXC_DIHEDRAL[b.kind])]
+        if b.kind != "T":
+            below.append(TETRA)
+    elif b.kind == "SO2":
+        below = [TRIVIAL, *map(cyclic, range(2, N_CAP + 1))]
+    elif b.kind == "O2":
+        below = [CIRCLE, *map(dihedral, range(2, N_CAP + 1))]
+    else:
+        below = [ORTH_CIRCLE, TETRA, OCTA, ICOSA]
+    mask = below_mask(below[0]) if b.kind in ("O2", "SO3") else 0  # below[0]: the class extended
+    for a in below:
+        mask |= 1 << pos[a]
     if mask >> pos[b]:
         a = list(pos)[mask.bit_length() - 1]
         raise ValueError(
             f"distinct classes {b.short()} and {a.short()} are mutually subconjugate"
         )
     return mask
+
+
+def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
+    """True when some conjugate of a representative of a lies inside b's."""
+    return a is b or bool(below_mask(b) >> tag_positions()[a] & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -772,34 +769,11 @@ def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]
 def _finite_dihedral_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]:
     """Dihedral subgroups of a dihedral group, by closed form.
 
-    For the Klein case m = 2 inside D_n with n > 2 every copy consists of the
-    main half turn plus a perpendicular pair of flips, so those are built
-    directly.  Otherwise the order-m axis must be the parent's main axis and
-    the copies are distinguished by the flip phase modulo pi/m.
+    The order-m axis must be a line of the parent whose axial group has an
+    order-m subgroup, and the copies are distinguished by the flip phase
+    modulo pi/m.
     """
-    parent = classify_finite(H)
     out: list[FiniteSub] = []
-    if m == 2 and parent.kind == "D" and parent.n != 2:
-        n = parent.n
-        if n % 2 != 0:
-            return []
-        lines = axis_lines(H)
-        main = next(d for d, k in lines if k == n)
-        main_flip = Rotation.from_axis_angle(main, math.pi)
-        for d, k in lines:
-            if k != 2 or _same_line(d, main):
-                continue
-            other = canon_direction(cross(main, d))
-            K = FiniteRotationGroup.from_elements(
-                [
-                    main_flip,
-                    Rotation.from_axis_angle(d, math.pi),
-                    Rotation.from_axis_angle(other, math.pi),
-                ]
-            )
-            if all(H.contains(r) for r in K):
-                out.append(FiniteSub(K))
-        return _dedupe_finite(out)
     for d, members in H.lines.values():
         axial = _cyclic_part_about(members, m)
         if axial is None:

@@ -46,13 +46,13 @@ from .errors import (
     NoUniqueMinimum,
     NotTotallyIsotropic,
     SchemaError,
+    UnclassifiableGroup,
     ValidationError,
 )
 from .lift import (
     AMBIENT_CIRCLE,
     AMBIENT_SO3,
     AmbientGroup,
-    CircleAmbient,
     FiniteAmbient,
     LiftWitness,
     ambient_class,
@@ -70,7 +70,6 @@ from .oracle import (
 )
 from .poset import IsotropyLattice, build_lattice
 from .rotation import (
-    Rotation,
     Value,
     close_group,
     is_finite_number,
@@ -95,27 +94,8 @@ run 'isolat COMMAND --help' for details on one command
 
 class ProblemSpec(Value):
     ambient: AmbientGroup
-    generators: tuple[Rotation, ...]
     base_tags: tuple[ClassTag, ...]
-    declared_order: tuple | None
     action: str | None
-
-    def to_json_dict(self) -> dict:
-        if isinstance(self.ambient, FiniteAmbient):
-            group = {
-                "kind": "finite",
-                "generators": [rotation_to_json(r) for r in self.generators],
-            }
-        elif isinstance(self.ambient, CircleAmbient):
-            group = {"kind": "circle"}
-        else:
-            group = {"kind": "SO3"}
-        out = {"group": group, "base_lattice": [t.short() for t in self.base_tags]}
-        if self.declared_order is not None:
-            out["order"] = [[a.short(), b.short()] for a, b in self.declared_order]
-        if self.action is not None:
-            out["action"] = self.action
-        return out
 
 
 _TOP_KEYS = {"group", "base_lattice", "order", "action"}
@@ -138,7 +118,6 @@ def parse_spec(text: str) -> ProblemSpec:
     kind = group.get("kind")
     if kind not in ("SO3", "circle", "finite"):
         raise SchemaError("group.kind must be 'SO3', 'circle' or 'finite'", "group.kind")
-    generators: tuple[Rotation, ...] = ()
     if kind == "finite":
         raw = group.get("generators")
         if not isinstance(raw, list) or not raw:
@@ -151,9 +130,8 @@ def parse_spec(text: str) -> ProblemSpec:
                 gens.append(rotation_from_json(rec))
             except ValueError as e:
                 raise SchemaError(str(e), f"group.generators[{i}]") from None
-        generators = tuple(gens)
         try:
-            ambient: AmbientGroup = FiniteAmbient(close_group(generators))
+            ambient: AmbientGroup = FiniteAmbient(close_group(gens))
         except GroupTooLarge as e:
             raise GroupTooLarge(str(e), "group.generators") from None
     elif kind == "circle":
@@ -169,7 +147,10 @@ def parse_spec(text: str) -> ProblemSpec:
     raw_tags = doc.get("base_lattice")
     if not isinstance(raw_tags, list) or not raw_tags:
         raise SchemaError("a non-empty 'base_lattice' list is required", "base_lattice")
-    amb = ambient_class(ambient)
+    try:
+        amb = ambient_class(ambient)
+    except UnclassifiableGroup as e:  # only a finite group can fail here
+        raise UnclassifiableGroup(str(e), "group.generators") from None
     tags: dict[ClassTag, None] = {}  # an insertion-ordered set
     for i, s in enumerate(raw_tags):
         if not isinstance(s, str):
@@ -187,7 +168,6 @@ def parse_spec(text: str) -> ProblemSpec:
             )
         tags[t] = None
 
-    declared = None
     if "order" in doc:
         raw_order = doc["order"]
         if not isinstance(raw_order, list):
@@ -210,26 +190,16 @@ def parse_spec(text: str) -> ProblemSpec:
                         f"{t.short()} does not appear in base_lattice", f"order[{i}]"
                     )
             pairs.append((a, b))
-        derived = {
-            (a, b)
-            for a in tags
-            for b in tags
-            if a != b and is_subconjugate(a, b)
-        }
-        if set(pairs) != derived:
-            missing = derived - set(pairs)
-            bogus = set(pairs) - derived
-            if missing:
-                a, b = sorted(missing, key=lambda p: (tag_sort_key(p[0]), tag_sort_key(p[1])))[0]
-                raise ValidationError(
-                    f"declared order is missing the pair {a.short()} < {b.short()}",
-                    "order",
-                )
-            a, b = sorted(bogus, key=lambda p: (tag_sort_key(p[0]), tag_sort_key(p[1])))[0]
-            raise ValidationError(
-                f"declared pair {a.short()} < {b.short()} does not hold", "order"
-            )
-        declared = tuple(pairs)
+        L = build_lattice(tags, require_unique_min=False)
+        at = {t: i for i, t in enumerate(L.classes)}  # index pairs sort as tag_sort_key pairs
+        declared = {(at[a], at[b]) for a, b in pairs}
+        for wrong, text in (
+            (L.less - declared, "declared order is missing the pair {} < {}"),
+            (declared - L.less, "declared pair {} < {} does not hold"),
+        ):
+            if wrong:
+                i, j = min(wrong)
+                raise ValidationError(text.format(L.classes[i].short(), L.classes[j].short()), "order")
 
     action = doc.get("action")
     if action is not None:
@@ -237,7 +207,7 @@ def parse_spec(text: str) -> ProblemSpec:
             raise SchemaError("'action' must be a string", "action")
         _resolve_action(action, ambient, "action")
 
-    return ProblemSpec(ambient, generators, tuple(tags), declared, action)
+    return ProblemSpec(ambient, tuple(tags), action)
 
 
 def _resolve_action(name: str, ambient: AmbientGroup, path: str) -> ConcreteAction:
@@ -606,16 +576,11 @@ def _cmd_catalog(argv) -> int:
     a = _catalog_parser().parse_args(argv)
     if a.max_n < 2 or a.max_n > N_CAP:
         raise ValidationError(f"--max-n must lie in 2..{N_CAP}", "max-n")
-    tags = [t for t in tag_positions() if t.n is None or t.n <= a.max_n]  # in tag_sort_key order
+    L = build_lattice(t for t in tag_positions() if t.n is None or t.n <= a.max_n)
     out = {
-        "classes": [t.short() for t in tags],
-        "orders": {t.short(): t.min_order() for t in tags},
-        "subconjugate": [
-            [s.short(), b.short()]
-            for s in tags
-            for b in tags
-            if s != b and is_subconjugate(s, b)
-        ],
+        "classes": [t.short() for t in L.classes],
+        "orders": {t.short(): t.min_order() for t in L.classes},
+        "subconjugate": [[L.classes[i].short(), L.classes[j].short()] for i, j in sorted(L.less)],
     }
     print(json.dumps(out, indent=2))
     return 0

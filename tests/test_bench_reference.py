@@ -1,11 +1,13 @@
-"""Every lift_warm output matches the benchmark's reference digest.
+"""Every lift_warm and cli_cold output matches the benchmark's reference digest.
 
 bench/reference.json holds one sha256 per lift_warm base: of the lift stdout
 and the requilibria stdout joined by a NUL, as bench/run.py's Verifier takes
-it.  Here every base of the fixed pool is replayed in process through
-cli.run_command and its digest compared with the reference.  The test only
-reads bench/: inputs.py is executed from its source, so no bytecode cache is
-written there, and the spec files go to a temporary directory.
+it; and one per cli_cold command: of its stdout.  Here every base of the
+fixed pool and every command of the cold suite is replayed in process
+through cli.run_command and its digest compared with the reference.  The
+tests only read bench/: inputs.py is executed from its source, so no
+bytecode cache is written there, and the spec and DOT files go to a
+temporary directory.
 """
 
 import contextlib
@@ -50,3 +52,21 @@ def test_every_pool_base_matches_its_lift_warm_digest(tmp_path):
         checked.add(key)
     assert len(bases) == 401
     assert checked == set(reference) and len(checked) == 358
+
+
+def test_every_cli_suite_command_matches_its_cli_cold_digest(tmp_path):
+    inputs = bench_inputs()
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["cli_cold"]
+    paths = inputs.write_specs(str(tmp_path / "specs"), inputs.CLI_SPECS)
+    paths["dot"] = str(tmp_path / "lift.dot")
+    checked = set()
+    for cmd in inputs.cli_suite():
+        argv = [paths[a[1:-1]] if a.startswith("{") else a for a in cmd]
+        if cmd[0] == "check":
+            argv += ["--seed", "7"]
+        key = inputs.cli_key(cmd)
+        digest = hashlib.sha256(stdout_of(argv).encode("utf-8")).hexdigest()
+        assert digest == reference[key], key
+        checked.add(key)
+    assert checked == set(reference) and len(checked) == 101
+    assert Path(paths["dot"]).read_text(encoding="utf-8").startswith("digraph isotropy {")

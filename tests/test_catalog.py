@@ -36,7 +36,6 @@ from isolat.catalog import (
     is_subconjugate,
     parse_tag,
     principal_axis,
-    strictly_below,
     subgroup_contains,
     subgroup_equal,
     subgroups_of,
@@ -45,7 +44,7 @@ from isolat.catalog import (
     trivial_group,
 )
 from isolat.errors import NotSubconjugate, UnclassifiableGroup
-from isolat.rotation import FiniteRotationGroup, Rotation, compose, eq
+from isolat.rotation import FiniteRotationGroup, Rotation, canon_direction, compose, cross, eq
 
 
 def random_rotation(rng):
@@ -689,9 +688,10 @@ def _old_is_subconjugate(a, b):
 def test_is_subconjugate_matches_the_old_rule_on_every_catalog_pair():
     tags = _catalog_tags()
     assert len(tags) == 205
+    pos = tag_positions()
     for b in tags:
         want = {a for a in tags if a != b and _old_is_subconjugate(a, b)}
-        assert strictly_below(b) == want, b
+        assert {a for a in tags if below_mask(b) >> pos[a] & 1} == want, b
         for a in tags:
             assert is_subconjugate(a, b) is _old_is_subconjugate(a, b), (a, b)
 
@@ -705,14 +705,41 @@ def test_below_mask_is_strictly_below_as_position_bits():
     tags, pos = _catalog_tags(), tag_positions()
     for b in tags:
         mask = below_mask(b)
-        assert {a for a in tags if mask >> pos[a] & 1} == strictly_below(b), b
         assert mask >> pos[b] == 0, b  # every bit lies below b's own position
         assert mask < 1 << len(tags)
         assert below_mask(ClassTag(b.kind, b.n)) is mask
 
 
-def test_strictly_below_is_stored_per_tag():
-    for t in _catalog_tags():
-        first = strictly_below(t)
-        assert isinstance(first, frozenset)
-        assert strictly_below(ClassTag(t.kind, t.n)) is first
+def _old_klein_embeddings(H):
+    """The former closed form for D2 inside D_n, n > 2, kept here as a reference.
+
+    Every copy is the main half turn plus a perpendicular pair of flips.
+    """
+    n = classify_finite(H).n
+    if n % 2 != 0:
+        return []
+    lines = catalog.axis_lines(H)
+    main = next(d for d, k in lines if k == n)
+    main_flip = Rotation.from_axis_angle(main, math.pi)
+    out = []
+    for d, k in lines:
+        if k != 2 or catalog._same_line(d, main):
+            continue
+        other = canon_direction(cross(main, d))
+        K = FiniteRotationGroup.from_elements(
+            [main_flip, Rotation.from_axis_angle(d, math.pi), Rotation.from_axis_angle(other, math.pi)]
+        )
+        if all(H.contains(r) for r in K) and K.key_set not in (S.key_set for S in out):
+            out.append(K)
+    return [K.key_set for K in sorted(out, key=catalog._subgroup_sort_key)]
+
+
+def test_klein_embeddings_match_the_former_closed_form():
+    for n in range(4, N_CAP + 1, 2):
+        H = canonical_rep(dihedral(n))
+        got = [S.group.key_set for S in embeddings_of_class_in(dihedral(2), H)]
+        assert got == _old_klein_embeddings(H.group), n
+        assert len(got) == n // 2, n  # the main half turn and each perpendicular flip pair
+    for n in range(3, N_CAP + 1, 2):
+        H = canonical_rep(dihedral(n)).group
+        assert catalog._finite_dihedral_embeddings(H, 2) == [], n

@@ -16,7 +16,7 @@ from isolat.cli import (
 )
 from isolat.errors import GroupTooLarge, SchemaError, ValidationError
 from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient
-from isolat.catalog import parse_tag
+from isolat.catalog import is_subconjugate, parse_tag
 from isolat.poset import build_lattice
 
 
@@ -56,7 +56,6 @@ def test_parse_so3_spec():
     spec = parse_spec(spec_text(SO3_SPEC))
     assert spec.ambient is AMBIENT_SO3
     assert [t.short() for t in spec.base_tags] == ["SO2", "SO3"]
-    assert spec.declared_order is None
     assert spec.action is None
 
 
@@ -69,15 +68,6 @@ def test_parse_finite_spec_closes_generators():
     spec = parse_spec(spec_text(TETRA_SPEC))
     assert isinstance(spec.ambient, FiniteAmbient)
     assert len(spec.ambient.group) == 12
-    assert len(spec.generators) == 2
-
-
-def test_round_trip_through_json_dict():
-    for doc in (SO3_SPEC, CIRCLE_SPEC, TETRA_SPEC):
-        spec = parse_spec(spec_text(doc))
-        again = parse_spec(spec_text(spec.to_json_dict()))
-        assert again.base_tags == spec.base_tags
-        assert type(again.ambient) is type(spec.ambient)
 
 
 def test_parse_spec_with_order_and_action():
@@ -85,7 +75,7 @@ def test_parse_spec_with_order_and_action():
     doc["order"] = [["SO2", "SO3"]]
     doc["action"] = "SO3_on_R3"
     spec = parse_spec(spec_text(doc))
-    assert spec.declared_order == ((parse_tag("SO2"), parse_tag("SO3")),)
+    assert spec.base_tags == (parse_tag("SO2"), parse_tag("SO3"))
     assert spec.action == "SO3_on_R3"
 
 
@@ -194,6 +184,24 @@ def test_order_must_be_complete():
     with pytest.raises(ValidationError) as e:
         parse_spec(spec_text(doc))
     assert "missing the pair C2 < SO2" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "order,message",
+    [
+        # a missing pair is reported before a false one, each the first in tag_sort_key order
+        ([["C4", "C2"], ["C2", "SO2"], ["C4", "SO2"]], "declared order is missing the pair C2 < C4"),
+        (
+            [["C2", "C4"], ["C2", "SO2"], ["C4", "SO2"], ["SO2", "C4"], ["C4", "C2"]],
+            "declared pair C4 < C2 does not hold",
+        ),
+    ],
+)
+def test_order_errors_name_the_first_wrong_pair(order, message):
+    doc = {"group": {"kind": "SO3"}, "base_lattice": ["SO2", "C4", "C2"], "order": order}
+    with pytest.raises(ValidationError) as e:
+        parse_spec(spec_text(doc))
+    assert str(e.value) == message and e.value.path == "order"
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +435,27 @@ def test_lift_oversized_closure_record(tmp_path, capsys):
     assert rec["code"] == "group-too-large" and rec["path"] == "group.generators"
 
 
+C101_TURN = {"axis": [0, 0, 1], "angle_deg": 360 / 101}
+HALF_TURN_X = {"axis": [1, 0, 0], "angle_deg": 180}
+
+
+@pytest.mark.parametrize("command", [["lift"], ["requilibria"], ["mu", "--mu", "0"], ["check"]])
+@pytest.mark.parametrize(
+    "generators,message",
+    [
+        ([C101_TURN], "cyclic order 101 exceeds cap 100"),
+        ([C101_TURN, HALF_TURN_X], "dihedral index 101 exceeds cap 100"),  # 202 elements
+    ],
+    ids=["C101", "D101"],
+)
+def test_a_group_outside_the_catalog_names_the_generators(tmp_path, capsys, command, generators, message):
+    path = write_spec(tmp_path, finite_spec(*generators))
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 3 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec == {"code": "unclassifiable-group", "path": "group.generators", "message": message}
+
+
 def test_requilibria_command(tmp_path, capsys):
     path = write_spec(tmp_path, SO3_SPEC)
     code, out, _ = run(capsys, "requilibria", path)
@@ -542,6 +571,16 @@ def test_catalog_command(capsys):
     assert ["C2", "D2"] in doc["subconjugate"]
     assert ["1", "SO3"] in doc["subconjugate"]
     assert ["D2", "C2"] not in doc["subconjugate"]
+
+
+def test_catalog_subconjugate_pairs_are_the_double_loop(capsys):
+    code, out, _ = run(capsys, "catalog", "--max-n", "100")
+    assert code == 0
+    doc = json.loads(out)
+    tags = [parse_tag(s) for s in doc["classes"]]
+    assert len(tags) == 205
+    want = [[a.short(), b.short()] for a in tags for b in tags if a != b and is_subconjugate(a, b)]
+    assert doc["subconjugate"] == want
 
 
 def test_catalog_rejects_bad_range(capsys):

@@ -11,7 +11,6 @@ from isolat.catalog import (
     cyclic,
     dihedral,
     parse_tag,
-    tag_positions,
 )
 from isolat.errors import ClassNotInLattice, NoUniqueMinimum
 from isolat.poset import build_lattice, compute_depths, up_set
@@ -112,21 +111,15 @@ def test_deterministic_under_shuffling():
         assert L == L0
 
 
-def test_a_two_cycle_in_the_order_is_rejected(monkeypatch):
-    tag_positions()  # from the real table
-    real = catalog.strictly_below
-    extra = {cyclic(2): cyclic(3), cyclic(3): cyclic(2)}
-
-    def two_cycle(b):
-        return real(b) | {extra[b]} if b in extra else real(b)
-
-    monkeypatch.setattr(catalog, "strictly_below", two_cycle)
+def test_a_rule_against_tag_sort_key_is_rejected(monkeypatch):
+    # C13 is larger than T, so no rule may put it below T
+    monkeypatch.setitem(catalog._EXC_CYCLIC, "T", (2, 3, 13))
     below_mask.cache_clear()
     try:
-        with pytest.raises(ValueError, match="C2 and C3 are mutually subconjugate"):
-            build_lattice(tags("1", "C2", "C3"))
+        with pytest.raises(ValueError, match="T and C13 are mutually subconjugate"):
+            build_lattice(tags("1", "C13", "T"))
     finally:
-        below_mask.cache_clear()  # drop the masks read off the patched table
+        below_mask.cache_clear()  # drop the masks read off the patched rule
 
 
 def test_full_is_unique_maximum():

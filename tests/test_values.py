@@ -69,12 +69,12 @@ def examples():
         (Plane, (Z,)),
         (Full3, ()),
         (AnnClass, (c2, canonical_rep(c2))),
-        (AnnIsotropy, (FullSub(), Zero(), (AnnClass(c2, canonical_rep(c2)),))),
+        (AnnIsotropy, (Zero(), (AnnClass(c2, canonical_rep(c2)),))),
         (MuLattice, (lat,)),
         (ConcreteAction, ("SO3_on_R3", "so3_r3", AMBIENT_SO3, None)),
         (SamplePlan, (0, 10, ((Z, Z),))),
         (IsotropyLattice, (lat.classes, lat.less, lat.hasse, lat.unique_min)),
-        (ProblemSpec, (AMBIENT_SO3, (), lat.classes, None, None)),
+        (ProblemSpec, (AMBIENT_SO3, lat.classes, None)),
     ]
 
 
