@@ -493,7 +493,7 @@ def below_mask(b: ClassTag) -> int:
     if mask >> pos[b]:
         a = list(pos)[mask.bit_length() - 1]
         raise ValueError(
-            f"distinct classes {b.short()} and {a.short()} are mutually subconjugate"
+            f"{a.short()} is put below {b.short()} but does not sort before it in tag_sort_key"
         )
     return mask
 
@@ -684,6 +684,9 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
 
     When the intersection is a whole operand, that operand itself is
     returned (its stored class and line table come with it), not a copy.
+    Two finite operands are first compared by element identity: when every
+    element object of the smaller one is an element object of the other,
+    the smaller one is the intersection and no element is looked up.
     """
     if isinstance(A, FullSub):
         return B
@@ -693,7 +696,10 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
         a_len = len(A.group) if isinstance(A, FiniteSub) else math.inf
         b_len = len(B.group) if isinstance(B, FiniteSub) else math.inf
         small, other = (A, B) if a_len <= b_len else (B, A)
-        if isinstance(other, FiniteSub):  # other.group.index_of, inlined
+        if isinstance(other, FiniteSub):
+            if small.group.id_set <= other.group.id_set:
+                return small  # each element is one of other's own objects
+            # other.group.index_of, inlined
             els, table, kept = other.group.elements, other.group._buckets, []
             for r in small.group:
                 for i in table.get(r.key(), ()):

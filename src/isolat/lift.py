@@ -162,7 +162,10 @@ def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResul
     annihilator isotropy, once per h2 within a call, and never reads the
     lift's ann_of cache; what it reuses is data stored on the immutable
     groups themselves (classes, line tables, axis-line orbits), and
-    intersect hands back a contained operand instead of copying it.
+    intersect hands back a contained operand instead of copying it.  When a
+    k_rep is made of its embedding's own element objects, intersect proves
+    the containment by object identity; any other pair takes its element
+    lookup.
     """
     anns: dict[ClassTag, AnnIsotropy] = {}
     base_classes = set(base.classes)

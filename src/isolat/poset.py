@@ -2,23 +2,36 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .catalog import ClassTag, below_mask, tag_positions
 from .errors import ClassNotInLattice, NoUniqueMinimum
 from .rotation import Value
 
 
 class IsotropyLattice(Value):
-    """Classes sorted by tag_sort_key, order relation, and Hasse diagram.
+    """Classes sorted by tag_sort_key, Hasse diagram, and unique minimum.
 
-    less holds strict pairs (i, j) of indices with classes[i] < classes[j];
-    hasse is its transitive reduction (covering pairs).  unique_min records
-    whether a single minimum exists.
+    hasse holds the covering pairs (i, j) of indices, sorted; unique_min
+    records whether a single minimum exists.  less, the strict pairs (i, j)
+    with classes[i] < classes[j], is derived from classes on first read and
+    stored on the instance, so it takes no part in equality or hashing.
     """
 
     classes: tuple[ClassTag, ...]
-    less: frozenset
     hasse: tuple
     unique_min: bool
+
+    @cached_property
+    def less(self) -> frozenset:
+        at, down = _down_sets(self.classes)
+        pairs = []
+        for j, m in enumerate(down):
+            while m:
+                p = m.bit_length() - 1
+                m ^= 1 << p
+                pairs.append((at[p], j))
+        return frozenset(pairs)
 
     def index_of(self, t: ClassTag) -> int:
         try:
@@ -29,6 +42,18 @@ class IsotropyLattice(Value):
     def leq(self, a: ClassTag, b: ClassTag) -> bool:
         i, j = self.index_of(a), self.index_of(b)
         return i == j or (i, j) in self.less
+
+
+def _down_sets(tags):
+    """Each catalog position's index in tags, and each tag's down-set in tags.
+
+    down[j] holds the position bits of the tags strictly below tags[j]; every
+    bit lies below tags[j]'s own position.
+    """
+    pos = tag_positions()
+    at = {pos[t]: i for i, t in enumerate(tags)}
+    present = sum(1 << p for p in at)
+    return at, [below_mask(t) & present for t in tags]
 
 
 def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
@@ -42,30 +67,24 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
     tags = sorted(set(classes), key=pos.__getitem__)
     if not tags:
         raise ValueError("a lattice needs at least one class")
-    at = {pos[t]: i for i, t in enumerate(tags)}  # catalog position -> index
-    present = sum(1 << p for p in at)
-    # down[j]: the position bits of the classes below tags[j], all below its own
-    down = [below_mask(t) & present for t in tags]
-    less, hasse = [], []
+    at, down = _down_sets(tags)
+    hasse = []
     for j, m in enumerate(down):
-        # highest bit first: every class between i and j sits above i, so its
-        # down-set is in covered when i is reached; (i, j) is a cover iff i is not
-        covered = 0
+        # the highest position left is maximal (positions follow tag_sort_key
+        # and every down-set is full), so (at[p], j) is a cover; clearing p
+        # and its down-set leaves the classes not under it
         while m:
             p = m.bit_length() - 1
-            m ^= 1 << p
             i = at[p]
-            less.append((i, j))
-            if not covered >> p & 1:
-                hasse.append((i, j))
-            covered |= down[i]
+            hasse.append((i, j))
+            m &= ~(down[i] | 1 << p)
     minimal = [i for i, m in enumerate(down) if not m]
     unique_min = len(minimal) == 1
     if require_unique_min and not unique_min:
         names = ", ".join(tags[i].short() for i in minimal)
         raise NoUniqueMinimum(f"minimal classes are {names}, expected exactly one")
     hasse.sort()
-    return IsotropyLattice(tuple(tags), frozenset(less), tuple(hasse), unique_min)
+    return IsotropyLattice(tuple(tags), tuple(hasse), unique_min)
 
 
 def compute_depths(L: IsotropyLattice) -> dict[ClassTag, int]:

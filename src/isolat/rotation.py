@@ -153,9 +153,10 @@ class Rotation(Value):
                 break
         self.__dict__.update(w=w, x=x, y=y, z=z)
 
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(1.0, 0.0, 0.0, 0.0)
+    @staticmethod
+    def identity() -> "Rotation":
+        """The identity rotation, one immutable instance shared by all callers."""
+        return _IDENTITY
 
     @classmethod
     def from_axis_angle(cls, axis: Vec3, angle: float) -> "Rotation":
@@ -185,6 +186,9 @@ class Rotation(Value):
             and abs(self.y) <= TOLERANCE
             and abs(self.z) <= TOLERANCE
         )
+
+
+_IDENTITY = Rotation(1.0, 0.0, 0.0, 0.0)
 
 
 def compose(a: Rotation, b: Rotation) -> Rotation:
@@ -326,6 +330,11 @@ class FiniteRotationGroup(Value):
     @cached_property
     def key_set(self) -> frozenset:
         return frozenset(self._buckets)
+
+    @cached_property
+    def id_set(self) -> frozenset:
+        """The id()s of the element objects, for containment by identity."""
+        return frozenset(map(id, self.elements))
 
     @cached_property
     def lines(self) -> dict[tuple, tuple[Vec3, list[tuple[Rotation, int | None]]]]:

@@ -626,7 +626,10 @@ def test_the_bucket_loop_keeps_what_subgroup_contains_keeps():
         P = canonical_rep(t)
         subs = [embeddings_of_class_in(s, P)[0] for s in SMALL_FINITE if is_subconjugate(s, t)]
         for twin in _twins(P):
-            assert all(a is not b and eq(a, b) for a, b in zip(twin.group, P.group))
+            assert all(eq(a, b) for a, b in zip(twin.group, P.group))
+            # from_elements puts the one shared identity into every group, so
+            # only the other elements are new objects
+            assert all(a is not b for a, b in zip(twin.group, P.group) if not b.is_identity())
             pairs += [(S, twin) for S in subs] + [(twin, S) for S in subs]
     shared = 0
     for A, B in pairs:
@@ -637,6 +640,89 @@ def test_the_bucket_loop_keeps_what_subgroup_contains_keeps():
             assert got.group.elements == want.group.elements
         shared += any(a is not b and eq(a, b) for a in A.group for b in B.group)
     assert shared > 1000
+
+
+def _own_copy(S, P):
+    """S rebuilt from P's own element objects (S lies in P)."""
+    els = P.group.elements
+    return FiniteSub(FiniteRotationGroup.from_elements(els[P.group.index_of(r)] for r in S.group))
+
+
+def _mixed_copy(S, P):
+    """S rebuilt from P's own objects and new copies, alternately."""
+    own = _own_copy(S, P).group.elements
+    return FiniteSub(FiniteRotationGroup.from_elements(
+        r if i % 2 else copy.copy(r) for i, r in enumerate(own)
+    ))
+
+
+def _check_against_the_reference(A, B):
+    got, want = intersect(A, B), _subgroup_contains_path(A, B)
+    if want is A or want is B:
+        assert got is want
+    else:
+        assert got.group.elements == want.group.elements
+
+
+def test_intersect_returns_an_operand_made_of_the_others_objects():
+    fired = 0
+    for t in SMALL_FINITE:
+        P = canonical_rep(t)
+        own = [_own_copy(E, P) for s in SMALL_FINITE if is_subconjugate(s, t)
+               for E in embeddings_of_class_in(s, P)]
+        for S in own:
+            assert S.group.id_set <= P.group.id_set
+            assert intersect(S, P) is S
+            if len(S.group) < len(P.group):  # of equal sizes, A is returned
+                assert intersect(P, S) is S
+            _check_against_the_reference(S, P)
+            _check_against_the_reference(P, S)
+            fired += 1
+        # own-object subgroups of one P: contained pairs share objects, the
+        # rest go through the bucket loop
+        for A in own[:12]:
+            for B in own[:12]:
+                _check_against_the_reference(A, B)
+    assert fired > 500
+
+
+def test_copies_mixed_with_own_objects_take_the_bucket_loop():
+    checked = 0
+    for t in SMALL_FINITE:
+        P = canonical_rep(t)
+        twin = _twins(P)[0]
+        embs = [E for s in SMALL_FINITE if is_subconjugate(s, t)
+                for E in embeddings_of_class_in(s, P)]
+        mixed = [_mixed_copy(E, P) for E in embs]
+        own = [_own_copy(E, P) for E in embs]
+        for M, S in zip(mixed, own):
+            if len(M.group) > 2:  # a copy among its non-identity elements
+                assert not M.group.id_set <= P.group.id_set
+            for A, B in [(M, P), (P, M), (S, twin), (twin, S), (M, twin)]:
+                _check_against_the_reference(A, B)
+            assert intersect(M, P) is M and intersect(S, twin) is S
+            checked += 1
+        # mixed and own copies of different embeddings share some objects,
+        # the identity at least, while their intersection is often proper
+        for A in mixed[:12]:
+            for B in own[:12]:
+                _check_against_the_reference(A, B)
+                _check_against_the_reference(B, A)
+    assert checked > 500
+
+
+def test_every_group_shares_the_one_identity():
+    ident = Rotation.identity()
+    assert ident is Rotation.identity()
+    fresh = FiniteRotationGroup.from_elements([Rotation(1.0, 0.0, 0.0, 0.0)])
+    assert len(fresh) == 1 and fresh.elements[0] is ident
+    for t in SMALL_FINITE:
+        P = canonical_rep(t)
+        groups = [P.group] + [E.group for s in SMALL_FINITE if is_subconjugate(s, t)
+                              for E in embeddings_of_class_in(s, P)]
+        for F in groups:
+            found = [r for r in F if r.is_identity()]
+            assert len(found) == 1 and found[0] is ident
 
 
 # ---------------------------------------------------------------------------

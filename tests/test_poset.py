@@ -11,6 +11,7 @@ from isolat.catalog import (
     cyclic,
     dihedral,
     parse_tag,
+    tag_positions,
 )
 from isolat.errors import ClassNotInLattice, NoUniqueMinimum
 from isolat.poset import build_lattice, compute_depths, up_set
@@ -116,7 +117,9 @@ def test_a_rule_against_tag_sort_key_is_rejected(monkeypatch):
     monkeypatch.setitem(catalog._EXC_CYCLIC, "T", (2, 3, 13))
     below_mask.cache_clear()
     try:
-        with pytest.raises(ValueError, match="T and C13 are mutually subconjugate"):
+        with pytest.raises(
+            ValueError, match="C13 is put below T but does not sort before it in tag_sort_key"
+        ):
             build_lattice(tags("1", "C13", "T"))
     finally:
         below_mask.cache_clear()  # drop the masks read off the patched rule
@@ -157,6 +160,9 @@ def test_build_lattice_matches_the_triple_loop():
                "SO2", "O2", "SO3")
     assert len(big) == 98
     assert _fields(build_lattice(big)) == _old_build_lattice(big)
+    everything = list(tag_positions())
+    assert len(everything) == 205
+    assert _fields(build_lattice(everything)) == _old_build_lattice(everything)
     pool = tags(*[f"C{n}" for n in range(2, 25)], *[f"D{n}" for n in range(2, 25)],
                 "1", "T", "O", "I", "SO2", "O2", "SO3")
     rng = random.Random(20261018)
@@ -172,6 +178,18 @@ def test_build_lattice_matches_the_triple_loop():
             with pytest.raises(NoUniqueMinimum):
                 build_lattice(drawn)
     assert seen_multi_min
+
+
+def test_less_is_derived_on_first_read():
+    pool = tags("1", "C2", "C3", "C6", "D2", "D3", "D6", "T", "SO2", "O2", "SO3")
+    L, fresh = build_lattice(pool), build_lattice(pool)
+    assert "less" not in L.__dict__ and "less" not in fresh.__dict__
+    assert L.leq(TRIVIAL, FULL)
+    assert "less" in L.__dict__ and "less" not in fresh.__dict__
+    assert L.less is L.less
+    # less is a function of classes: reading it changes neither == nor hash
+    assert L == fresh and hash(L) == hash(fresh)
+    assert L._values() == (L.classes, L.hasse, L.unique_min)
 
 
 def _old_compute_depths(L):

@@ -73,7 +73,7 @@ def examples():
         (MuLattice, (lat,)),
         (ConcreteAction, ("SO3_on_R3", "so3_r3", AMBIENT_SO3, None)),
         (SamplePlan, (0, 10, ((Z, Z),))),
-        (IsotropyLattice, (lat.classes, lat.less, lat.hasse, lat.unique_min)),
+        (IsotropyLattice, (lat.classes, lat.hasse, lat.unique_min)),
         (ProblemSpec, (AMBIENT_SO3, lat.classes, None)),
     ]
 
