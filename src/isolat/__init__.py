@@ -69,9 +69,7 @@ from .lift import (
     lifted_lattice,
 )
 from .momentum import (
-    MuLattice,
     is_totally_isotropic,
-    mu_closure,
     mu_lattice,
     relative_equilibria_lattice,
     zero_level_lattice,

@@ -36,6 +36,7 @@ from .rotation import (
     cross,
     dot,
     eq,
+    line_key,
     normalize,
 )
 
@@ -523,43 +524,36 @@ def _cyclic_closure(r: Rotation) -> FiniteRotationGroup:
 def principal_axis(F: FiniteRotationGroup) -> Vec3:
     """Distinguished axis line of a finite group (zero for the trivial one).
 
-    Cyclic groups: the rotation line.  Dihedral with n >= 3: the order-n
-    line.  D2 and the exceptional groups have no single distinguished line,
-    so the lexicographically largest among the highest-order lines is used.
+    The line of largest line_key among the highest-order lines: the rotation
+    line of C_n and the order-n line of D_n, n >= 3.  D2 and the exceptional
+    groups have no single distinguished line, and the rule fixes one.
     """
     if len(F) == 1:
         return (0.0, 0.0, 0.0)
     lines = axis_lines(F)
-    tag = classify_finite(F)
-    if tag.kind == "C":
-        return lines[0][0]
-    if tag.kind == "D" and tag.n >= 3:
-        return max(d for d, k in lines if k == tag.n)
-    top_k = lines[0][1]
-    return max(d for d, k in lines if k == top_k)
+    return max((d for d, k in lines if k == lines[0][1]), key=line_key)
 
 
 def _subgroup_sort_key(F: FiniteRotationGroup):
     return (
         len(F),
         tag_sort_key(classify_finite(F)),
-        principal_axis(F),
+        line_key(principal_axis(F)),
         tuple(sorted(F.key_set)),
     )
 
 
+def _index_in(F: FiniteRotationGroup, r: Rotation) -> int:
+    """Position of r among F's elements; r must be a product of F's elements."""
+    k = F.index_of(r)
+    if k is None:
+        raise UnclassifiableGroup("a product escaped the parent group")
+    return k
+
+
 def _cayley_table(F: FiniteRotationGroup) -> list[list[int]]:
     """mult[i][j] is the index of compose(F.elements[i], F.elements[j])."""
-    mult = []
-    for a in F:
-        row = []
-        for b in F:
-            k = F.index_of(compose(a, b))
-            if k is None:
-                raise UnclassifiableGroup("a product escaped the parent group")
-            row.append(k)
-        mult.append(row)
-    return mult
+    return [[_index_in(F, compose(a, b)) for b in F] for a in F]
 
 
 @lru_cache(maxsize=None)
@@ -763,69 +757,47 @@ def _cyclic_part_about(members, m: int) -> list[Rotation] | None:
     return els if len(els) == m else None
 
 
+def _position(H: FiniteRotationGroup, els: list[Rotation]) -> FiniteSub:
+    """The subgroup of H on els, H's own elements: H itself when they fill it."""
+    if len(els) == len(H):
+        return FiniteSub(H)
+    return FiniteSub(FiniteRotationGroup.from_elements(els))
+
+
 def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]:
     out = []
     for _, members in H.lines.values():
         els = _cyclic_part_about(members, m)
         if els is not None:
-            out.append(FiniteSub(FiniteRotationGroup.from_elements(els)))
+            out.append(_position(H, els))
     return out
 
 
 def _finite_dihedral_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]:
-    """Dihedral subgroups of a dihedral group, by closed form.
+    """Dihedral subgroups D_m of a finite group, from its line table.
 
-    The order-m axis must be a line of the parent whose axial group has an
-    order-m subgroup, and the copies are distinguished by the flip phase
-    modulo pi/m.
+    A D_m is an order-m axial part C plus the coset fC of a half turn f about
+    a line perpendicular to C's axis (Golubitsky-Stewart-Schaeffer II,
+    ch. XIII), so each coset of H's perpendicular half turns is one copy.
+    The products are looked up among H's own elements.  The three lines of a
+    D2 are all axes; each D2 is listed from its principal line alone.
     """
-    out: list[FiniteSub] = []
-    for d, members in H.lines.values():
+    halves = [(key, d, r) for key, (d, on_line) in H.lines.items() for r, o in on_line if o == 2]
+    line_of = {id(r): key for key, _, r in halves}
+    out = []
+    for key, (d, members) in H.lines.items():
         axial = _cyclic_part_about(members, m)
         if axial is None:
             continue
-        flips: list[tuple[float, Rotation]] = []
-        u, v = perp_frame(d)
-        for fd, on_line in H.lines.values():
-            if not _perp(fd, d):
+        taken: set[int] = set()
+        for _, fd, f in halves:
+            if id(f) in taken or not _perp(fd, d):
                 continue
-            phase = math.atan2(dot(fd, v), dot(fd, u)) % math.pi
-            flips += [(phase, r) for r, o in on_line if o == 2]
-        if len(flips) < m or len(flips) % m != 0:
-            continue
-        # flip phases sit on a lattice of spacing pi/len(flips); two flips
-        # belong to the same copy of D_m iff their phases differ by a
-        # multiple of pi/m
-        flips.sort(key=lambda p: p[0])
-        ref = flips[0][0]
-        total = len(flips)
-        groups: dict[int, list[Rotation]] = {}
-        for phase, r in flips:
-            step = round((phase - ref) * total / math.pi) % total
-            groups.setdefault(step % (total // m), []).append(r)
-        for res in sorted(groups):
-            members = groups[res]
-            if len(members) != m:
-                continue
-            K = FiniteRotationGroup.from_elements(list(axial) + members)
-            if len(K) != 2 * m:
-                continue
-            try:
-                if classify_finite(K) == dihedral(m):
-                    out.append(FiniteSub(K))
-            except UnclassifiableGroup:
-                continue
-    return _dedupe_finite(out)
-
-
-def _dedupe_finite(subs: list[FiniteSub]) -> list[FiniteSub]:
-    seen: set[frozenset] = set()
-    uniq: list[FiniteSub] = []
-    for S in subs:
-        if S.group.key_set not in seen:
-            seen.add(S.group.key_set)
-            uniq.append(S)
-    return uniq
+            coset = [H.elements[_index_in(H, compose(f, c))] for c in axial]
+            taken.update(map(id, coset))
+            if m > 2 or all(line_of[id(r)] < key for r in coset):
+                out.append(_position(H, axial + coset))
+    return out
 
 
 def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
@@ -878,13 +850,10 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
             dihedral_group(m, a, phi + math.pi / (2.0 * m)),
         ]
     F = H2.group
-    parent = classify_finite(F)
-    if parent.kind in ("C", "D"):
-        # closed forms; enumerating subgroups_of(F) would blow the order cap
-        # for large n
-        if t.kind == "C":
-            subs = _finite_cyclic_embeddings(F, t.n)
-        else:
-            subs = _finite_dihedral_embeddings(F, t.n)
-        return sorted(subs, key=lambda S: _subgroup_sort_key(S.group))
-    return [FiniteSub(S) for S in subgroups_of(F) if classify_finite(S) == t]
+    if t.kind == "C":
+        subs = _finite_cyclic_embeddings(F, t.n)
+    elif t.kind == "D":
+        subs = _finite_dihedral_embeddings(F, t.n)
+    else:  # T, O and I: the only classes still enumerated
+        return [FiniteSub(S) for S in subgroups_of(F) if classify_finite(S) == t]
+    return sorted(subs, key=lambda S: _subgroup_sort_key(S.group))

@@ -15,7 +15,9 @@ Subcommands: lift, mu, requilibria, check, adjoint, catalog.  Results go to
 stdout as JSON (check prints a plain-text report); errors go to stderr as a
 single {"error": {code, path, message}} record.  Exit codes: 0 success,
 1 usage, 2 invalid input, 3 semantic failure (unclassifiable group, witness
-recheck failure, or a check mismatch).
+recheck failure, or a check mismatch), 141 stdout closed before the output
+was all written (128 + SIGPIPE, the status a shell gives a writer ended by a
+closed pipe).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -61,14 +64,14 @@ from .lift import (
     lift_witness_check,
     lifted_lattice,
 )
-from .momentum import mu_closure, mu_lattice, relative_equilibria_lattice, zero_level_lattice
+from .momentum import mu_lattice, relative_equilibria_lattice, zero_level_lattice
 from .oracle import (
     ConcreteAction,
     empirical_lattices,
     empirical_requilibria_lattice,
     make_action,
 )
-from .poset import IsotropyLattice, build_lattice
+from .poset import IsotropyLattice, build_lattice, up_set
 from .rotation import (
     Value,
     close_group,
@@ -439,17 +442,17 @@ def _cmd_mu(argv) -> int:
     spec = parse_spec(_read_spec_file(a.specfile))
     base = _base_lattice(spec)
     try:
-        ML = mu_lattice(spec.ambient, base, mu)
+        level = mu_lattice(spec.ambient, base, mu)
     except NotTotallyIsotropic as e:
         raise NotTotallyIsotropic(str(e), "mu") from None
-    members = [_member("mu", mu), _lattice_text(ML.restricted)]  # a tuple renders as a list
+    members = [_member("mu", mu), _lattice_text(level)]  # a tuple renders as a list
     if a.closure:
         try:
             t = parse_tag(a.closure)
         except ValueError as e:
             raise ValidationError(str(e), "closure") from None
         try:
-            classes = mu_closure(ML, t)
+            classes = up_set(level, t)
         except ClassNotInLattice as e:
             raise ClassNotInLattice(str(e), "closure") from None
         closure = {"class": t.short(), "classes": [x.short() for x in classes]}
@@ -633,8 +636,19 @@ def run_command(argv) -> int:
         return 2
 
 
+# Exit code when the reader closes stdout before the output is all written.
+EXIT_CLOSED_STDOUT = 141
+
+
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()  # a closed reader shows here, not in the exit-time flush
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

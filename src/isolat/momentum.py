@@ -4,8 +4,8 @@ For the cotangent lift of an action of G on M with its standard momentum
 map, the zero level set meets every isotropy class of the base action and
 no others, so its lattice is the base lattice.  For a totally isotropic
 momentum value mu, a base class (H) survives on the level set exactly when
-mu annihilates the algebra of H; the result can lose the unique minimum, so
-it is wrapped in MuLattice rather than returned bare.
+mu annihilates the algebra of H; the result can lose the unique minimum,
+which its unique_min records.
 
 The isotropy classes of relative equilibria are the classes (H meet K) with
 (H) a base class and (K) a linear isotropy class of H on the annihilator of
@@ -17,7 +17,6 @@ relative_equilibria_lattice is lift.lifted_lattice(G, base).lifted.
 
 from __future__ import annotations
 
-from .catalog import ClassTag
 from .errors import NotTotallyIsotropic
 from .lift import (
     AmbientGroup,
@@ -25,22 +24,8 @@ from .lift import (
     _validate_realizable,
     lifted_lattice,
 )
-from .poset import IsotropyLattice, build_lattice, up_set
-from .rotation import TOLERANCE, Value, Vec3
-
-
-class MuLattice(Value):
-    """Isotropy classes on a momentum level set.
-
-    Unlike a plain isotropy lattice this poset may have several minimal
-    classes: restricting to a level set can break connectedness of strata.
-    """
-
-    restricted: IsotropyLattice
-
-    @property
-    def classes(self) -> tuple[ClassTag, ...]:
-        return self.restricted.classes
+from .poset import IsotropyLattice, build_lattice
+from .rotation import TOLERANCE, Vec3
 
 
 def is_totally_isotropic(G: AmbientGroup, mu) -> bool:
@@ -74,13 +59,14 @@ def zero_level_lattice(G: AmbientGroup, base: IsotropyLattice) -> IsotropyLattic
     return build_lattice(base.classes)
 
 
-def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> MuLattice:
+def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> IsotropyLattice:
     """Isotropy classes on the mu level set, for totally isotropic mu.
 
     A class survives iff mu annihilates the algebra of its representatives.
     Finite classes always survive (zero algebra); circle classes need mu in
     the plane orthogonal to some axis position, which for a totally
-    isotropic value is automatic only when mu is zero.
+    isotropic value is automatic only when mu is zero.  The lattice's
+    unique_min says whether a single minimal class is left.
     """
     _validate_realizable(G, base.classes)
     if not is_totally_isotropic(G, mu):
@@ -89,7 +75,7 @@ def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> MuLattice:
             "values only"
         )
     if _mu_is_zero(mu):
-        return MuLattice(build_lattice(base.classes, require_unique_min=False))
+        return build_lattice(base.classes, require_unique_min=False)
     # nonzero totally isotropic mu exists only for the circle ambient, where
     # the algebra of the circle itself is not annihilated
     kept = [t for t in base.classes if t.kind in ("1", "C")]
@@ -97,12 +83,7 @@ def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> MuLattice:
         raise NotTotallyIsotropic(
             "no base class has an algebra annihilated by this momentum value"
         )
-    return MuLattice(build_lattice(kept, require_unique_min=False))
-
-
-def mu_closure(L: MuLattice, t: ClassTag) -> tuple[ClassTag, ...]:
-    """Classes of the level-set poset lying above t, including t."""
-    return up_set(L.restricted, t)
+    return build_lattice(kept, require_unique_min=False)
 
 
 def relative_equilibria_lattice(G: AmbientGroup, base: IsotropyLattice) -> IsotropyLattice:

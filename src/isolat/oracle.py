@@ -33,6 +33,7 @@ from .catalog import (
     canonical_rep,
     g_class_of,
     parse_tag,
+    perp_frame,
     trivial_group,
 )
 from .errors import NotTangent
@@ -57,8 +58,6 @@ from .rotation import (
 
 # Slack of the sample tests (fixed, tangent, parallel, zero momentum): fixing moves x by ulps.
 SAMPLE_TOL = 1e-8
-# _any_perp leaves the x axis below this; any cut-off far above roundoff is well conditioned.
-PERP_PIVOT_MIN = 1e-6
 # Sphere draws this near the origin are skipped: normalising them would magnify rounding.
 SPHERE_DRAW_MIN_NORM = 1e-3
 
@@ -185,18 +184,11 @@ def default_plan(action: ConcreteAction, rng_seed: int = 0, n_random: int = 1000
                 seeds.append((d, d))
                 seeds.append(((0.0, 0.0, 0.0), d))
             else:
-                u = _any_perp(d)
+                u = perp_frame(d)[0]
                 seeds.append((d, u))
         generic = normalize((0.31, 0.45, 0.83)) if on_sphere else (0.31, 0.45, 0.83)
-        seeds.append((generic, _any_perp(generic) if on_sphere else (0.2, -0.7, 0.1)))
+        seeds.append((generic, perp_frame(generic)[0] if on_sphere else (0.2, -0.7, 0.1)))
     return SamplePlan(rng_seed, n_random, tuple(seeds))
-
-
-def _any_perp(d: Vec3) -> Vec3:
-    u = cross(d, (1.0, 0.0, 0.0))
-    if norm(u) <= PERP_PIVOT_MIN:
-        u = cross(d, (0.0, 1.0, 0.0))
-    return normalize(u)
 
 
 def _iter_pairs(action: ConcreteAction, plan: SamplePlan):

@@ -44,7 +44,15 @@ from isolat.catalog import (
     trivial_group,
 )
 from isolat.errors import NotSubconjugate, UnclassifiableGroup
-from isolat.rotation import FiniteRotationGroup, Rotation, canon_direction, compose, cross, eq
+from isolat.rotation import (
+    FiniteRotationGroup,
+    Rotation,
+    canon_direction,
+    compose,
+    cross,
+    eq,
+    line_key,
+)
 
 
 def random_rotation(rng):
@@ -236,11 +244,14 @@ def test_subgroups_of_a_non_group_is_unclassifiable():
 
 # sha256 over repr((w, x, y, z)) of every element of every subgroup, in
 # subgroups_of order, recorded from the pairwise-join code before it ran on
-# the Cayley table: same groups, same float bits, same order.
+# the Cayley table: same groups, same float bits, same order.  D6, D8, D9,
+# D10, D12 and I were re-pinned when the order took the line_key of the
+# principal line instead of its raw floats: the same groups bit for bit, in
+# a new order.
 SUBGROUP_DIGESTS = {
     "T": "9cd0b360323443d326e3995416521a0226a152909342bee5500e960a47720128",
     "O": "2996dad20bfea7e3f1264e177872513752f13023808c9c9568d60a2cc4db9852",
-    "I": "961688f7543d3a2000c93436faaf4a3d02e84d51d50fedd53063a4becdda2f0a",
+    "I": "b5e7bb032a336600273b693aaf90b0c3f6f33a48148fbd233dac77923b1667b4",
     "C2": "c4c7879246a03edd4cb4299df910f6ff545389aefa832005b3f507991a8722c2",
     "C3": "0fb415063fb5a3ef140250d3a220aac7efdb573d438c29d77c3f6865cdde2d22",
     "C4": "ba315a9b8ab52bba30012d3aabb19b559530bb4444ade547bcc6bd07e39a9710",
@@ -256,13 +267,13 @@ SUBGROUP_DIGESTS = {
     "D3": "6499148243a9c3efd3181e8061fa3a3ddfed61885829e87570e67fef346fc6bb",
     "D4": "a63d3e1e7e63fc1511cb0fa71023fb4982e3b46bccbb15095b111c8c371ff684",
     "D5": "6793400e33bf48d660e08815c0c4e0e47fa89032a1173da80aded1037e2a9a81",
-    "D6": "7cd41f691a3c5fe37c804cf0e42a600363dc932f65696c7e6cc8857a134a6779",
+    "D6": "11f2f117e822bf3cf32cd2280a1d3cc9d0c0dc997d9034324c4bd36c99e65eb1",
     "D7": "14caaed118cf6bd6fb5ffaf0aaed66da333da161b65acfd6d87b67120018bdd2",
-    "D8": "2ba1e3d7e5c7302b80990e0f9dc856642ff1da9c95092aa047dcf6829369c5cf",
-    "D9": "27cd2310cc8335ac512f431dba046bfda4417cd7cff813dc3b3b008c46dd0d6f",
-    "D10": "5052685d4f0d32288d0f784ad165b703c1716d61a19993450bd6c0988f95d278",
+    "D8": "dff6ff1f8c196c241dfcddc169bd2094578fbee7b3be5ebd92eb2643a3b2e9e1",
+    "D9": "6e476c9d34dc6c7efe0b955521d788c2ee3b45b8c41c11e6643cbd6ea17bbe28",
+    "D10": "f95cb839123fc341cbba53eaf6b8caf08560cf3f415a6e5bf7ad69da295026a0",
     "D11": "d84f5a97f01750a86c146a1adc40dce6fe06041ecbac143b58c80d984fa32849",
-    "D12": "53e8e80aea1a0472b917b52aaa9c9c7f4c22b13dd276937dc45df3191ec7650c",
+    "D12": "30ac38abd5ab39cafee13676c0bf03ddc68ee567756ef18013e4951f8b4060d3",
 }
 
 
@@ -509,6 +520,41 @@ def test_embeddings_in_octa():
     for E in embeddings_of_class_in(dihedral(2), octa):
         for r in E.group:
             assert octa.group.contains(r)
+
+
+# Finite parents of order at most SUBGROUPS_ORDER_CAP whose C and D
+# positions come from the line table rather than from subgroups_of.
+LINE_TABLE_PARENTS = [TETRA, OCTA, ICOSA, *map(cyclic, range(2, 25)), *map(dihedral, range(2, 25))]
+
+
+def test_line_table_positions_match_the_subgroup_enumeration():
+    pairs = 0
+    for p in LINE_TABLE_PARENTS:
+        P = canonical_rep(p)
+        subs = subgroups_of(P.group)
+        for t in _catalog_tags():
+            if t.kind not in ("C", "D") or not is_subconjugate(t, p):
+                continue
+            want = [S.key_set for S in subs if classify_finite(S) == t]
+            got = [E.group.key_set for E in embeddings_of_class_in(t, P)]
+            assert got == want, (p.short(), t.short())
+            pairs += 1
+    assert pairs == 206
+
+
+def test_subgroups_of_orders_each_class_by_the_line_key_of_its_principal_line():
+    for p in LINE_TABLE_PARENTS:
+        subs = subgroups_of(canonical_rep(p).group)
+        for a, b in zip(subs, subs[1:]):
+            if len(a) == len(b) and classify_finite(a) == classify_finite(b):
+                assert line_key(principal_axis(a)) <= line_key(principal_axis(b)), p.short()
+
+
+def test_a_position_that_fills_its_parent_is_the_parent():
+    for n in (2, 5, 12):
+        for p in (cyclic(n), dihedral(n)):
+            P = canonical_rep(p)
+            assert embeddings_of_class_in(p, P)[0].group is P.group
 
 
 def test_trivial_embedding():

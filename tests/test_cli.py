@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from isolat.cli import (
+    EXIT_CLOSED_STDOUT,
     ProblemSpec,
     lattice_to_dot,
     lattice_to_json,
@@ -16,7 +17,7 @@ from isolat.cli import (
 )
 from isolat.errors import GroupTooLarge, SchemaError, ValidationError
 from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient
-from isolat.catalog import is_subconjugate, parse_tag
+from isolat.catalog import N_CAP, is_subconjugate, parse_tag
 from isolat.poset import build_lattice
 
 
@@ -596,13 +597,18 @@ def test_argparse_failures_exit_2(tmp_path, capsys):
     assert code == 2  # --mu is required
 
 
-def run_module(args, env=None):
-    """Run python -m isolat.cli ARGS in a fresh process, with extra ENV variables."""
+def module_env(env=None):
+    """The environment of a fresh isolat process: this one's, extra ENV and src/ on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     full_env = dict(os.environ, **(env or {}))
     full_env["PYTHONPATH"] = os.pathsep.join(p for p in (src, full_env.get("PYTHONPATH")) if p)
+    return full_env
+
+
+def run_module(args, env=None):
+    """Run python -m isolat.cli ARGS in a fresh process, with extra ENV variables."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=full_env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=module_env(env), timeout=60
     )
 
 
@@ -612,6 +618,21 @@ def test_module_entry_point_prints_catalog(capsys):
     _, expected, _ = run(capsys, "catalog")
     assert proc.stdout == expected
     assert json.loads(proc.stdout)["classes"][0] == "1"
+
+
+def test_a_closed_stdout_ends_with_its_exit_code_and_no_traceback():
+    # the catalog outgrows a 64 KiB pipe, and unbuffered reads take only
+    # the first line, so the writer meets the closed pipe for sure
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isolat.cli", "catalog", "--max-n", str(N_CAP)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=module_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    assert err == b""
 
 
 @pytest.mark.parametrize("value", ["1e-16", "1e-3", "abc"])

@@ -142,7 +142,7 @@ def test_lattice_text_is_the_plain_json_dump(tmp_path, name):
         base,
         lifted_lattice(spec.ambient, base).lifted,
         relative_equilibria_lattice(spec.ambient, base),
-        mu_lattice(spec.ambient, base, 0).restricted,
+        mu_lattice(spec.ambient, base, 0),
     ]
     for L in lattices:
         assert _document([_lattice_text(L)]) == plain_dump(L)
@@ -155,7 +155,7 @@ def test_lattice_text_of_one_class_and_of_several_minima():
     assert '"hasse": []' in _lattice_text(single)
     # on the circle a nonzero mu keeps the finite classes, here two minima
     base = build_lattice(tags("C2", "C3", "C6", "SO2"), require_unique_min=False)
-    level = mu_lattice(AMBIENT_CIRCLE, base, 1.0).restricted
+    level = mu_lattice(AMBIENT_CIRCLE, base, 1.0)
     assert level.classes == tags("C2", "C3", "C6") and not level.unique_min
     assert _document([_lattice_text(level)]) == plain_dump(level)
 
@@ -172,7 +172,7 @@ def test_requilibria_and_mu_stdout_are_the_plain_json_dump(tmp_path, capsys, nam
     bottom = base.classes[0].short()  # the unique minimum: its closure is the whole level set
     for value, mu in (("0", 0), ("[0, 0, 0]", [0.0, 0.0, 0.0])):
         assert run_command(["mu", str(path), "--mu", value, "--closure", bottom]) == 0
-        level = mu_lattice(spec.ambient, base, mu).restricted
+        level = mu_lattice(spec.ambient, base, mu)
         doc = {"mu": mu, **lattice_to_json(level)}
         doc["closure"] = {"class": bottom, "classes": [t.short() for t in level.classes]}
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

@@ -4,14 +4,12 @@ from isolat.catalog import TETRA, canonical_rep, parse_tag
 from isolat.errors import ClassNotInLattice, NotRealizableInG, NotTotallyIsotropic
 from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient, lifted_lattice
 from isolat.momentum import (
-    MuLattice,
     is_totally_isotropic,
-    mu_closure,
     mu_lattice,
     relative_equilibria_lattice,
     zero_level_lattice,
 )
-from isolat.poset import build_lattice
+from isolat.poset import IsotropyLattice, build_lattice, up_set
 
 
 def tags(names):
@@ -64,16 +62,16 @@ def test_mu_zero_scalar_and_vector():
     b = lattice(["SO2", "SO3"])
     for mu in (0.0, 0, (0.0, 0.0, 0.0), [0, 0, 0]):
         m = mu_lattice(AMBIENT_SO3, b, mu)
-        assert isinstance(m, MuLattice)
+        assert isinstance(m, IsotropyLattice)
         assert m.classes == b.classes
-        assert m.restricted.unique_min
+        assert m.unique_min
 
 
 def test_circle_nonzero_mu_drops_the_circle():
     b = lattice(["C2", "C4", "SO2"])
     m = mu_lattice(AMBIENT_CIRCLE, b, 1.0)
     assert shorts(m.classes) == ["C2", "C4"]
-    assert m.restricted.unique_min
+    assert m.unique_min
 
 
 def test_circle_nonzero_mu_keeps_trivial():
@@ -120,15 +118,15 @@ def test_bad_mu_shape():
 def test_mu_closure_is_up_set():
     b = lattice(["C2", "C4", "SO2"])
     m = mu_lattice(AMBIENT_CIRCLE, b, 1.0)
-    assert shorts(mu_closure(m, parse_tag("C2"))) == ["C2", "C4"]
-    assert shorts(mu_closure(m, parse_tag("C4"))) == ["C4"]
+    assert shorts(up_set(m, parse_tag("C2"))) == ["C2", "C4"]
+    assert shorts(up_set(m, parse_tag("C4"))) == ["C4"]
 
 
 def test_mu_closure_unknown_class():
     b = lattice(["C2", "C4", "SO2"])
     m = mu_lattice(AMBIENT_CIRCLE, b, 1.0)
     with pytest.raises(ClassNotInLattice):
-        mu_closure(m, parse_tag("SO2"))
+        up_set(m, parse_tag("SO2"))
 
 
 @pytest.mark.parametrize(

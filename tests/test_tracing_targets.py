@@ -1,0 +1,42 @@
+"""Every isolat name the benchmark's tracer wraps still exists.
+
+bench/tracing.py replaces the functions in its TARGETS table, and reads a
+few more names while it installs: lift.SO3Ambient,
+catalog.canonical_rep.cache_info, rotation.FiniteRotationGroup.from_elements
+and the cli's own json module.  A traced run fails on the first one that is
+gone.  tracing.py is executed from its source, so no bytecode cache is
+written in bench/.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def bench_tracing() -> types.ModuleType:
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def isolat_module(home: str) -> types.ModuleType:
+    return importlib.import_module("isolat." + home)
+
+
+def test_every_traced_name_resolves_in_its_home_module():
+    tracing = bench_tracing()
+    assert tracing.TARGETS
+    for home, attr, _, mode in tracing.TARGETS:
+        assert callable(getattr(isolat_module(home), attr, None)), f"isolat.{home}.{attr}"
+        assert mode in (tracing.SPAN, tracing.COUNT)
+
+
+def test_the_names_read_while_installing_resolve():
+    assert isinstance(isolat_module("lift").SO3Ambient, type)
+    assert callable(isolat_module("catalog").canonical_rep.cache_info)
+    frg = isolat_module("rotation").FiniteRotationGroup
+    assert isinstance(frg.__dict__["from_elements"], classmethod)
+    assert callable(isolat_module("cli").json.dumps)

@@ -36,7 +36,6 @@ from isolat.lift import (
     LiftWitness,
     SO3Ambient,
 )
-from isolat.momentum import MuLattice
 from isolat.oracle import ConcreteAction, SamplePlan
 from isolat.poset import IsotropyLattice, build_lattice
 from isolat.rotation import AxisAngle, FiniteRotationGroup, Rotation, close_group
@@ -70,7 +69,6 @@ def examples():
         (Full3, ()),
         (AnnClass, (c2, canonical_rep(c2))),
         (AnnIsotropy, (Zero(), (AnnClass(c2, canonical_rep(c2)),))),
-        (MuLattice, (lat,)),
         (ConcreteAction, ("SO3_on_R3", "so3_r3", AMBIENT_SO3, None)),
         (SamplePlan, (0, 10, ((Z, Z),))),
         (IsotropyLattice, (lat.classes, lat.hasse, lat.unique_min)),
@@ -83,7 +81,7 @@ IDS = [cls.__name__ for cls, _ in EXAMPLES]
 
 
 def test_every_former_dataclass_is_covered():
-    assert len(EXAMPLES) == 23 and len(set(IDS)) == 23
+    assert len(EXAMPLES) == 22 and len(set(IDS)) == 22
 
 
 @pytest.mark.parametrize("cls,args", EXAMPLES, ids=IDS)
