@@ -66,6 +66,7 @@ from .lift import (
     ambient_class,
     cotangent_lifted_lattice,
     lift_witness_check,
+    lifted_classes,
     lifted_lattice,
 )
 from .momentum import (

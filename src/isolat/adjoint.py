@@ -73,12 +73,29 @@ class AnnIsotropy(Value):
     classes: tuple[AnnClass, ...]
 
 
+_ZERO = Zero()
+_FULL3 = Full3()
+
+
 def ann_h(H: ConcreteSubgroup) -> AnnSubspace:
     if isinstance(H, FullSub):
-        return Zero()
+        return _ZERO
     if isinstance(H, (CircleSub, OrthCircleSub)):
         return Plane(H.axis)
-    return Full3()
+    return _FULL3
+
+
+def _stored(owner: object, key: str, build):
+    """owner.__dict__[key], built as build(owner) on first read.
+
+    For data that depends on an immutable group alone, stored on the group
+    instance as classify_finite stores its tag; nothing is shared between
+    instances.
+    """
+    value = owner.__dict__.get(key)
+    if value is None:
+        value = owner.__dict__[key] = build(owner)
+    return value
 
 
 def axis_line_orbits(
@@ -94,10 +111,7 @@ def axis_line_orbits(
     swept once and keeps the same axial group objects; nothing is shared
     between instances.
     """
-    orbits = F.__dict__.get("_line_orbits")
-    if orbits is None:
-        orbits = F.__dict__["_line_orbits"] = _line_orbits(F)
-    return orbits
+    return _stored(F, "_line_orbits", _line_orbits)
 
 
 def _line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
@@ -125,7 +139,11 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
     """Isotropy classes of H on the annihilator of its own algebra.
 
     Class labels are conjugacy classes in the ambient SO(3); representatives
-    are actual subgroups of H, one per class, at a fixed position.
+    are actual subgroups of H, one per class, at a fixed position.  The
+    entries that depend on the group alone (a finite group's trivial and
+    axial entries, the marked flip of O(2)) are built once and stored on the
+    group instance; each call returns a new AnnIsotropy whose last entry,
+    the class of H itself, is built on that call.
     """
     sub = ann_h(H)
     if isinstance(H, FullSub):
@@ -134,20 +152,24 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
         # the circle rotates its orthogonal plane freely off the origin
         return AnnIsotropy(sub, (AnnClass(TRIVIAL, trivial_group()), AnnClass(CIRCLE, H)))
     if isinstance(H, OrthCircleSub):
-        # a nonzero covector in the plane is fixed exactly by the half turn
-        # about its own line; the marked flip is the representative position
-        flip = cyclic_group(2, in_plane_direction(H.axis, H.flip_phase))
-        return AnnIsotropy(sub, (AnnClass(cyclic(2), flip), AnnClass(ORTH_CIRCLE, H)))
-    F = H.group
+        return AnnIsotropy(sub, (_stored(H, "_ann_flip", _flip_entry), AnnClass(ORTH_CIRCLE, H)))
+    entries = _stored(H.group, "_ann_entries", _finite_entries)
+    return AnnIsotropy(sub, (*entries, AnnClass(g_class_of(H), H)))
+
+
+def _flip_entry(H: OrthCircleSub) -> AnnClass:
+    # a nonzero covector in the plane is fixed exactly by the half turn
+    # about its own line; the marked flip is the representative position
+    return AnnClass(cyclic(2), cyclic_group(2, in_plane_direction(H.axis, H.flip_phase)))
+
+
+def _finite_entries(F: FiniteRotationGroup) -> tuple[AnnClass, ...]:
     entries: list[AnnClass] = []
     if len(F) > 1:
         entries.append(AnnClass(TRIVIAL, trivial_group()))
-    for rep, k, axial in axis_line_orbits(F):
-        stab = FiniteSub(axial)
-        if stab.group == F:
-            # axial stabilizer equal to the whole group merges with the
-            # origin class below (cyclic H fixing its own axis)
-            continue
-        entries.append(AnnClass(classify_finite(axial), stab))
-    entries.append(AnnClass(g_class_of(H), H))
-    return AnnIsotropy(sub, tuple(entries))
+    for _, k, axial in axis_line_orbits(F):
+        # an axial group of order |F| is F itself (it lies inside F): it
+        # merges with the origin class (cyclic H fixing its own axis)
+        if k < len(F):
+            entries.append(AnnClass(classify_finite(axial), FiniteSub(axial)))
+    return tuple(entries)

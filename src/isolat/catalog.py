@@ -157,8 +157,14 @@ def tag_sort_key(t: ClassTag):
 _INDEXED_TAG = re.compile(r"([CD])(0|[1-9][0-9]*)")
 
 
+@lru_cache(maxsize=None)
 def parse_tag(s: str) -> ClassTag:
-    """Short-form parser: '1', 'C4', 'D6', 'T', 'O', 'I', 'SO2', 'O2', 'SO3'."""
+    """Short-form parser: '1', 'C4', 'D6', 'T', 'O', 'I', 'SO2', 'O2', 'SO3'.
+
+    Memoised per text.  A refused text raises and is not stored, and every
+    catalog tag has exactly one accepted text (no leading zeros), so the
+    cache holds at most one entry per catalog tag.
+    """
     if s in ("1", "T", "O", "I", "SO2", "O2", "SO3"):
         return ClassTag(s)
     m = _INDEXED_TAG.fullmatch(s)
@@ -460,6 +466,12 @@ def tag_positions() -> dict:
 
 
 @lru_cache(maxsize=None)
+def position_tags() -> tuple:
+    """The catalog tags in position order: position_tags()[tag_positions()[t]] is t."""
+    return tuple(tag_positions())
+
+
+@lru_cache(maxsize=None)
 def below_mask(b: ClassTag) -> int:
     """The classes a != b subconjugate to b, as the bits of their positions.
 
@@ -492,10 +504,35 @@ def below_mask(b: ClassTag) -> int:
     for a in below:
         mask |= 1 << pos[a]
     if mask >> pos[b]:
-        a = list(pos)[mask.bit_length() - 1]
+        a = position_tags()[mask.bit_length() - 1]
         raise ValueError(
             f"{a.short()} is put below {b.short()} but does not sort before it in tag_sort_key"
         )
+    return mask
+
+
+@lru_cache(maxsize=None)
+def ann_mask(h: ClassTag) -> int:
+    """The isotropy classes of h on the annihilator of its algebra, as position bits.
+
+    The rule table of the lift, by kind alone: h itself (the origin) and the
+    trivial class, plus C2 and Cn for Dn, the axial classes of T, O and I;
+    O(2) takes C2 in place of the trivial class, SO(3) only itself.  It reads
+    no geometry; tests/test_diagonal_lift.py checks it against isotropy_on_ann
+    on every catalog tag.  The cache holds one entry per catalog tag.
+    """
+    if h.kind == "SO3":
+        labels = []
+    elif h.kind == "O2":
+        labels = [cyclic(2)]
+    elif h.kind == "D":
+        labels = [TRIVIAL, cyclic(2), cyclic(h.n)]
+    else:
+        labels = [TRIVIAL, *map(cyclic, _EXC_CYCLIC.get(h.kind, ()))]
+    pos = tag_positions()
+    mask = 1 << pos[h]
+    for t in labels:
+        mask |= 1 << pos[t]
     return mask
 
 

@@ -62,6 +62,7 @@ from .lift import (
     ann_of,
     cotangent_lifted_lattice,
     lift_witness_check,
+    lifted_classes,
     lifted_lattice,
 )
 from .momentum import mu_lattice, relative_equilibria_lattice, zero_level_lattice
@@ -517,7 +518,7 @@ def _cmd_check(argv) -> int:
         )
     action = _resolve_action(name, spec.ambient, "action")
     base = _base_lattice(spec)
-    lifted = set(lifted_lattice(spec.ambient, base).lifted.classes)
+    lifted = set(lifted_classes(spec.ambient, base).classes)
     zero = set(zero_level_lattice(spec.ambient, base).classes)
     found = empirical_lattices(action, a.seed, a.samples)
     rows = list(zip(("base", "lifted", "zero-level"), (set(base.classes), lifted, zero), found))

@@ -6,10 +6,13 @@ lifted action on TM consists of the classes (E meet K) over base pairs
 the annihilator of its algebra.  The diagonal h1 = h2 suffices: h1 lies in
 h2, so ann(h2) lies in ann(h1), and E meet (H2)_xi = E_xi is already a class
 of h1 on its own annihilator (the slice picture T_xM = g/h + N).  On the
-diagonal E meet K = K, so lifted_lattice takes the labels of ann_of(h) over
-the base classes h, with witness (h, h, K); those witnesses depend on h
-alone and are built once per tag.  The cotangent lift and relative
-equilibria (momentum.py) realize the same lattice.
+diagonal E meet K = K, so the lifted classes are the labels of ann_of(h)
+over the base classes h.  Those labels follow from the class alone (the
+rule table catalog.ann_mask), so lifted_classes reads the lattice off the
+table and builds no group; lifted_lattice adds a witness (h, h, K) per
+class, from ann_of(h), and those witnesses depend on h alone and are built
+once per tag.  The cotangent lift and relative equilibria (momentum.py)
+realize the same lattice.
 
 A finite ambient group has zero Lie algebra, so every annihilator is the
 zero space; the circle is abelian, so stabilizers act trivially on their
@@ -27,6 +30,7 @@ from .catalog import (
     FULL,
     ClassTag,
     ConcreteSubgroup,
+    ann_mask,
     canonical_rep,
     classify_finite,
     embeddings_of_class_in,
@@ -36,7 +40,7 @@ from .catalog import (
     subgroup_equal,
 )
 from .errors import NotRealizableInG
-from .poset import IsotropyLattice, build_lattice, compute_depths
+from .poset import IsotropyLattice, build_lattice, compute_depths, lattice_of_mask
 from .rotation import FiniteRotationGroup, Value
 
 
@@ -101,11 +105,29 @@ def _validate_realizable(G: AmbientGroup, tags) -> None:
             )
 
 
-def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
-    """Isotropy lattice of the lifted action on TM from the base lattice."""
+def lifted_classes(G: AmbientGroup, base: IsotropyLattice) -> IsotropyLattice:
+    """The lifted lattice from the rule table alone: no group is built.
+
+    Over SO(3) the classes are the union of ann_mask(h) over the base
+    classes h; a finite or circle ambient gives the base classes back.
+    """
     _validate_realizable(G, base.classes)
     if isinstance(G, (FiniteAmbient, CircleAmbient)):
-        lifted = build_lattice(base.classes)
+        return build_lattice(base.classes)
+    mask = 0
+    for h in base.classes:
+        mask |= ann_mask(h)
+    return lattice_of_mask(mask)
+
+
+def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
+    """Isotropy lattice of the lifted action on TM from the base lattice.
+
+    The lattice comes from lifted_classes; each class's witness is the first
+    diagonal witness with that label, over the base classes in depth order.
+    """
+    lifted = lifted_classes(G, base)
+    if isinstance(G, (FiniteAmbient, CircleAmbient)):
         witnesses = tuple(
             LiftWitness(t, t, t, t, canonical_rep(t), canonical_rep(t))
             for t in lifted.classes
@@ -117,9 +139,10 @@ def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
     for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
         for w in _diagonal_witnesses(h):
             found.setdefault(w.lifted_class, w)
-    lifted = build_lattice(found.keys())
-    witnesses = tuple(found[t] for t in lifted.classes)
-    return LiftResult(lifted, witnesses)
+    # a table class without a witness, or a witnessed class the table lacks
+    # (listed last), fails lift_witness_check
+    witnesses = tuple(found.pop(t) for t in lifted.classes if t in found)
+    return LiftResult(lifted, witnesses + tuple(found.values()))
 
 
 @lru_cache(maxsize=None)
@@ -158,14 +181,16 @@ def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResul
     matches an isotropy class on the annihilator of its h2, that the claimed
     intersection lands in the claimed class, and that the witnessed classes
     are exactly the classes of the lifted lattice.  Every witness is compared
-    on every call and no verdict is stored.  The check rebuilds its own
-    annihilator isotropy, once per h2 within a call, and never reads the
-    lift's ann_of cache; what it reuses is data stored on the immutable
-    groups themselves (classes, line tables, axis-line orbits), and
-    intersect hands back a contained operand instead of copying it.  When a
-    k_rep is made of its embedding's own element objects, intersect proves
-    the containment by object identity; any other pair takes its element
-    lookup.
+    on every call and no verdict is stored.  The lattice comes from the rule
+    table and the witnesses from geometry, so the last test catches any
+    disagreement between the two.  The check rebuilds its own annihilator
+    isotropy, once per h2 within a call, and never reads the lift's ann_of
+    cache; what it reuses is data stored on the immutable groups themselves
+    (classes, line tables, axis-line orbits, the annihilator entries that
+    depend on the group alone), and intersect hands back a contained
+    operand instead of copying it.  When a k_rep is made of its embedding's
+    own element objects, intersect proves the containment by object
+    identity; any other pair takes its element lookup.
     """
     anns: dict[ClassTag, AnnIsotropy] = {}
     base_classes = set(base.classes)

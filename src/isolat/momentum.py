@@ -12,7 +12,8 @@ The isotropy classes of relative equilibria are the classes (H meet K) with
 its own algebra: the diagonal pairs h1 = h2 of the lift construction.  The
 off-diagonal pairs add nothing (for h1 in h2, ann(h2) lies in ann(h1), so
 E meet (H2)_xi = E_xi is already a class of h1 on its own annihilator), so
-relative_equilibria_lattice is lift.lifted_lattice(G, base).lifted.
+relative_equilibria_lattice is lift.lifted_classes(G, base): the lattice
+from the rule table, with no witness and no group built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .lift import (
     AmbientGroup,
     CircleAmbient,
     _validate_realizable,
-    lifted_lattice,
+    lifted_classes,
 )
 from .poset import IsotropyLattice, build_lattice
 from .rotation import TOLERANCE, Vec3
@@ -93,4 +94,4 @@ def relative_equilibria_lattice(G: AmbientGroup, base: IsotropyLattice) -> Isotr
     isotropy class K of H on the annihilator of its algebra: the diagonal
     pairs of the lift rule, which already give the whole lifted lattice.
     """
-    return lifted_lattice(G, base).lifted
+    return lifted_classes(G, base)

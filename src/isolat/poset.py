@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 
-from .catalog import ClassTag, below_mask, tag_positions
+from .catalog import ClassTag, below_mask, position_tags, tag_positions
 from .errors import ClassNotInLattice, NoUniqueMinimum
 from .rotation import Value
 
@@ -24,7 +25,7 @@ class IsotropyLattice(Value):
 
     @cached_property
     def less(self) -> frozenset:
-        at, down = _down_sets(self.classes)
+        _, at, down = _down_sets(mask_of(self.classes))
         pairs = []
         for j, m in enumerate(down):
             while m:
@@ -44,16 +45,31 @@ class IsotropyLattice(Value):
         return i == j or (i, j) in self.less
 
 
-def _down_sets(tags):
-    """Each catalog position's index in tags, and each tag's down-set in tags.
+def mask_of(classes) -> int:
+    """The catalog positions of classes, as the bits of one int."""
+    pos = tag_positions()
+    mask = 0
+    for t in classes:
+        mask |= 1 << pos[t]
+    return mask
 
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _down_sets(mask: int):
+    """The tags at mask's bits, each bit's index among them, and their down-sets.
+
+    The tags come in position order, read off the set bits from the lowest
+    up (itertools.compress over the binary digits), so nothing is sorted.
     down[j] holds the position bits of the tags strictly below tags[j]; every
     bit lies below tags[j]'s own position.
     """
-    pos = tag_positions()
-    at = {pos[t]: i for i, t in enumerate(tags)}
-    present = sum(1 << p for p in at)
-    return at, [below_mask(t) & present for t in tags]
+    by_pos = position_tags()
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # bits[p] is bit p, as 0 or 1
+    ps = list(compress(range(len(bits)), bits))
+    tags = [by_pos[p] for p in ps]
+    return tags, dict(zip(ps, range(len(ps)))), [below_mask(t) & mask for t in tags]
 
 
 def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
@@ -63,11 +79,14 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
     one minimal element, which is what a connected action guarantees for its
     isotropy classes.
     """
-    pos = tag_positions()
-    tags = sorted(set(classes), key=pos.__getitem__)
-    if not tags:
+    return lattice_of_mask(mask_of(classes), require_unique_min)
+
+
+def lattice_of_mask(mask: int, require_unique_min: bool = True) -> IsotropyLattice:
+    """build_lattice for the classes at the set bits of mask (see mask_of)."""
+    if not mask:
         raise ValueError("a lattice needs at least one class")
-    at, down = _down_sets(tags)
+    tags, at, down = _down_sets(mask)
     hasse = []
     for j, m in enumerate(down):
         # the highest position left is maximal (positions follow tag_sort_key

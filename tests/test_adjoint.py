@@ -219,13 +219,40 @@ def test_axis_line_orbits_are_stored_per_instance():
         ], t.short()
 
 
+def _entry_keys(ai):
+    return [(e.label, e.representative.group.key_set) for e in ai.classes[:-1]]
+
+
 def test_isotropy_on_ann_reuses_the_stored_axial_groups():
-    F = canonical_rep(dihedral(4)).group
-    axial = {id(a) for _, _, a in axis_line_orbits(F)}
-    first = isotropy_on_ann(canonical_rep(dihedral(4)))
-    again = isotropy_on_ann(canonical_rep(dihedral(4)))
-    assert first is not again
-    for a, b in zip(first.classes, again.classes):
-        if a.label not in (TRIVIAL, dihedral(4)):
-            assert id(a.representative.group) in axial
-            assert a.representative.group is b.representative.group
+    for t in FINITE_CATALOG:
+        H = canonical_rep(t)
+        axial = {id(a) for _, _, a in axis_line_orbits(H.group)}
+        first, again = isotropy_on_ann(H), isotropy_on_ann(H)
+        assert first is not again and first == again, t.short()
+        # every entry but the last (H's own class) is stored on the group
+        assert all(a is b for a, b in zip(first.classes[:-1], again.classes[:-1])), t.short()
+        assert first.classes[-1] is not again.classes[-1]
+        for a in first.classes[:-1]:
+            if a.label is not TRIVIAL:
+                assert id(a.representative.group) in axial, t.short()
+        # a new instance over the same elements builds its own, equal entries
+        fresh = isotropy_on_ann(FiniteSub(FiniteRotationGroup(H.group.elements)))
+        assert fresh == first, t.short()
+        assert not any(a is b for a, b in zip(first.classes, fresh.classes)), t.short()
+        assert _entry_keys(fresh) == _entry_keys(first), t.short()
+
+
+def test_isotropy_on_ann_stores_the_flip_of_o2():
+    H = canonical_rep(ORTH_CIRCLE)
+    first, again = isotropy_on_ann(H), isotropy_on_ann(H)
+    assert first is not again and first == again
+    assert first.classes[0] is again.classes[0]
+    assert first.classes[1] is not again.classes[1]
+    fresh = isotropy_on_ann(OrthCircleSub(H.axis, H.flip_phase))
+    assert fresh == first and fresh.classes[0] is not first.classes[0]
+    assert _entry_keys(fresh) == _entry_keys(first)
+
+
+def test_ann_h_shares_the_zero_and_full_subspaces():
+    assert ann_h(FullSub()) is ann_h(FullSub())
+    assert ann_h(canonical_rep(TETRA)) is ann_h(canonical_rep(cyclic(3)))

@@ -693,3 +693,61 @@ def test_one_process_answers_like_fresh_ones(tmp_path, capsys, monkeypatch):
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
     assert "closure" in in_process[5][1] and "closure" not in in_process[6][1]
     assert in_process[4][0] == 2 and in_process[3][0] == 0
+
+
+@pytest.mark.parametrize("change", ["add", "drop"])
+@pytest.mark.parametrize("flags", [(), ("--no-witnesses",), ("--cotangent",)])
+def test_rule_table_and_witnesses_disagreeing_is_a_witness_check_error(
+    tmp_path, capsys, monkeypatch, change, flags
+):
+    # the lattice comes from the rule table and the witnesses from geometry:
+    # a table class with no witness ("add") and a witnessed class the table
+    # lacks ("drop") both end in the recheck's coded error, with no output
+    import isolat.lift as lift_module
+    from isolat.catalog import ann_mask, cyclic, dihedral, tag_positions
+
+    bit = 1 << tag_positions()[cyclic(7) if change == "add" else cyclic(4)]
+    d4 = dihedral(4)
+    monkeypatch.setattr(lift_module, "ann_mask", lambda h: ann_mask(h) ^ bit if h is d4 else ann_mask(h))
+    path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "D4"]})
+    code, out, err = run(capsys, "lift", path, *flags)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": {"code": "witness-check", "path": "", "message": "internal witness recheck failed"}
+    }
+
+
+_CACHES_AFTER = """
+import contextlib, io, json, sys
+from isolat import catalog, lift
+from isolat.cli import run_command
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run_command(sys.argv[1:])
+sizes = [f.cache_info().currsize for f in (lift.ann_of, catalog._subgroups_cached)]
+print(json.dumps({"code": code, "out": out.getvalue(), "sizes": sizes}))
+"""
+
+
+def test_so3_requilibria_and_check_build_no_geometry(tmp_path):
+    # both read the lifted lattice off the rule table: a fresh process ends
+    # with no annihilator isotropy and no subgroup enumeration cached
+    from isolat.lift import lifted_lattice
+
+    base_tags = ["1", "C2", "D2", "T", "O", "I", "SO3"]
+    path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": base_tags})
+    proc = run_module(["-c", _CACHES_AFTER, "requilibria", path])
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["code"] == 0 and got["sizes"] == [0, 0]
+    lifted = lifted_lattice(AMBIENT_SO3, build_lattice(map(parse_tag, base_tags))).lifted
+    assert json.loads(got["out"]) == lattice_to_json(lifted)
+
+    path = write_spec(tmp_path, dict(SO3_SPEC, action="SO3_on_R3"), "check.json")
+    proc = run_module(["-c", _CACHES_AFTER, "check", path, "--samples", "300"])
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["code"] == 0 and got["sizes"] == [0, 0]
+    lifted = lifted_lattice(AMBIENT_SO3, build_lattice(map(parse_tag, SO3_SPEC["base_lattice"])))
+    row = next(line for line in got["out"].splitlines() if line.startswith("lifted "))
+    assert row.split()[1] == "predicted=" + ",".join(t.short() for t in lifted.lifted.classes)

@@ -29,6 +29,7 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
+    ann_mask,
     canonical_rep,
     cyclic,
     dihedral,
@@ -49,10 +50,11 @@ from isolat.lift import (
     _diagonal_witnesses,
     ann_of,
     lift_witness_check,
+    lifted_classes,
     lifted_lattice,
 )
 from isolat.momentum import relative_equilibria_lattice
-from isolat.poset import build_lattice, compute_depths
+from isolat.poset import build_lattice, compute_depths, mask_of
 
 
 def catalog(n_max):
@@ -107,8 +109,12 @@ def pair_classes(h1, h2):
 
 
 def test_rule_matches_ann_of_for_every_tag():
+    # requilibria and check read ann_mask alone: this is its geometric guard
+    assert len(CATALOG) == 205
     for t in CATALOG:
-        assert {e.label for e in ann_of(t).classes} == rule(t), t.short()
+        labels = {e.label for e in ann_of(t).classes}
+        assert labels == rule(t), t.short()
+        assert ann_mask(t) == mask_of(rule(t)) == mask_of(labels), t.short()
 
 
 def test_off_diagonal_pairs_add_nothing():
@@ -231,6 +237,7 @@ def test_so3_lift_properties(base):
     assert res.lifted.unique_min
     assert res.lifted == build_lattice(set(base.classes).union(*map(rule, base.classes)))
     assert relative_equilibria_lattice(AMBIENT_SO3, base) == res.lifted
+    assert lifted_classes(AMBIENT_SO3, base) == res.lifted
     assert lift_witness_check(AMBIENT_SO3, base, res)
 
 

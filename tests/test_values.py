@@ -245,9 +245,13 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S: no site hooks (.pth files) can import these modules on their own
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import isolat.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+        # the per-tag tables are built on first use, never at import
+        "from isolat import catalog; print([f.__name__ for f in (catalog.tag_positions, "
+        "catalog.position_tags, catalog.below_mask, catalog.ann_mask, catalog.parse_tag) "
+        "if f.cache_info().currsize])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout == "[]\n[]\n"
