@@ -20,12 +20,10 @@ from .catalog import (
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
-    FiniteSub,
     FullSub,
     OrthCircleSub,
     canonical_rep,
     classify_finite,
-    conjugate_group,
     cyclic,
     cyclic_group,
     dihedral,
@@ -55,14 +53,8 @@ from .errors import (
     ValidationError,
 )
 from .lift import (
-    AMBIENT_CIRCLE,
-    AMBIENT_SO3,
-    AmbientGroup,
-    CircleAmbient,
-    FiniteAmbient,
     LiftResult,
     LiftWitness,
-    SO3Ambient,
     ambient_class,
     cotangent_lifted_lattice,
     lift_witness_check,

@@ -20,7 +20,6 @@ from .catalog import (
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
-    FiniteSub,
     FullSub,
     OrthCircleSub,
     classify_finite,
@@ -153,7 +152,7 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
         return AnnIsotropy(sub, (AnnClass(TRIVIAL, trivial_group()), AnnClass(CIRCLE, H)))
     if isinstance(H, OrthCircleSub):
         return AnnIsotropy(sub, (_stored(H, "_ann_flip", _flip_entry), AnnClass(ORTH_CIRCLE, H)))
-    entries = _stored(H.group, "_ann_entries", _finite_entries)
+    entries = _stored(H, "_ann_entries", _finite_entries)
     return AnnIsotropy(sub, (*entries, AnnClass(g_class_of(H), H)))
 
 
@@ -171,5 +170,5 @@ def _finite_entries(F: FiniteRotationGroup) -> tuple[AnnClass, ...]:
         # an axial group of order |F| is F itself (it lies inside F): it
         # merges with the origin class (cyclic H fixing its own axis)
         if k < len(F):
-            entries.append(AnnClass(classify_finite(axial), FiniteSub(axial)))
+            entries.append(AnnClass(classify_finite(axial), axial))
     return tuple(entries)

@@ -3,8 +3,8 @@
 Conjugacy classes are named by a ClassTag with nine kinds: the trivial group,
 cyclic C_n and dihedral D_n families, the three exceptional rotation groups
 (tetrahedral, octahedral, icosahedral), the circle SO(2), the half-turn
-extension O(2), and SO(3) itself.  Concrete subgroups carry enough geometry
-to intersect and conjugate them exactly.
+extension O(2), and SO(3) itself.  A ConcreteSubgroup is a FiniteRotationGroup,
+CircleSub, OrthCircleSub or FullSub, with the geometry to intersect exactly.
 
 The subconjugation partial order on tags is one table of per-tag down-sets,
 kept as int bitmasks over each tag's position in tag_sort_key order
@@ -28,7 +28,6 @@ from .rotation import (
     Rotation,
     Value,
     Vec3,
-    apply,
     axis_angle_of,
     canon_direction,
     close_group,
@@ -181,10 +180,6 @@ def parse_tag(s: str) -> ClassTag:
 # Concrete subgroups
 
 
-class FiniteSub(Value):
-    group: FiniteRotationGroup
-
-
 class CircleSub(Value):
     """All rotations about a fixed axis (axis sign is quotiented away)."""
 
@@ -221,7 +216,7 @@ class FullSub(Value):
     pass
 
 
-ConcreteSubgroup = FiniteSub | CircleSub | OrthCircleSub | FullSub
+ConcreteSubgroup = FiniteRotationGroup | CircleSub | OrthCircleSub | FullSub
 
 
 def vec_reject(v: Vec3, unit: Vec3) -> Vec3:
@@ -250,45 +245,22 @@ def in_plane_direction(axis: Vec3, phase: float) -> Vec3:
 
 
 @lru_cache(maxsize=None)
-def trivial_group() -> FiniteSub:
+def trivial_group() -> FiniteRotationGroup:
     """The trivial subgroup, one shared instance (groups are immutable)."""
-    return FiniteSub(FiniteRotationGroup.from_elements([]))
+    return FiniteRotationGroup.from_elements([])
 
 
-def cyclic_group(n: int, axis: Vec3 = _Z) -> FiniteSub:
+def cyclic_group(n: int, axis: Vec3 = _Z) -> FiniteRotationGroup:
     els = [Rotation.from_axis_angle(axis, 2.0 * math.pi * k / n) for k in range(1, n)]
-    return FiniteSub(FiniteRotationGroup.from_elements(els))
+    return FiniteRotationGroup.from_elements(els)
 
 
-def dihedral_group(n: int, axis: Vec3 = _Z, phase: float = 0.0) -> FiniteSub:
+def dihedral_group(n: int, axis: Vec3 = _Z, phase: float = 0.0) -> FiniteRotationGroup:
     els = [Rotation.from_axis_angle(axis, 2.0 * math.pi * k / n) for k in range(1, n)]
     for k in range(n):
         flip_dir = in_plane_direction(axis, phase + math.pi * k / n)
         els.append(Rotation.from_axis_angle(flip_dir, math.pi))
-    return FiniteSub(FiniteRotationGroup.from_elements(els))
-
-
-def conjugate_rotation(h: Rotation, r: Rotation) -> Rotation:
-    return compose(h, compose(r, h.inverse()))
-
-
-def conjugate_group(h: Rotation, S: ConcreteSubgroup) -> ConcreteSubgroup:
-    if isinstance(S, FiniteSub):
-        return FiniteSub(
-            FiniteRotationGroup.from_elements(
-                [conjugate_rotation(h, r) for r in S.group]
-            )
-        )
-    if isinstance(S, CircleSub):
-        return CircleSub(apply(h, S.axis))
-    if isinstance(S, OrthCircleSub):
-        # canonicalize before building the frame: the constructor flips the
-        # axis sign, which negates v and would mirror the recovered phase
-        new_axis = canon_direction(apply(h, S.axis))
-        ref = apply(h, in_plane_direction(S.axis, S.flip_phase))
-        u, v = perp_frame(new_axis)
-        return OrthCircleSub(new_axis, math.atan2(dot(ref, v), dot(ref, u)))
-    return S
+    return FiniteRotationGroup.from_elements(els)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +349,8 @@ def _mutually_perp(dirs: list[Vec3]) -> bool:
 
 
 def g_class_of(S: ConcreteSubgroup) -> ClassTag:
-    if isinstance(S, FiniteSub):
-        return classify_finite(S.group)
+    if isinstance(S, FiniteRotationGroup):
+        return classify_finite(S)
     if isinstance(S, CircleSub):
         return CIRCLE
     if isinstance(S, OrthCircleSub):
@@ -431,16 +403,16 @@ def canonical_rep(t: ClassTag) -> ConcreteSubgroup:
     if t.kind == "D":
         return dihedral_group(t.n)
     if t.kind == "T":
-        return FiniteSub(FiniteRotationGroup.from_elements(_tetra_elements()))
+        return FiniteRotationGroup.from_elements(_tetra_elements())
     if t.kind == "O":
-        return FiniteSub(FiniteRotationGroup.from_elements(_octa_elements()))
+        return FiniteRotationGroup.from_elements(_octa_elements())
     if t.kind == "I":
         five = Rotation.from_axis_angle((GOLDEN, 0.0, 1.0), 2.0 * math.pi / 5.0)
         two = Rotation.from_axis_angle(_Z, math.pi)
         F = close_group([five, two])
         if len(F) != 60:
             raise UnclassifiableGroup("icosahedral generators failed to close at 60")
-        return FiniteSub(F)
+        return F
     if t.kind == "SO2":
         return CircleSub(_Z)
     if t.kind == "O2":
@@ -689,8 +661,8 @@ def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
 def subgroup_contains(S: ConcreteSubgroup, r: Rotation) -> bool:
     if isinstance(S, FullSub):
         return True
-    if isinstance(S, FiniteSub):
-        return S.group.contains(r)
+    if isinstance(S, FiniteRotationGroup):
+        return S.contains(r)
     aa = axis_angle_of(r)
     if aa is None:
         return True
@@ -723,25 +695,25 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
         return B
     if isinstance(B, FullSub):
         return A
-    if isinstance(A, FiniteSub) or isinstance(B, FiniteSub):
-        a_len = len(A.group) if isinstance(A, FiniteSub) else math.inf
-        b_len = len(B.group) if isinstance(B, FiniteSub) else math.inf
+    if isinstance(A, FiniteRotationGroup) or isinstance(B, FiniteRotationGroup):
+        a_len = len(A) if isinstance(A, FiniteRotationGroup) else math.inf
+        b_len = len(B) if isinstance(B, FiniteRotationGroup) else math.inf
         small, other = (A, B) if a_len <= b_len else (B, A)
-        if isinstance(other, FiniteSub):
-            if small.group.id_set <= other.group.id_set:
+        if isinstance(other, FiniteRotationGroup):
+            if small.id_set <= other.id_set:
                 return small  # each element is one of other's own objects
-            # other.group.index_of, inlined
-            els, table, kept = other.group.elements, other.group._buckets, []
-            for r in small.group:
+            # other.index_of, inlined
+            els, table, kept = other.elements, other._buckets, []
+            for r in small:
                 for i in table.get(r.key(), ()):
                     if els[i] is r or eq(els[i], r):
                         kept.append(r)
                         break
         else:
-            kept = [r for r in small.group if subgroup_contains(other, r)]
-        if len(kept) == len(small.group):
+            kept = [r for r in small if subgroup_contains(other, r)]
+        if len(kept) == len(small):
             return small
-        return FiniteSub(FiniteRotationGroup.from_elements(kept))
+        return FiniteRotationGroup.from_elements(kept)
     if isinstance(A, CircleSub) and isinstance(B, CircleSub):
         return A if _same_line(A.axis, B.axis) else trivial_group()
     if isinstance(A, OrthCircleSub) and isinstance(B, OrthCircleSub):
@@ -757,7 +729,7 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
                 Rotation.from_axis_angle(B.axis, math.pi),
                 Rotation.from_axis_angle(common, math.pi),
             ]
-            return FiniteSub(FiniteRotationGroup.from_elements(els))
+            return FiniteRotationGroup.from_elements(els)
         return cyclic_group(2, common)
     circ, orth = (A, B) if isinstance(A, CircleSub) else (B, A)
     if _same_line(circ.axis, orth.axis):
@@ -768,8 +740,8 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
 
 
 def subgroup_equal(A: ConcreteSubgroup, B: ConcreteSubgroup) -> bool:
-    if isinstance(A, FiniteSub) and isinstance(B, FiniteSub):
-        return A.group == B.group
+    if isinstance(A, FiniteRotationGroup) and isinstance(B, FiniteRotationGroup):
+        return A == B
     if isinstance(A, CircleSub) and isinstance(B, CircleSub):
         return _same_line(A.axis, B.axis)
     if isinstance(A, OrthCircleSub) and isinstance(B, OrthCircleSub):
@@ -794,14 +766,14 @@ def _cyclic_part_about(members, m: int) -> list[Rotation] | None:
     return els if len(els) == m else None
 
 
-def _position(H: FiniteRotationGroup, els: list[Rotation]) -> FiniteSub:
+def _position(H: FiniteRotationGroup, els: list[Rotation]) -> FiniteRotationGroup:
     """The subgroup of H on els, H's own elements: H itself when they fill it."""
     if len(els) == len(H):
-        return FiniteSub(H)
-    return FiniteSub(FiniteRotationGroup.from_elements(els))
+        return H
+    return FiniteRotationGroup.from_elements(els)
 
 
-def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]:
+def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteRotationGroup]:
     out = []
     for _, members in H.lines.values():
         els = _cyclic_part_about(members, m)
@@ -810,7 +782,7 @@ def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]
     return out
 
 
-def _finite_dihedral_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteSub]:
+def _finite_dihedral_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteRotationGroup]:
     """Dihedral subgroups D_m of a finite group, from its line table.
 
     A D_m is an order-m axial part C plus the coset fC of a half turn f about
@@ -886,11 +858,10 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
             dihedral_group(m, a, phi),
             dihedral_group(m, a, phi + math.pi / (2.0 * m)),
         ]
-    F = H2.group
     if t.kind == "C":
-        subs = _finite_cyclic_embeddings(F, t.n)
+        subs = _finite_cyclic_embeddings(H2, t.n)
     elif t.kind == "D":
-        subs = _finite_dihedral_embeddings(F, t.n)
+        subs = _finite_dihedral_embeddings(H2, t.n)
     else:  # T, O and I: the only classes still enumerated
-        return [FiniteSub(S) for S in subgroups_of(F) if classify_finite(S) == t]
-    return sorted(subs, key=lambda S: _subgroup_sort_key(S.group))
+        return [S for S in subgroups_of(H2) if classify_finite(S) == t]
+    return sorted(subs, key=_subgroup_sort_key)

@@ -31,12 +31,14 @@ from functools import lru_cache
 
 from .adjoint import AnnIsotropy, Plane, Zero
 from .catalog import (
+    CIRCLE,
+    FULL,
     N_CAP,
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
-    FiniteSub,
     OrthCircleSub,
+    canonical_rep,
     is_subconjugate,
     parse_tag,
     tag_positions,
@@ -53,10 +55,6 @@ from .errors import (
     ValidationError,
 )
 from .lift import (
-    AMBIENT_CIRCLE,
-    AMBIENT_SO3,
-    AmbientGroup,
-    FiniteAmbient,
     LiftWitness,
     ambient_class,
     ann_of,
@@ -74,6 +72,7 @@ from .oracle import (
 )
 from .poset import IsotropyLattice, build_lattice, up_set
 from .rotation import (
+    FiniteRotationGroup,
     Value,
     close_group,
     is_finite_number,
@@ -97,7 +96,7 @@ run 'isolat COMMAND --help' for details on one command
 
 
 class ProblemSpec(Value):
-    ambient: AmbientGroup
+    ambient: ConcreteSubgroup
     base_tags: tuple[ClassTag, ...]
     action: str | None
 
@@ -135,13 +134,11 @@ def parse_spec(text: str) -> ProblemSpec:
             except ValueError as e:
                 raise SchemaError(str(e), f"group.generators[{i}]") from None
         try:
-            ambient: AmbientGroup = FiniteAmbient(close_group(gens))
+            ambient: ConcreteSubgroup = close_group(gens)
         except GroupTooLarge as e:
             raise GroupTooLarge(str(e), "group.generators") from None
-    elif kind == "circle":
-        ambient = AMBIENT_CIRCLE
     else:
-        ambient = AMBIENT_SO3
+        ambient = canonical_rep(CIRCLE if kind == "circle" else FULL)
     extra = set(group) - {"kind", "generators"}
     if extra:
         raise SchemaError(f"unknown group field {sorted(extra)[0]!r}", "group")
@@ -214,7 +211,7 @@ def parse_spec(text: str) -> ProblemSpec:
     return ProblemSpec(ambient, tuple(tags), action)
 
 
-def _resolve_action(name: str, ambient: AmbientGroup, path: str) -> ConcreteAction:
+def _resolve_action(name: str, ambient: ConcreteSubgroup, path: str) -> ConcreteAction:
     """The named concrete action; its ambient must be the spec's group."""
     try:
         action = make_action(name)
@@ -234,11 +231,11 @@ def _resolve_action(name: str, ambient: AmbientGroup, path: str) -> ConcreteActi
 
 
 def subgroup_to_json(S: ConcreteSubgroup) -> dict:
-    if isinstance(S, FiniteSub):
+    if isinstance(S, FiniteRotationGroup):
         return {
             "type": "finite",
-            "order": len(S.group),
-            "elements": [rotation_to_json(r) for r in S.group],
+            "order": len(S),
+            "elements": [rotation_to_json(r) for r in S],
         }
     if isinstance(S, CircleSub):
         return {"type": "so2", "axis": [round12(c) for c in S.axis]}
@@ -522,7 +519,7 @@ def _cmd_check(argv) -> int:
     zero = set(zero_level_lattice(spec.ambient, base).classes)
     found = empirical_lattices(action, a.seed, a.samples)
     rows = list(zip(("base", "lifted", "zero-level"), (set(base.classes), lifted, zero), found))
-    if not isinstance(spec.ambient, FiniteAmbient):
+    if not isinstance(spec.ambient, FiniteRotationGroup):
         # relative equilibria realize exactly the lifted lattice
         rows.append(
             (

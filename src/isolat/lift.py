@@ -27,12 +27,12 @@ from functools import lru_cache
 
 from .adjoint import AnnIsotropy, isotropy_on_ann
 from .catalog import (
-    FULL,
     ClassTag,
     ConcreteSubgroup,
+    FullSub,
+    OrthCircleSub,
     ann_mask,
     canonical_rep,
-    classify_finite,
     embeddings_of_class_in,
     g_class_of,
     intersect,
@@ -40,36 +40,18 @@ from .catalog import (
     subgroup_equal,
 )
 from .errors import NotRealizableInG
-from .poset import IsotropyLattice, build_lattice, compute_depths, lattice_of_mask
-from .rotation import FiniteRotationGroup, Value
+from .poset import IsotropyLattice, compute_depths, lattice_of_mask, mask_of
+from .rotation import Value
+
+# bench/tracing.py reads the SO(3) ambient's type under this name
+SO3Ambient = FullSub
 
 
-class SO3Ambient(Value):
-    pass
-
-
-class FiniteAmbient(Value):
-    """A finite symmetry group, realized as a rotation group for cataloging."""
-
-    group: FiniteRotationGroup
-
-
-class CircleAmbient(Value):
-    pass
-
-
-AmbientGroup = SO3Ambient | FiniteAmbient | CircleAmbient
-
-AMBIENT_SO3 = SO3Ambient()
-AMBIENT_CIRCLE = CircleAmbient()
-
-
-def ambient_class(G: AmbientGroup) -> ClassTag:
-    if isinstance(G, SO3Ambient):
-        return FULL
-    if isinstance(G, CircleAmbient):
-        return ClassTag("SO2")
-    return classify_finite(G.group)
+def ambient_class(G: ConcreteSubgroup) -> ClassTag:
+    """The class of the ambient G: SO(3), a circle or a finite group, never O(2)."""
+    if isinstance(G, OrthCircleSub):
+        raise ValueError("O(2) is not a supported ambient group")
+    return g_class_of(G)
 
 
 class LiftWitness(Value):
@@ -96,7 +78,7 @@ class LiftResult(Value):
     witnesses: tuple[LiftWitness, ...]
 
 
-def _validate_realizable(G: AmbientGroup, tags) -> None:
+def _validate_realizable(G: ConcreteSubgroup, tags) -> None:
     amb = ambient_class(G)
     for t in tags:
         if not is_subconjugate(t, amb):
@@ -105,29 +87,34 @@ def _validate_realizable(G: AmbientGroup, tags) -> None:
             )
 
 
-def lifted_classes(G: AmbientGroup, base: IsotropyLattice) -> IsotropyLattice:
-    """The lifted lattice from the rule table alone: no group is built.
+def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
+    """The lifted classes as position bits, from the rule table alone.
 
-    Over SO(3) the classes are the union of ann_mask(h) over the base
-    classes h; a finite or circle ambient gives the base classes back.
+    Over SO(3) they are the union of ann_mask(h) over the base classes h; a
+    finite or circle ambient gives the base classes back.
     """
-    _validate_realizable(G, base.classes)
-    if isinstance(G, (FiniteAmbient, CircleAmbient)):
-        return build_lattice(base.classes)
+    if not isinstance(G, FullSub):
+        return mask_of(base.classes)
     mask = 0
     for h in base.classes:
         mask |= ann_mask(h)
-    return lattice_of_mask(mask)
+    return mask
 
 
-def lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
+def lifted_classes(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
+    """The lifted lattice from the rule table alone: no group is built."""
+    _validate_realizable(G, base.classes)
+    return lattice_of_mask(_table_mask(G, base))
+
+
+def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
     """Isotropy lattice of the lifted action on TM from the base lattice.
 
     The lattice comes from lifted_classes; each class's witness is the first
     diagonal witness with that label, over the base classes in depth order.
     """
     lifted = lifted_classes(G, base)
-    if isinstance(G, (FiniteAmbient, CircleAmbient)):
+    if not isinstance(G, FullSub):
         witnesses = tuple(
             LiftWitness(t, t, t, t, canonical_rep(t), canonical_rep(t))
             for t in lifted.classes
@@ -169,18 +156,19 @@ def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
     )
 
 
-def cotangent_lifted_lattice(G: AmbientGroup, base: IsotropyLattice) -> LiftResult:
+def cotangent_lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
     """Lattice of the lifted action on T*M; identical to the tangent one."""
     return lifted_lattice(G, base)
 
 
-def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResult) -> bool:
+def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftResult) -> bool:
     """Recheck every witness of a lift result.
 
     Verifies that each witness uses a valid base pair, that its k entry
     matches an isotropy class on the annihilator of its h2, that the claimed
     intersection lands in the claimed class, and that the witnessed classes
-    are exactly the classes of the lifted lattice.  Every witness is compared
+    are exactly the classes of the lifted lattice, which are in turn the
+    rule-table classes of the lift of base over G.  Every witness is compared
     on every call and no verdict is stored.  The lattice comes from the rule
     table and the witnesses from geometry, so the last test catches any
     disagreement between the two.  The check rebuilds its own annihilator
@@ -212,4 +200,5 @@ def lift_witness_check(G: AmbientGroup, base: IsotropyLattice, result: LiftResul
         if g_class_of(intersect(w.embedding, w.k_rep)) != w.lifted_class:
             return False
         witnessed.add(w.lifted_class)
-    return witnessed == set(result.lifted.classes)
+    classes = result.lifted.classes
+    return witnessed == set(classes) and mask_of(classes) == _table_mask(G, base)

@@ -18,25 +18,21 @@ from the rule table, with no witness and no group built.
 
 from __future__ import annotations
 
+from .catalog import CircleSub, ConcreteSubgroup
 from .errors import NotTotallyIsotropic
-from .lift import (
-    AmbientGroup,
-    CircleAmbient,
-    _validate_realizable,
-    lifted_classes,
-)
+from .lift import _validate_realizable, lifted_classes
 from .poset import IsotropyLattice, build_lattice
 from .rotation import TOLERANCE, Vec3
 
 
-def is_totally_isotropic(G: AmbientGroup, mu) -> bool:
+def is_totally_isotropic(G: ConcreteSubgroup, mu) -> bool:
     """Whether the coadjoint orbit of mu is an isotropic submanifold.
 
     For SO(3) only the origin qualifies.  The circle's coadjoint orbits are
     points, so every value does.  A finite group has a zero dual, so zero is
     the only momentum value there is.
     """
-    if isinstance(G, CircleAmbient):
+    if isinstance(G, CircleSub):
         return True
     return _mu_is_zero(mu)
 
@@ -54,13 +50,13 @@ def _mu_is_zero(mu) -> bool:
     return max(abs(c) for c in _as_vec3(mu)) <= TOLERANCE
 
 
-def zero_level_lattice(G: AmbientGroup, base: IsotropyLattice) -> IsotropyLattice:
+def zero_level_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
     """Isotropy lattice on the zero momentum level set: the base lattice."""
     _validate_realizable(G, base.classes)
     return build_lattice(base.classes)
 
 
-def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> IsotropyLattice:
+def mu_lattice(G: ConcreteSubgroup, base: IsotropyLattice, mu) -> IsotropyLattice:
     """Isotropy classes on the mu level set, for totally isotropic mu.
 
     A class survives iff mu annihilates the algebra of its representatives.
@@ -87,7 +83,7 @@ def mu_lattice(G: AmbientGroup, base: IsotropyLattice, mu) -> IsotropyLattice:
     return build_lattice(kept, require_unique_min=False)
 
 
-def relative_equilibria_lattice(G: AmbientGroup, base: IsotropyLattice) -> IsotropyLattice:
+def relative_equilibria_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
     """Isotropy classes realized by relative equilibria of invariant systems.
 
     Every base class (H) contributes the classes of H meet K for each linear

@@ -2,7 +2,10 @@
 
 These compute isotropy classes directly from points and tangent vectors of
 explicit G-spaces, with no reference to the lattice machinery, so that the
-two sides can be compared.  Supported actions:
+two sides can be compared: from the package they import only catalog (the
+concrete subgroups, classify_finite and the canonical representatives),
+errors and rotation.  An action's ambient is the canonical representative
+of its group's class.  Supported actions:
 
   SO3_on_R3         rotations of R^3
   SO3_on_S2         rotations of the unit sphere
@@ -24,10 +27,11 @@ from __future__ import annotations
 import random
 
 from .catalog import (
+    CIRCLE,
+    FULL,
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
-    FiniteSub,
     FullSub,
     axis_lines,
     canonical_rep,
@@ -37,12 +41,6 @@ from .catalog import (
     trivial_group,
 )
 from .errors import NotTangent
-from .lift import (
-    AMBIENT_CIRCLE,
-    AMBIENT_SO3,
-    AmbientGroup,
-    FiniteAmbient,
-)
 from .rotation import (
     TOLERANCE,
     FiniteRotationGroup,
@@ -65,24 +63,23 @@ SPHERE_DRAW_MIN_NORM = 1e-3
 class ConcreteAction(Value):
     name: str
     kind: str  # so3_r3 | so3_s2 | finite_r3 | finite_s2 | circle_r2
-    ambient: AmbientGroup
+    ambient: ConcreteSubgroup
     tag: ClassTag | None = None
 
 
 def make_action(name: str) -> ConcreteAction:
     if name == "SO3_on_R3":
-        return ConcreteAction(name, "so3_r3", AMBIENT_SO3)
+        return ConcreteAction(name, "so3_r3", canonical_rep(FULL))
     if name == "SO3_on_S2":
-        return ConcreteAction(name, "so3_s2", AMBIENT_SO3)
+        return ConcreteAction(name, "so3_s2", canonical_rep(FULL))
     if name == "Circle_on_R2":
-        return ConcreteAction(name, "circle_r2", AMBIENT_CIRCLE)
+        return ConcreteAction(name, "circle_r2", canonical_rep(CIRCLE))
     for prefix, kind in (("Finite_on_R3:", "finite_r3"), ("Finite_on_S2:", "finite_s2")):
         if name.startswith(prefix):
             tag = parse_tag(name[len(prefix):])
             if tag.kind not in ("C", "D", "T", "O", "I"):
                 raise ValueError(f"finite action needs a finite nontrivial tag, got {tag.short()}")
-            rep = canonical_rep(tag)
-            return ConcreteAction(name, kind, FiniteAmbient(rep.group), tag)
+            return ConcreteAction(name, kind, canonical_rep(tag), tag)
     raise ValueError(f"unknown action {name!r}")
 
 
@@ -92,7 +89,7 @@ def make_action(name: str) -> ConcreteAction:
 
 def _fixing(S: ConcreteSubgroup, p: Vec3) -> ConcreteSubgroup:
     """The elements of the concrete subgroup S that fix the vector p."""
-    if isinstance(S, FiniteSub) and len(S.group) == 1:
+    if isinstance(S, FiniteRotationGroup) and len(S) == 1:
         return S  # the identity fixes every vector
     n = norm(p)
     if n <= TOLERANCE:
@@ -103,10 +100,10 @@ def _fixing(S: ConcreteSubgroup, p: Vec3) -> ConcreteSubgroup:
     if isinstance(S, FullSub):
         return CircleSub(p)
     tol = SAMPLE_TOL * max(1.0, n)
-    kept = [g for g in S.group if norm(vsub(apply(g, p), p)) <= tol]
-    if len(kept) == len(S.group):
+    kept = [g for g in S if norm(vsub(apply(g, p), p)) <= tol]
+    if len(kept) == len(S):
         return S
-    return FiniteSub(FiniteRotationGroup.from_elements(kept))
+    return FiniteRotationGroup.from_elements(kept)
 
 
 def stabilizer_of_point(action: ConcreteAction, x: Vec3) -> ConcreteSubgroup:
@@ -115,11 +112,9 @@ def stabilizer_of_point(action: ConcreteAction, x: Vec3) -> ConcreteSubgroup:
         raise NotTangent("sphere points must have unit length")
     if action.kind == "circle_r2":
         if abs(x[0]) <= TOLERANCE and abs(x[1]) <= TOLERANCE:
-            return CircleSub((0.0, 0.0, 1.0))
+            return action.ambient  # the circle about z
         return trivial_group()
-    if action.kind in ("so3_r3", "so3_s2"):
-        return _fixing(FullSub(), x)
-    return _fixing(FiniteSub(action.ambient.group), x)
+    return _fixing(action.ambient, x)
 
 
 def _tangent_isotropy(
@@ -173,8 +168,7 @@ def default_plan(action: ConcreteAction, rng_seed: int = 0, n_random: int = 1000
             ((1.0, 2.0, 0.0), (-2.0, 1.0, 0.0)),
         ]
     else:
-        F = action.ambient.group
-        lines = axis_lines(F)
+        lines = axis_lines(action.ambient)
         on_sphere = action.kind == "finite_s2"
         if not on_sphere:
             seeds.append(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
@@ -259,7 +253,7 @@ def empirical_requilibria_lattice(
     of xi, so this samples (x, xi_M(x)) pairs.  Only defined for ambients
     with a nonzero algebra.
     """
-    if isinstance(action.ambient, FiniteAmbient):
+    if isinstance(action.ambient, FiniteRotationGroup):
         raise ValueError("relative equilibria need a continuous ambient group")
     rng = random.Random(rng_seed + 1)
     out: set[ClassTag] = set()

@@ -21,7 +21,6 @@ from isolat.catalog import (
     TETRA,
     TRIVIAL,
     CircleSub,
-    FiniteSub,
     OrthCircleSub,
     canonical_rep,
     cyclic,
@@ -38,7 +37,7 @@ from isolat.catalog import (
 from isolat.adjoint import isotropy_on_ann
 from isolat.cli import lattice_to_json, run_command, witness_to_json
 from isolat.errors import NoUniqueMinimum
-from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, lift_witness_check, lifted_lattice
+from isolat.lift import lift_witness_check, lifted_lattice
 from isolat.momentum import mu_lattice, relative_equilibria_lattice
 from isolat.oracle import (
     empirical_lattices,
@@ -145,9 +144,9 @@ def test_criterion_03(tmp_path, capsys):
 @pytest.mark.acceptance("circle ambient fast path {C2 < C4 < SO2}")
 def test_criterion_04(tmp_path, capsys):
     base = build_lattice(tags(["C2", "C4", "SO2"]))
-    res = lifted_lattice(AMBIENT_CIRCLE, base)
+    res = lifted_lattice(canonical_rep(CIRCLE), base)
     assert res.lifted == base
-    assert lift_witness_check(AMBIENT_CIRCLE, base, res)
+    assert lift_witness_check(canonical_rep(CIRCLE), base, res)
 
     path = write_spec(
         tmp_path, {"group": {"kind": "circle"}, "base_lattice": ["C2", "C4", "SO2"]}
@@ -166,7 +165,7 @@ def test_criterion_05():
     pool += [dihedral(n) for n in range(2, 13)]
     pool += [TETRA, OCTA, ICOSA]
     for b in pool:
-        classes = {g_class_of(FiniteSub(S)) for S in subgroups_of(canonical_rep(b).group)}
+        classes = {g_class_of(S) for S in subgroups_of(canonical_rep(b))}
         for s in pool:
             assert is_subconjugate(s, b) == (s in classes), (s.short(), b.short())
 
@@ -268,7 +267,7 @@ def test_criterion_07(tmp_path, capsys):
 @pytest.mark.acceptance("circle mu = 1 keeps exactly {C2, C4}")
 def test_criterion_08(tmp_path, capsys):
     base = build_lattice(tags(["C2", "C4", "SO2"]))
-    level = mu_lattice(AMBIENT_CIRCLE, base, 1.0)
+    level = mu_lattice(canonical_rep(CIRCLE), base, 1.0)
     assert shorts(level.classes) == ["C2", "C4"]
 
     path = write_spec(
@@ -286,7 +285,7 @@ def test_criterion_09():
         ("SO3_on_S2", ["SO2"], ["1", "SO2"]),
     ):
         base = build_lattice(tags(base_names))
-        predicted = relative_equilibria_lattice(AMBIENT_SO3, base)
+        predicted = relative_equilibria_lattice(canonical_rep(FULL), base)
         assert shorts(predicted.classes) == want, name
         empirical = empirical_requilibria_lattice(make_action(name), 0, 400)
         assert empirical == set(predicted.classes), name
@@ -307,12 +306,12 @@ def test_criterion_10():
             base = build_lattice(chosen)
         except (NoUniqueMinimum, ValueError):
             continue
-        res = lifted_lattice(AMBIENT_SO3, base)
+        res = lifted_lattice(canonical_rep(FULL), base)
         assert set(base.classes) <= set(res.lifted.classes)
         assert res.lifted.unique_min
-        assert lift_witness_check(AMBIENT_SO3, base, res)
+        assert lift_witness_check(canonical_rep(FULL), base, res)
 
-        again = lifted_lattice(AMBIENT_SO3, base)
+        again = lifted_lattice(canonical_rep(FULL), base)
         first = json.dumps(
             [lattice_to_json(res.lifted), [witness_to_json(w) for w in res.witnesses]]
         )

@@ -18,13 +18,11 @@ from isolat.catalog import (
     TRIVIAL,
     CircleSub,
     ClassTag,
-    FiniteSub,
     FullSub,
     OrthCircleSub,
     below_mask,
     canonical_rep,
     classify_finite,
-    conjugate_group,
     cyclic,
     cyclic_group,
     dihedral,
@@ -125,8 +123,8 @@ def test_canonical_reps_classify_to_their_tag(tag):
     t = parse_tag(tag)
     rep = canonical_rep(t)
     assert g_class_of(rep) == t
-    if isinstance(rep, FiniteSub):
-        assert len(rep.group) == t.min_order()
+    if isinstance(rep, FiniteRotationGroup):
+        assert len(rep) == t.min_order()
 
 
 def test_continuous_reps():
@@ -138,14 +136,14 @@ def test_continuous_reps():
 
 def test_tetra_sits_inside_octa():
     octa = canonical_rep(OCTA)
-    for r in canonical_rep(TETRA).group:
-        assert octa.group.contains(r)
+    for r in canonical_rep(TETRA):
+        assert octa.contains(r)
 
 
 def test_icosa_closes_at_sixty():
     rep = canonical_rep(ICOSA)
-    assert len(rep.group) == 60
-    assert classify_finite(rep.group) == ICOSA
+    assert len(rep) == 60
+    assert classify_finite(rep) == ICOSA
 
 
 def test_classification_is_conjugation_invariant():
@@ -156,7 +154,7 @@ def test_classification_is_conjugation_invariant():
         rep = canonical_rep(t)
         for _ in range(6):
             h = random_rotation(rng)
-            moved = conjugate_group(h, rep)
+            moved = FiniteRotationGroup.from_elements(compose(h, compose(r, h.inverse())) for r in rep)
             assert g_class_of(moved) == t
 
 
@@ -164,7 +162,7 @@ def test_classify_finite_stores_its_tag_per_instance(monkeypatch):
     scans = []
     real = catalog.axis_lines
     monkeypatch.setattr(catalog, "axis_lines", lambda F: scans.append(F) or real(F))
-    els = canonical_rep(dihedral(5)).group.elements
+    els = canonical_rep(dihedral(5)).elements
     A = FiniteRotationGroup.from_elements(els)
     B = FiniteRotationGroup.from_elements(els)
     assert A == B and A is not B
@@ -191,25 +189,25 @@ def test_classify_rejects_non_groups():
 
 
 def test_subgroup_counts_cyclic():
-    assert len(subgroups_of(canonical_rep(cyclic(4)).group)) == 3
+    assert len(subgroups_of(canonical_rep(cyclic(4)))) == 3
     # one per divisor
-    assert len(subgroups_of(canonical_rep(cyclic(12)).group)) == 6
+    assert len(subgroups_of(canonical_rep(cyclic(12)))) == 6
 
 
 def test_subgroup_profile_tetra():
-    subs = subgroups_of(canonical_rep(TETRA).group)
+    subs = subgroups_of(canonical_rep(TETRA))
     profile = collections.Counter(len(S) for S in subs)
     assert profile == {1: 1, 2: 3, 3: 4, 4: 1, 12: 1}
 
 
 def test_subgroup_count_dihedral():
     # tau(n) + sigma(n) subgroups for D_n
-    assert len(subgroups_of(canonical_rep(dihedral(6)).group)) == 16
-    assert len(subgroups_of(canonical_rep(dihedral(12)).group)) == 34
+    assert len(subgroups_of(canonical_rep(dihedral(6)))) == 16
+    assert len(subgroups_of(canonical_rep(dihedral(12)))) == 34
 
 
 def test_subgroup_profile_octa():
-    subs = subgroups_of(canonical_rep(OCTA).group)
+    subs = subgroups_of(canonical_rep(OCTA))
     profile = collections.Counter(classify_finite(S).short() for S in subs)
     assert profile == {
         "1": 1, "C2": 9, "C3": 4, "C4": 3,
@@ -218,14 +216,14 @@ def test_subgroup_profile_octa():
 
 
 def test_subgroup_count_icosa():
-    subs = subgroups_of(canonical_rep(ICOSA).group)
+    subs = subgroups_of(canonical_rep(ICOSA))
     assert len(subs) == 59
     profile = collections.Counter(classify_finite(S).short() for S in subs)
     assert profile["C2"] == 15 and profile["C5"] == 6 and profile["T"] == 5
 
 
 def test_subgroups_are_subgroups():
-    F = canonical_rep(dihedral(4)).group
+    F = canonical_rep(dihedral(4))
     for S in subgroups_of(F):
         for r in S:
             assert F.contains(r)
@@ -233,7 +231,7 @@ def test_subgroups_are_subgroups():
 
 def test_subgroups_order_cap():
     with pytest.raises(ValueError):
-        subgroups_of(canonical_rep(dihedral(100)).group)
+        subgroups_of(canonical_rep(dihedral(100)))
 
 
 def test_subgroups_of_a_non_group_is_unclassifiable():
@@ -280,7 +278,7 @@ SUBGROUP_DIGESTS = {
 @pytest.mark.parametrize("tag", sorted(SUBGROUP_DIGESTS, key=lambda s: tag_sort_key(parse_tag(s))))
 def test_subgroups_of_is_bitwise_pinned(tag):
     h = hashlib.sha256()
-    for S in subgroups_of(canonical_rep(parse_tag(tag)).group):
+    for S in subgroups_of(canonical_rep(parse_tag(tag))):
         for r in S:
             h.update(repr((r.w, r.x, r.y, r.z)).encode())
     assert h.hexdigest() == SUBGROUP_DIGESTS[tag]
@@ -374,14 +372,14 @@ def test_membership_continuous():
 def test_intersect_orth_circles_perpendicular_gives_klein():
     K = intersect(OrthCircleSub((0, 0, 1)), OrthCircleSub((1, 0, 0)))
     assert g_class_of(K) == dihedral(2)
-    assert len(K.group) == 4
+    assert len(K) == 4
 
 
 def test_intersect_orth_circles_generic_gives_common_flip():
     K = intersect(OrthCircleSub((0, 0, 1)), OrthCircleSub((1, 0, 1)))
     assert g_class_of(K) == cyclic(2)
     # the surviving flip is about the cross of the two axes
-    aa = [r for r in K.group if not r.is_identity()]
+    aa = [r for r in K if not r.is_identity()]
     from isolat.rotation import axis_angle_of
 
     axis = axis_angle_of(aa[0]).axis
@@ -408,7 +406,7 @@ def test_intersect_finite_with_continuous():
     C = intersect(octa, CircleSub(z))
     assert g_class_of(C) == cyclic(4)
     # manual filter oracle
-    manual = [r for r in octa.group if subgroup_contains(CircleSub(z), r)]
+    manual = [r for r in octa if subgroup_contains(CircleSub(z), r)]
     assert len(manual) == 4
     D = intersect(octa, OrthCircleSub(z))
     assert g_class_of(D) == dihedral(4)
@@ -419,7 +417,7 @@ def test_intersect_finite_with_continuous():
 def test_intersect_with_full():
     octa = canonical_rep(OCTA)
     assert intersect(FullSub(), octa) is octa
-    assert isinstance(intersect(octa, FullSub()), FiniteSub)
+    assert isinstance(intersect(octa, FullSub()), FiniteRotationGroup)
 
 
 def test_intersect_finite_finite():
@@ -470,7 +468,7 @@ def test_embeddings_in_orth_circle():
     assert all(g_class_of(E) == dihedral(3) for E in d3)
     # the marked flip really is at the marked direction
     marked = in_plane_direction(H.axis, H.flip_phase)
-    flip = [r for r in c2[1].group if not r.is_identity()][0]
+    flip = [r for r in c2[1] if not r.is_identity()][0]
     from isolat.rotation import axis_angle_of
 
     assert abs(abs(sum(a * b for a, b in zip(axis_angle_of(flip).axis, marked))) - 1) < 1e-9
@@ -490,12 +488,12 @@ def test_embeddings_match_enumeration_for_small_dihedral():
     for n in range(2, 9):
         P = canonical_rep(dihedral(n))
         by_class = {}
-        for S in subgroups_of(P.group):
+        for S in subgroups_of(P):
             by_class.setdefault(classify_finite(S), set()).add(S.key_set)
         for t, want in by_class.items():
             if t == TRIVIAL:
                 continue
-            got = {E.group.key_set for E in embeddings_of_class_in(t, P)}
+            got = {E.key_set for E in embeddings_of_class_in(t, P)}
             assert got == want, (n, t.short())
 
 
@@ -503,12 +501,12 @@ def test_embeddings_match_enumeration_for_cyclic_parents():
     for n in (4, 6, 12):
         P = canonical_rep(cyclic(n))
         by_class = {}
-        for S in subgroups_of(P.group):
+        for S in subgroups_of(P):
             by_class.setdefault(classify_finite(S), set()).add(S.key_set)
         for t, want in by_class.items():
             if t == TRIVIAL:
                 continue
-            got = {E.group.key_set for E in embeddings_of_class_in(t, P)}
+            got = {E.key_set for E in embeddings_of_class_in(t, P)}
             assert got == want
 
 
@@ -518,8 +516,8 @@ def test_embeddings_in_octa():
     assert len(embeddings_of_class_in(dihedral(3), octa)) == 4
     assert len(embeddings_of_class_in(TETRA, octa)) == 1
     for E in embeddings_of_class_in(dihedral(2), octa):
-        for r in E.group:
-            assert octa.group.contains(r)
+        for r in E:
+            assert octa.contains(r)
 
 
 # Finite parents of order at most SUBGROUPS_ORDER_CAP whose C and D
@@ -531,12 +529,12 @@ def test_line_table_positions_match_the_subgroup_enumeration():
     pairs = 0
     for p in LINE_TABLE_PARENTS:
         P = canonical_rep(p)
-        subs = subgroups_of(P.group)
+        subs = subgroups_of(P)
         for t in _catalog_tags():
             if t.kind not in ("C", "D") or not is_subconjugate(t, p):
                 continue
             want = [S.key_set for S in subs if classify_finite(S) == t]
-            got = [E.group.key_set for E in embeddings_of_class_in(t, P)]
+            got = [E.key_set for E in embeddings_of_class_in(t, P)]
             assert got == want, (p.short(), t.short())
             pairs += 1
     assert pairs == 206
@@ -544,7 +542,7 @@ def test_line_table_positions_match_the_subgroup_enumeration():
 
 def test_subgroups_of_orders_each_class_by_the_line_key_of_its_principal_line():
     for p in LINE_TABLE_PARENTS:
-        subs = subgroups_of(canonical_rep(p).group)
+        subs = subgroups_of(canonical_rep(p))
         for a, b in zip(subs, subs[1:]):
             if len(a) == len(b) and classify_finite(a) == classify_finite(b):
                 assert line_key(principal_axis(a)) <= line_key(principal_axis(b)), p.short()
@@ -554,7 +552,7 @@ def test_a_position_that_fills_its_parent_is_the_parent():
     for n in (2, 5, 12):
         for p in (cyclic(n), dihedral(n)):
             P = canonical_rep(p)
-            assert embeddings_of_class_in(p, P)[0].group is P.group
+            assert embeddings_of_class_in(p, P)[0] is P
 
 
 def test_trivial_embedding():
@@ -568,44 +566,23 @@ def test_trivial_embedding():
 
 
 def test_principal_axis():
-    assert principal_axis(canonical_rep(cyclic(6)).group) == (0.0, 0.0, 1.0)
-    assert principal_axis(canonical_rep(dihedral(4)).group) == (0.0, 0.0, 1.0)
-    assert principal_axis(trivial_group().group) == (0.0, 0.0, 0.0)
-
-
-def test_conjugate_group_moves_the_axis():
-    h = Rotation.from_axis_angle((0, 1, 0), math.pi / 2)
-    moved = conjugate_group(h, CircleSub((0, 0, 1)))
-    assert isinstance(moved, CircleSub)
-    assert abs(moved.axis[0]) > 0.999
-
-
-def test_conjugated_orth_circle_keeps_marked_direction():
-    rng = random.Random(4)
-    H = OrthCircleSub((0.0, 0.0, 1.0), 0.5)
-    for _ in range(10):
-        h = random_rotation(rng)
-        moved = conjugate_group(h, H)
-        want = in_plane_direction(H.axis, H.flip_phase)
-        from isolat.rotation import apply
-
-        got = in_plane_direction(moved.axis, moved.flip_phase)
-        moved_want = apply(h, want)
-        assert abs(abs(sum(a * b for a, b in zip(got, moved_want))) - 1) < 1e-9
+    assert principal_axis(canonical_rep(cyclic(6))) == (0.0, 0.0, 1.0)
+    assert principal_axis(canonical_rep(dihedral(4))) == (0.0, 0.0, 1.0)
+    assert principal_axis(trivial_group()) == (0.0, 0.0, 0.0)
 
 
 def test_cyclic_group_constructor_about_tilted_axis():
     F = cyclic_group(5, (1.0, 1.0, 0.0))
-    assert classify_finite(F.group) == cyclic(5)
+    assert classify_finite(F) == cyclic(5)
     F2 = dihedral_group(3, (1.0, 0.0, 1.0), 0.4)
-    assert classify_finite(F2.group) == dihedral(3)
+    assert classify_finite(F2) == dihedral(3)
 
 
 def _old_finite_intersect(A, B):
     """The former finite branch of intersect: always a from_elements copy."""
-    small, other = (A, B) if len(A.group) <= len(B.group) else (B, A)
-    kept = [r for r in small.group if subgroup_contains(other, r)]
-    return small, FiniteSub(FiniteRotationGroup.from_elements(kept))
+    small, other = (A, B) if len(A) <= len(B) else (B, A)
+    kept = [r for r in small if subgroup_contains(other, r)]
+    return small, FiniteRotationGroup.from_elements(kept)
 
 
 SMALL_FINITE = (
@@ -635,11 +612,11 @@ def test_intersect_returns_a_contained_operand_itself():
     for A, B in _finite_pairs():
         got = intersect(A, B)
         small, old = _old_finite_intersect(A, B)
-        if len(old.group) == len(small.group):
+        if len(old) == len(small):
             assert got is small
             contained += 1
         else:
-            assert got.group.key_set == old.group.key_set
+            assert got.key_set == old.key_set
             assert g_class_of(got) == g_class_of(old)
             copied += 1
     assert contained > 1000 and copied > 1000
@@ -647,11 +624,11 @@ def test_intersect_returns_a_contained_operand_itself():
 
 def _subgroup_contains_path(A, B):
     """intersect's finite branch before the inlined bucket loop, as a reference."""
-    small, other = (A, B) if len(A.group) <= len(B.group) else (B, A)
-    kept = [r for r in small.group if subgroup_contains(other, r)]
-    if len(kept) == len(small.group):
+    small, other = (A, B) if len(A) <= len(B) else (B, A)
+    kept = [r for r in small if subgroup_contains(other, r)]
+    if len(kept) == len(small):
         return small
-    return FiniteSub(FiniteRotationGroup.from_elements(kept))
+    return FiniteRotationGroup.from_elements(kept)
 
 
 def _twins(S):
@@ -660,10 +637,10 @@ def _twins(S):
     One holds field-for-field copies; the other conjugates by a rotation so
     close to the identity that each element moves well inside the tolerance.
     """
-    copies = [copy.copy(r) for r in S.group]
+    copies = [copy.copy(r) for r in S]
     nudge = Rotation.from_axis_angle((0.3, -0.5, 0.8), 1e-13)
-    moved = [compose(nudge, compose(r, nudge.inverse())) for r in S.group]
-    return [FiniteSub(FiniteRotationGroup.from_elements(els)) for els in (copies, moved)]
+    moved = [compose(nudge, compose(r, nudge.inverse())) for r in S]
+    return [FiniteRotationGroup.from_elements(els) for els in (copies, moved)]
 
 
 def test_the_bucket_loop_keeps_what_subgroup_contains_keeps():
@@ -672,10 +649,10 @@ def test_the_bucket_loop_keeps_what_subgroup_contains_keeps():
         P = canonical_rep(t)
         subs = [embeddings_of_class_in(s, P)[0] for s in SMALL_FINITE if is_subconjugate(s, t)]
         for twin in _twins(P):
-            assert all(eq(a, b) for a, b in zip(twin.group, P.group))
+            assert all(eq(a, b) for a, b in zip(twin, P))
             # from_elements puts the one shared identity into every group, so
             # only the other elements are new objects
-            assert all(a is not b for a, b in zip(twin.group, P.group) if not b.is_identity())
+            assert all(a is not b for a, b in zip(twin, P) if not b.is_identity())
             pairs += [(S, twin) for S in subs] + [(twin, S) for S in subs]
     shared = 0
     for A, B in pairs:
@@ -683,23 +660,23 @@ def test_the_bucket_loop_keeps_what_subgroup_contains_keeps():
         if want is A or want is B:
             assert got is want
         else:
-            assert got.group.elements == want.group.elements
-        shared += any(a is not b and eq(a, b) for a in A.group for b in B.group)
+            assert got.elements == want.elements
+        shared += any(a is not b and eq(a, b) for a in A for b in B)
     assert shared > 1000
 
 
 def _own_copy(S, P):
     """S rebuilt from P's own element objects (S lies in P)."""
-    els = P.group.elements
-    return FiniteSub(FiniteRotationGroup.from_elements(els[P.group.index_of(r)] for r in S.group))
+    els = P.elements
+    return FiniteRotationGroup.from_elements(els[P.index_of(r)] for r in S)
 
 
 def _mixed_copy(S, P):
     """S rebuilt from P's own objects and new copies, alternately."""
-    own = _own_copy(S, P).group.elements
-    return FiniteSub(FiniteRotationGroup.from_elements(
+    own = _own_copy(S, P).elements
+    return FiniteRotationGroup.from_elements(
         r if i % 2 else copy.copy(r) for i, r in enumerate(own)
-    ))
+    )
 
 
 def _check_against_the_reference(A, B):
@@ -707,7 +684,7 @@ def _check_against_the_reference(A, B):
     if want is A or want is B:
         assert got is want
     else:
-        assert got.group.elements == want.group.elements
+        assert got.elements == want.elements
 
 
 def test_intersect_returns_an_operand_made_of_the_others_objects():
@@ -717,9 +694,9 @@ def test_intersect_returns_an_operand_made_of_the_others_objects():
         own = [_own_copy(E, P) for s in SMALL_FINITE if is_subconjugate(s, t)
                for E in embeddings_of_class_in(s, P)]
         for S in own:
-            assert S.group.id_set <= P.group.id_set
+            assert S.id_set <= P.id_set
             assert intersect(S, P) is S
-            if len(S.group) < len(P.group):  # of equal sizes, A is returned
+            if len(S) < len(P):  # of equal sizes, A is returned
                 assert intersect(P, S) is S
             _check_against_the_reference(S, P)
             _check_against_the_reference(P, S)
@@ -742,8 +719,8 @@ def test_copies_mixed_with_own_objects_take_the_bucket_loop():
         mixed = [_mixed_copy(E, P) for E in embs]
         own = [_own_copy(E, P) for E in embs]
         for M, S in zip(mixed, own):
-            if len(M.group) > 2:  # a copy among its non-identity elements
-                assert not M.group.id_set <= P.group.id_set
+            if len(M) > 2:  # a copy among its non-identity elements
+                assert not M.id_set <= P.id_set
             for A, B in [(M, P), (P, M), (S, twin), (twin, S), (M, twin)]:
                 _check_against_the_reference(A, B)
             assert intersect(M, P) is M and intersect(S, twin) is S
@@ -764,7 +741,7 @@ def test_every_group_shares_the_one_identity():
     assert len(fresh) == 1 and fresh.elements[0] is ident
     for t in SMALL_FINITE:
         P = canonical_rep(t)
-        groups = [P.group] + [E.group for s in SMALL_FINITE if is_subconjugate(s, t)
+        groups = [P] + [E for s in SMALL_FINITE if is_subconjugate(s, t)
                               for E in embeddings_of_class_in(s, P)]
         for F in groups:
             found = [r for r in F if r.is_identity()]
@@ -869,9 +846,9 @@ def _old_klein_embeddings(H):
 def test_klein_embeddings_match_the_former_closed_form():
     for n in range(4, N_CAP + 1, 2):
         H = canonical_rep(dihedral(n))
-        got = [S.group.key_set for S in embeddings_of_class_in(dihedral(2), H)]
-        assert got == _old_klein_embeddings(H.group), n
+        got = [S.key_set for S in embeddings_of_class_in(dihedral(2), H)]
+        assert got == _old_klein_embeddings(H), n
         assert len(got) == n // 2, n  # the main half turn and each perpendicular flip pair
     for n in range(3, N_CAP + 1, 2):
-        H = canonical_rep(dihedral(n)).group
+        H = canonical_rep(dihedral(n))
         assert catalog._finite_dihedral_embeddings(H, 2) == [], n

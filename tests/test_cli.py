@@ -16,9 +16,9 @@ from isolat.cli import (
     run_command,
 )
 from isolat.errors import GroupTooLarge, SchemaError, ValidationError
-from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient
-from isolat.catalog import N_CAP, is_subconjugate, parse_tag
+from isolat.catalog import CIRCLE, FULL, N_CAP, canonical_rep, is_subconjugate, parse_tag
 from isolat.poset import build_lattice
+from isolat.rotation import FiniteRotationGroup
 
 
 def spec_text(doc):
@@ -55,20 +55,20 @@ def finite_spec(*generators):
 
 def test_parse_so3_spec():
     spec = parse_spec(spec_text(SO3_SPEC))
-    assert spec.ambient is AMBIENT_SO3
+    assert spec.ambient is canonical_rep(FULL)
     assert [t.short() for t in spec.base_tags] == ["SO2", "SO3"]
     assert spec.action is None
 
 
 def test_parse_circle_spec():
     spec = parse_spec(spec_text(CIRCLE_SPEC))
-    assert spec.ambient is AMBIENT_CIRCLE
+    assert spec.ambient is canonical_rep(CIRCLE)
 
 
 def test_parse_finite_spec_closes_generators():
     spec = parse_spec(spec_text(TETRA_SPEC))
-    assert isinstance(spec.ambient, FiniteAmbient)
-    assert len(spec.ambient.group) == 12
+    assert isinstance(spec.ambient, FiniteRotationGroup)
+    assert len(spec.ambient) == 12
 
 
 def test_parse_spec_with_order_and_action():
@@ -740,7 +740,7 @@ def test_so3_requilibria_and_check_build_no_geometry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["code"] == 0 and got["sizes"] == [0, 0]
-    lifted = lifted_lattice(AMBIENT_SO3, build_lattice(map(parse_tag, base_tags))).lifted
+    lifted = lifted_lattice(canonical_rep(FULL), build_lattice(map(parse_tag, base_tags))).lifted
     assert json.loads(got["out"]) == lattice_to_json(lifted)
 
     path = write_spec(tmp_path, dict(SO3_SPEC, action="SO3_on_R3"), "check.json")
@@ -748,6 +748,6 @@ def test_so3_requilibria_and_check_build_no_geometry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["code"] == 0 and got["sizes"] == [0, 0]
-    lifted = lifted_lattice(AMBIENT_SO3, build_lattice(map(parse_tag, SO3_SPEC["base_lattice"])))
+    lifted = lifted_lattice(canonical_rep(FULL), build_lattice(map(parse_tag, SO3_SPEC["base_lattice"])))
     row = next(line for line in got["out"].splitlines() if line.startswith("lifted "))
     assert row.split()[1] == "predicted=" + ",".join(t.short() for t in lifted.lifted.classes)

@@ -43,9 +43,6 @@ from isolat.catalog import (
 )
 from isolat.cli import lattice_to_json, witness_to_json
 from isolat.lift import (
-    AMBIENT_CIRCLE,
-    AMBIENT_SO3,
-    FiniteAmbient,
     LiftWitness,
     _diagonal_witnesses,
     ann_of,
@@ -189,7 +186,7 @@ def test_diagonal_lift_is_byte_identical_to_the_pair_loop():
     bases += [random_base(rng) for _ in range(200)]
     mismatched = []
     for base in bases:
-        res = lifted_lattice(AMBIENT_SO3, base)
+        res = lifted_lattice(canonical_rep(FULL), base)
         if dump(res.lifted, res.witnesses) != dump(*old_lifted_lattice_so3(base)):
             mismatched.append([t.short() for t in base.classes])
     assert mismatched == []
@@ -226,29 +223,29 @@ def finite_bases(draw):
     inside = [t for t in catalog(12) if is_subconjugate(t, parent)]
     floor = draw(st.sampled_from(inside))
     rest = draw(st.lists(st.sampled_from(above_sets(inside)[floor] or [floor]), max_size=4))
-    return FiniteAmbient(canonical_rep(parent).group), build_lattice([floor] + rest)
+    return canonical_rep(parent), build_lattice([floor] + rest)
 
 
 @settings(max_examples=60, deadline=None)
 @given(so3_bases())
 def test_so3_lift_properties(base):
-    res = lifted_lattice(AMBIENT_SO3, base)
+    res = lifted_lattice(canonical_rep(FULL), base)
     assert set(base.classes) <= set(res.lifted.classes)
     assert res.lifted.unique_min
     assert res.lifted == build_lattice(set(base.classes).union(*map(rule, base.classes)))
-    assert relative_equilibria_lattice(AMBIENT_SO3, base) == res.lifted
-    assert lifted_classes(AMBIENT_SO3, base) == res.lifted
-    assert lift_witness_check(AMBIENT_SO3, base, res)
+    assert relative_equilibria_lattice(canonical_rep(FULL), base) == res.lifted
+    assert lifted_classes(canonical_rep(FULL), base) == res.lifted
+    assert lift_witness_check(canonical_rep(FULL), base, res)
 
 
 @settings(max_examples=40, deadline=None)
 @given(circle_bases())
 def test_circle_lift_is_idempotent(base):
-    res = lifted_lattice(AMBIENT_CIRCLE, base)
+    res = lifted_lattice(canonical_rep(CIRCLE), base)
     assert res.lifted == base
-    assert lifted_lattice(AMBIENT_CIRCLE, res.lifted).lifted == res.lifted
-    assert relative_equilibria_lattice(AMBIENT_CIRCLE, base) == res.lifted
-    assert lift_witness_check(AMBIENT_CIRCLE, base, res)
+    assert lifted_lattice(canonical_rep(CIRCLE), res.lifted).lifted == res.lifted
+    assert relative_equilibria_lattice(canonical_rep(CIRCLE), base) == res.lifted
+    assert lift_witness_check(canonical_rep(CIRCLE), base, res)
 
 
 @settings(max_examples=40, deadline=None)

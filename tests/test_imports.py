@@ -84,3 +84,19 @@ def test_the_scan_sees_an_unread_private_helper():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The isolat modules a module imports by relative import."""
+    return {
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_the_oracle_imports_no_lattice_engine_module():
+    # the oracle checks the engine, so it shares only the catalog of subgroups
+    # with it: no lift, adjoint, poset or momentum code
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"catalog", "errors", "rotation"}

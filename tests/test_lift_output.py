@@ -12,7 +12,7 @@ import json
 import pytest
 
 import isolat.cli
-from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep, parse_tag
+from isolat.catalog import CIRCLE, ICOSA, OCTA, TETRA, canonical_rep, parse_tag
 from isolat.cli import (
     _document,
     _lattice_text,
@@ -23,7 +23,7 @@ from isolat.cli import (
     subgroup_to_json,
     witness_to_json,
 )
-from isolat.lift import AMBIENT_CIRCLE, FiniteAmbient, _diagonal_witnesses, lifted_lattice
+from isolat.lift import _diagonal_witnesses, lifted_lattice
 from isolat.momentum import mu_lattice, relative_equilibria_lattice
 from isolat.poset import build_lattice
 
@@ -115,7 +115,7 @@ def test_finite_parents_after_an_so3_lift(tmp_path, capsys):
 @pytest.mark.parametrize("tag", [TETRA, OCTA, ICOSA], ids=lambda t: t.short())
 def test_equal_witnesses_keep_their_own_bits(tag):
     so3 = next(w for w in _diagonal_witnesses(tag) if w.lifted_class == tag)
-    parent = FiniteAmbient(canonical_rep(tag).group)
+    parent = canonical_rep(tag)
     (finite,) = lifted_lattice(parent, build_lattice([tag])).witnesses
     assert so3.embedding == canonical_rep(tag) and so3 == finite
     assert subgroup_to_json(so3.embedding) != subgroup_to_json(canonical_rep(tag))
@@ -155,7 +155,7 @@ def test_lattice_text_of_one_class_and_of_several_minima():
     assert '"hasse": []' in _lattice_text(single)
     # on the circle a nonzero mu keeps the finite classes, here two minima
     base = build_lattice(tags("C2", "C3", "C6", "SO2"), require_unique_min=False)
-    level = mu_lattice(AMBIENT_CIRCLE, base, 1.0)
+    level = mu_lattice(canonical_rep(CIRCLE), base, 1.0)
     assert level.classes == tags("C2", "C3", "C6") and not level.unique_min
     assert _document([_lattice_text(level)]) == plain_dump(level)
 

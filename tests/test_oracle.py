@@ -1,9 +1,8 @@
 import pytest
 
 from isolat import oracle
-from isolat.catalog import CircleSub, FiniteSub, FullSub, g_class_of, parse_tag
+from isolat.catalog import CIRCLE, FULL, CircleSub, FullSub, canonical_rep, g_class_of, parse_tag
 from isolat.errors import NotTangent
-from isolat.lift import AMBIENT_CIRCLE, AMBIENT_SO3, FiniteAmbient
 from isolat.rotation import FiniteRotationGroup, apply, norm, vsub
 from isolat.oracle import (
     SAMPLE_TOL,
@@ -22,13 +21,13 @@ def shorts(ts):
 
 
 def test_make_action_names():
-    assert make_action("SO3_on_R3").ambient is AMBIENT_SO3
+    assert make_action("SO3_on_R3").ambient is canonical_rep(FULL)
     assert make_action("SO3_on_S2").kind == "so3_s2"
-    assert make_action("Circle_on_R2").ambient is AMBIENT_CIRCLE
+    assert make_action("Circle_on_R2").ambient is canonical_rep(CIRCLE)
     a = make_action("Finite_on_R3:D4")
-    assert isinstance(a.ambient, FiniteAmbient)
+    assert isinstance(a.ambient, FiniteRotationGroup)
     assert a.tag.short() == "D4"
-    assert len(a.ambient.group) == 8
+    assert len(a.ambient) == 8
     assert make_action("Finite_on_S2:T").kind == "finite_s2"
 
 
@@ -206,7 +205,7 @@ def _fixes(g, p):
 @pytest.mark.parametrize("tag", ["C5", "D4", "T", "O", "I"])
 def test_tangent_stabilizer_matches_direct_filter(space, tag):
     a = make_action(f"Finite_on_{space}:{tag}")
-    F = a.ambient.group
+    F = a.ambient
     for x, v in _iter_pairs(a, default_plan(a, 0, 300)):
         for w in (v, (0.0, 0.0, 0.0), x):
             if space == "S2" and w is x:
@@ -214,7 +213,7 @@ def test_tangent_stabilizer_matches_direct_filter(space, tag):
                     stabilizer_of_tangent(a, x, w)
                 continue
             kept = [g for g in F if _fixes(g, x) and _fixes(g, w)]
-            want = g_class_of(FiniteSub(FiniteRotationGroup.from_elements(kept)))
+            want = g_class_of(FiniteRotationGroup.from_elements(kept))
             assert g_class_of(stabilizer_of_tangent(a, x, w)) is want, (x, w)
 
 

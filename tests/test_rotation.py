@@ -356,14 +356,14 @@ def test_from_elements_order_matches_lambda_sort_on_catalog_reps():
     rng = random.Random(3)
     tags = [cyclic(n) for n in range(2, 101)] + [dihedral(n) for n in range(2, 101)]
     for t in tags + [TETRA, OCTA, ICOSA]:
-        els = list(canonical_rep(t).group.elements)
+        els = list(canonical_rep(t).elements)
         rng.shuffle(els)
         _assert_same_order(els + els[: len(els) // 2])
 
 
 def test_from_elements_order_matches_lambda_sort_on_random_sets():
     rng = random.Random(4)
-    icosa = list(canonical_rep(ICOSA).group.elements)
+    icosa = list(canonical_rep(ICOSA).elements)
     for _ in range(200):
         picked = rng.sample(icosa, rng.randint(0, len(icosa)))
         picked += [random_rotation(rng) for _ in range(rng.randint(0, 5))]
@@ -375,7 +375,7 @@ def test_key_is_stored_on_the_instance():
     finite = [TRIVIAL, *map(cyclic, range(2, N_CAP + 1)),
               *map(dihedral, range(2, N_CAP + 1)), TETRA, OCTA, ICOSA]
     for t in finite:
-        for r in canonical_rep(t).group:
+        for r in canonical_rep(t):
             fresh = tuple(round(c, _KEY_DIGITS) for c in (r.w, r.x, r.y, r.z))
             assert r.key() == fresh
             assert r.key() is r.key() is r.__dict__["_key"]

@@ -9,6 +9,7 @@ written in bench/.
 """
 
 import importlib
+import json
 import types
 from pathlib import Path
 
@@ -40,3 +41,17 @@ def test_the_names_read_while_installing_resolve():
     frg = isolat_module("rotation").FiniteRotationGroup
     assert isinstance(frg.__dict__["from_elements"], classmethod)
     assert callable(isolat_module("cli").json.dumps)
+
+
+def test_the_so3_ambient_alias_is_the_type_of_the_so3_ambient():
+    # the tracer's pair hook counts lifts whose ambient is a lift.SO3Ambient:
+    # the SO(3) ambient a spec builds is one, the circle and finite ones not
+    cli, so3_type = isolat_module("cli"), isolat_module("lift").SO3Ambient
+    generators = [{"axis": [0, 0, 1], "angle_deg": 90}]
+    for group, is_so3 in (
+        ({"kind": "SO3"}, True),
+        ({"kind": "circle"}, False),
+        ({"kind": "finite", "generators": generators}, False),
+    ):
+        spec = cli.parse_spec(json.dumps({"group": group, "base_lattice": ["1"]}))
+        assert isinstance(spec.ambient, so3_type) is is_so3, group["kind"]

@@ -17,9 +17,9 @@ import pytest
 
 from isolat.adjoint import AnnClass, AnnIsotropy, Full3, Plane, Zero
 from isolat.catalog import (
+    FULL,
     ClassTag,
     CircleSub,
-    FiniteSub,
     FullSub,
     OrthCircleSub,
     canonical_rep,
@@ -28,14 +28,7 @@ from isolat.catalog import (
     trivial_group,
 )
 from isolat.cli import ProblemSpec
-from isolat.lift import (
-    AMBIENT_SO3,
-    CircleAmbient,
-    FiniteAmbient,
-    LiftResult,
-    LiftWitness,
-    SO3Ambient,
-)
+from isolat.lift import LiftResult, LiftWitness
 from isolat.oracle import ConcreteAction, SamplePlan
 from isolat.poset import IsotropyLattice, build_lattice
 from isolat.rotation import AxisAngle, FiniteRotationGroup, Rotation, close_group
@@ -53,15 +46,11 @@ def examples():
     return [
         (Rotation, (1.0, 0.0, 0.0, 0.0)),
         (AxisAngle, (Z, math.pi, 2)),
-        (FiniteRotationGroup, (d3.group.elements,)),
+        (FiniteRotationGroup, (d3.elements,)),
         (ClassTag, ("C", 3)),
-        (FiniteSub, (d3.group,)),
         (CircleSub, (Z,)),
         (OrthCircleSub, (Z, 0.5)),
         (FullSub, ()),
-        (SO3Ambient, ()),
-        (FiniteAmbient, (d3.group,)),
-        (CircleAmbient, ()),
         (LiftWitness, witness),
         (LiftResult, (lat, (LiftWitness(*witness),))),
         (Zero, ()),
@@ -69,10 +58,10 @@ def examples():
         (Full3, ()),
         (AnnClass, (c2, canonical_rep(c2))),
         (AnnIsotropy, (Zero(), (AnnClass(c2, canonical_rep(c2)),))),
-        (ConcreteAction, ("SO3_on_R3", "so3_r3", AMBIENT_SO3, None)),
+        (ConcreteAction, ("SO3_on_R3", "so3_r3", canonical_rep(FULL), None)),
         (SamplePlan, (0, 10, ((Z, Z),))),
         (IsotropyLattice, (lat.classes, lat.hasse, lat.unique_min)),
-        (ProblemSpec, (AMBIENT_SO3, lat.classes, None)),
+        (ProblemSpec, (canonical_rep(FULL), lat.classes, None)),
     ]
 
 
@@ -81,7 +70,7 @@ IDS = [cls.__name__ for cls, _ in EXAMPLES]
 
 
 def test_every_former_dataclass_is_covered():
-    assert len(EXAMPLES) == 22 and len(set(IDS)) == 22
+    assert len(EXAMPLES) == 18 and len(set(IDS)) == 18
 
 
 @pytest.mark.parametrize("cls,args", EXAMPLES, ids=IDS)
@@ -113,10 +102,8 @@ def test_values_of_different_classes_are_never_equal(cls, args):
 
 
 def test_field_free_and_same_field_classes_stay_apart():
-    assert len({Zero(), Full3(), FullSub(), SO3Ambient(), CircleAmbient()}) == 5
+    assert len({Zero(), Full3(), FullSub()}) == 3
     assert CircleSub(Z) != Plane(Z)
-    g = canonical_rep(cyclic(3)).group
-    assert FiniteSub(g) != FiniteAmbient(g)
 
 
 def test_unequal_fields_give_unequal_values():
@@ -129,9 +116,10 @@ def test_defaults_and_keywords():
     assert ClassTag("T").n is None
     assert OrthCircleSub(Z).flip_phase == 0.0
     assert OrthCircleSub(axis=Z) == OrthCircleSub(Z, 0.0)
-    action = ConcreteAction("SO3_on_R3", "so3_r3", AMBIENT_SO3)
+    so3 = canonical_rep(FULL)
+    action = ConcreteAction("SO3_on_R3", "so3_r3", so3)
     assert action.tag is None
-    assert ConcreteAction(name="SO3_on_R3", kind="so3_r3", ambient=AMBIENT_SO3, tag=None) == action
+    assert ConcreteAction(name="SO3_on_R3", kind="so3_r3", ambient=so3, tag=None) == action
     assert Rotation(w=2.0, x=0.0, y=0.0, z=0.0) == Rotation.identity()
 
 
@@ -183,7 +171,7 @@ def test_finite_groups_keep_their_own_equality_and_caches():
 
 def test_trivial_group_is_one_shared_instance():
     assert trivial_group() is trivial_group()
-    assert trivial_group() == FiniteSub(FiniteRotationGroup.from_elements([]))
+    assert trivial_group() == FiniteRotationGroup.from_elements([])
 
 
 # ---------------------------------------------------------------------------
