@@ -574,7 +574,10 @@ def _subgroups_cached(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]
     closure of its generator indices over F's Cayley table; a mask already
     found is skipped, so close_group runs once per new subgroup.  The stored
     group is still close_group's own result (whose floats decide the sort),
-    and it must have exactly the mask's elements.
+    and its elements must sit at distinct positions of F that are exactly
+    the mask's bits.  Each group keeps F and, as its id_set, the ids of F's
+    objects at those positions, so intersect meets F's own groups by
+    identity.
     """
     elements = F.elements
     mult = _cayley_table(F)
@@ -592,12 +595,14 @@ def _subgroups_cached(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]
         return mask
 
     def checked(S: FiniteRotationGroup, mask: int) -> FiniteRotationGroup:
-        keys = frozenset(elements[i].key() for i in range(len(F)) if mask >> i & 1)
-        if S.key_set != keys:
+        at = {F.index_of(r) for r in S}
+        if None in at or len(at) != len(S) or sum(1 << i for i in at) != mask:
             raise UnclassifiableGroup("closure disagrees with the parent's Cayley table")
+        S.__dict__["_parent"] = F  # keeps the ids below valid
+        S.__dict__["id_set"] = frozenset(id(elements[i]) for i in at)
         return S
 
-    found: dict[int, FiniteRotationGroup] = {1 << ident: FiniteRotationGroup.from_elements([])}
+    found = {1 << ident: checked(FiniteRotationGroup.from_elements([]), 1 << ident)}
     gens_of: dict[int, tuple[int, ...]] = {1 << ident: ()}
 
     for i, r in enumerate(elements):
@@ -687,11 +692,12 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
 
     When the intersection is a whole operand, that operand itself is
     returned (its stored class and line table come with it), not a copy.
-    Two finite operands are first compared by element identity: when every
-    element object of the smaller one is an element object of the other,
-    the smaller one is the intersection and no element is looked up.
+    Two finite operands are first compared by identity: when the smaller
+    one's id_set lies in the other's (every element matched by one of the
+    other's own objects), the smaller one is the intersection and no
+    element is looked up.
     """
-    if isinstance(A, FullSub):
+    if A is B or isinstance(A, FullSub):
         return B
     if isinstance(B, FullSub):
         return A
@@ -740,6 +746,8 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
 
 
 def subgroup_equal(A: ConcreteSubgroup, B: ConcreteSubgroup) -> bool:
+    if A is B:
+        return True
     if isinstance(A, FiniteRotationGroup) and isinstance(B, FiniteRotationGroup):
         return A == B
     if isinstance(A, CircleSub) and isinstance(B, CircleSub):

@@ -147,7 +147,8 @@ def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
     """The witnesses (K, h, h, K) of h over the entries K of ann_of(h).
 
     The embedding is h's position inside its own canonical representative:
-    equal to canonical_rep(h) as a set, but for T, O and I not bit for bit.
+    equal to canonical_rep(h) as a set, but for T, O and I not bit for bit
+    (those share canonical_rep(h)'s id_set).
     One tuple per catalog tag, so every lift returns the same objects.
     """
     E = embeddings_of_class_in(h, canonical_rep(h))[0]
@@ -176,10 +177,16 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     cache; what it reuses is data stored on the immutable groups themselves
     (classes, line tables, axis-line orbits, the annihilator entries that
     depend on the group alone), and intersect hands back a contained
-    operand instead of copying it.  When a k_rep is made of its embedding's
-    own element objects, intersect proves the containment by object
-    identity; any other pair takes its element lookup.
+    operand instead of copying it.  A lift's finite k_rep is made of
+    canonical_rep(h2)'s own element objects, and so is its finite
+    embedding, except for T, O and I, where the embedding is a subgroup
+    enumerated from canonical_rep(h2) whose id_set holds the ids of the
+    canonical objects it matches.  So intersect proves each finite
+    containment by object identity and looks up no element; a witness
+    built elsewhere takes the element lookup.  An O(2) ambient raises
+    ValueError, as in lifted_lattice.
     """
+    ambient_class(G)  # refuses an O(2) ambient
     anns: dict[ClassTag, AnnIsotropy] = {}
     base_classes = set(base.classes)
     witnessed = set()

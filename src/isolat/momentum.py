@@ -18,9 +18,9 @@ from the rule table, with no witness and no group built.
 
 from __future__ import annotations
 
-from .catalog import CircleSub, ConcreteSubgroup
+from .catalog import CIRCLE, ConcreteSubgroup
 from .errors import NotTotallyIsotropic
-from .lift import _validate_realizable, lifted_classes
+from .lift import _validate_realizable, ambient_class, lifted_classes
 from .poset import IsotropyLattice, build_lattice
 from .rotation import TOLERANCE, Vec3
 
@@ -30,9 +30,9 @@ def is_totally_isotropic(G: ConcreteSubgroup, mu) -> bool:
 
     For SO(3) only the origin qualifies.  The circle's coadjoint orbits are
     points, so every value does.  A finite group has a zero dual, so zero is
-    the only momentum value there is.
+    the only momentum value there is.  O(2) is not an ambient: ValueError.
     """
-    if isinstance(G, CircleSub):
+    if ambient_class(G) == CIRCLE:
         return True
     return _mu_is_zero(mu)
 

@@ -333,7 +333,12 @@ class FiniteRotationGroup(Value):
 
     @cached_property
     def id_set(self) -> frozenset:
-        """The id()s of the element objects, for containment by identity."""
+        """The id()s of objects equal to the elements, for containment by identity.
+
+        By default those of the element objects themselves.  A subgroup that
+        catalog.subgroups_of enumerates from a parent P holds instead the ids
+        of P's objects at its elements' positions, and keeps P alive.
+        """
         return frozenset(map(id, self.elements))
 
     @cached_property
@@ -376,6 +381,10 @@ class FiniteRotationGroup(Value):
 
     def __hash__(self) -> int:
         return hash(self.key_set)
+
+    def __reduce__(self):
+        # a copy rebuilds what it derives: ids do not carry over
+        return type(self), (self.elements,)
 
 
 def close_group(generators, cap: int = CLOSURE_CAP) -> FiniteRotationGroup:

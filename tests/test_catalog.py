@@ -1,12 +1,16 @@
 import collections
 import copy
+import gc
 import hashlib
 import math
+import pickle
 import random
+import weakref
 
 import pytest
 
 from isolat import catalog
+from isolat.adjoint import isotropy_on_ann
 from isolat.catalog import (
     CIRCLE,
     FULL,
@@ -732,6 +736,75 @@ def test_copies_mixed_with_own_objects_take_the_bucket_loop():
                 _check_against_the_reference(A, B)
                 _check_against_the_reference(B, A)
     assert checked > 500
+
+
+@pytest.fixture
+def fresh_subgroups():
+    """An empty subgroups_of cache, emptied again afterwards."""
+    catalog._subgroups_cached.cache_clear()
+    yield
+    catalog._subgroups_cached.cache_clear()
+
+
+def test_a_join_off_its_parent_position_is_unclassifiable(fresh_subgroups, monkeypatch):
+    # one element of the first join moves by about 5e-8: the same rounded key
+    # as its position in the parent, but outside TOLERANCE of it
+    P, real = canonical_rep(OCTA), catalog.close_group
+    nudge = Rotation.from_axis_angle((0.6, 0.0, 0.8), 1e-7)
+    moved = []
+
+    def nudged(gens, **kw):
+        J = real(gens, **kw)
+        for i, r in enumerate(J.elements):
+            s = compose(r, nudge)
+            if not moved and not r.is_identity() and s.key() == r.key() and not eq(s, r):
+                moved.append(s)
+                return FiniteRotationGroup.from_elements(J.elements[:i] + (s,) + J.elements[i + 1:])
+        return J
+
+    monkeypatch.setattr(catalog, "close_group", nudged)
+    with pytest.raises(UnclassifiableGroup):
+        subgroups_of(P)
+    assert moved and P.index_of(moved[0]) is None
+
+
+@pytest.mark.parametrize("t", [TETRA, OCTA, ICOSA], ids=lambda t: t.short())
+def test_enumerated_subgroups_of_the_exceptional_groups_meet_by_identity(t):
+    P = canonical_rep(t)
+    members = subgroups_of(P)
+    entries = [e.representative for e in isotropy_on_ann(P).classes]
+    for S in members:
+        assert S.id_set <= P.id_set
+        assert intersect(S, P) is S
+        for X in [P, *entries, *members]:
+            _check_against_the_reference(S, X)
+            _check_against_the_reference(X, S)
+
+
+def test_an_enumerated_subgroup_keeps_its_parent_alive(fresh_subgroups):
+    # a parent of new objects, equal to no group in the cache
+    P = FiniteRotationGroup.from_elements(copy.copy(r) for r in canonical_rep(ICOSA))
+    members = subgroups_of(P)
+    parent = weakref.ref(P)
+    del P
+    catalog._subgroups_cached.cache_clear()
+    gc.collect()
+    assert parent() is not None
+    # new objects may now take any id that was freed
+    others = [_twins(canonical_rep(s))[0] for s in (TETRA, dihedral(5), cyclic(3))]
+    for S in members:
+        for X in [parent(), canonical_rep(ICOSA), *others, *members[::7]]:
+            _check_against_the_reference(S, X)
+            _check_against_the_reference(X, S)
+
+
+def test_copies_of_an_enumerated_subgroup_hold_their_own_ids():
+    P = canonical_rep(OCTA)
+    S = next(S for S in subgroups_of(P) if len(S) == 8)
+    for clone in (copy.copy(S), copy.deepcopy(S), pickle.loads(pickle.dumps(S))):
+        assert clone == S and clone.id_set == frozenset(map(id, clone.elements))
+        _check_against_the_reference(clone, P)
+        _check_against_the_reference(clone, S)
 
 
 def test_every_group_shares_the_one_identity():

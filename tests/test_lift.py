@@ -1,6 +1,6 @@
 import pytest
 
-from isolat import lift
+from isolat import catalog, lift, rotation
 from isolat.adjoint import isotropy_on_ann
 from isolat.catalog import (
     CIRCLE,
@@ -186,6 +186,32 @@ def test_an_orth_circle_is_not_an_ambient(fn):
     mu = (0.0,) if fn is mu_lattice else ()
     with pytest.raises(ValueError, match="not a supported ambient"):
         fn(canonical_rep(ORTH_CIRCLE), lattice(["C2", "SO2", "O2"]), *mu)
+
+
+def test_witness_check_refuses_an_orth_circle_ambient():
+    b = lattice(["1", "SO2"])
+    res = lifted_lattice(canonical_rep(FULL), b)
+    with pytest.raises(ValueError, match="not a supported ambient"):
+        lift_witness_check(canonical_rep(ORTH_CIRCLE), b, res)
+
+
+@pytest.mark.parametrize(
+    "names", [["1", "T"], ["1", "O"], ["1", "I"], ["1", "C2", "D2", "T", "O", "I", "SO3"]],
+    ids=",".join,
+)
+def test_warm_witness_check_looks_up_no_element(names, monkeypatch):
+    # every witness pair of a lift meets by object identity, T, O and I too
+    catalog._subgroups_cached.cache_clear()
+    lift._diagonal_witnesses.cache_clear()
+    G, b = canonical_rep(FULL), lattice(names)
+    res = lifted_lattice(G, b)
+    assert lift_witness_check(G, b, res)
+    calls = []
+    for module in (catalog, rotation):
+        real = module.eq
+        monkeypatch.setattr(module, "eq", lambda a, b, real=real: calls.append(1) or real(a, b))
+    assert lift_witness_check(G, b, res)
+    assert calls == []
 
 
 def test_ambient_class_labels():

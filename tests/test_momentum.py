@@ -1,6 +1,6 @@
 import pytest
 
-from isolat.catalog import CIRCLE, FULL, TETRA, canonical_rep, parse_tag
+from isolat.catalog import CIRCLE, FULL, ORTH_CIRCLE, TETRA, canonical_rep, parse_tag
 from isolat.errors import ClassNotInLattice, NotRealizableInG, NotTotallyIsotropic
 from isolat.lift import lifted_lattice
 from isolat.momentum import (
@@ -34,6 +34,11 @@ def test_total_isotropy_rules():
     G = canonical_rep(TETRA)
     assert is_totally_isotropic(G, 0.0)
     assert not is_totally_isotropic(G, 1.0)
+
+
+def test_an_orth_circle_ambient_is_refused():
+    with pytest.raises(ValueError, match="not a supported ambient"):
+        is_totally_isotropic(canonical_rep(ORTH_CIRCLE), 1.5)
 
 
 @pytest.mark.parametrize(
