@@ -565,8 +565,7 @@ def _cayley_table(F: FiniteRotationGroup) -> list[list[int]]:
     return [[_index_in(F, compose(a, b)) for b in F] for a in F]
 
 
-@lru_cache(maxsize=None)
-def _subgroups_cached(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
+def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
     """Cyclic closures of F's elements, then pairwise joins to a fixpoint.
 
     A subgroup is tracked as an int bitmask over the indices of F.elements
@@ -650,13 +649,18 @@ def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
 
     Every subgroup is generated by its cyclic subgroups, so closing the set
     of cyclic closures under pairwise join is exhaustive.  The joins run on
-    F's Cayley table as bitmasks (see _subgroups_cached).
+    F's Cayley table as bitmasks (see _enumerate_subgroups).  The tuple is
+    stored on F itself, as classify_finite stores its tag: a group equal to
+    F but made of other objects enumerates its own subgroups.
     """
     if len(F) > SUBGROUPS_ORDER_CAP:
         raise ValueError(
             f"subgroup enumeration is limited to order {SUBGROUPS_ORDER_CAP}"
         )
-    return _subgroups_cached(F)
+    found = F.__dict__.get("_subgroups")
+    if found is None:
+        found = F.__dict__["_subgroups"] = _enumerate_subgroups(F)
+    return found
 
 
 # ---------------------------------------------------------------------------

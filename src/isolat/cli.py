@@ -109,6 +109,8 @@ def parse_spec(text: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"input is not valid JSON: {e}", "") from None
+    except RecursionError:
+        raise SchemaError("input is nested too deeply to parse", "") from None
     if not isinstance(doc, dict):
         raise SchemaError("the top level must be an object", "")
     for key in doc:
@@ -297,6 +299,69 @@ def witness_to_json(w: LiftWitness) -> dict:
     }
 
 
+# Witness text is rendered from the fields, as _lattice_text renders lattices:
+# the bytes json.dumps gives witness_to_json(w) with indent=2, at a witness's
+# depth in the lift document (an item of a list at four spaces).  Every float
+# is a round12 value, and json.dumps prints a finite float as its repr.
+
+
+def _floats_text(values, pad: str) -> str:
+    """A JSON list of floats whose closing bracket sits at indent pad."""
+    items = f",\n{pad}  ".join(map(repr, values))
+    return f"[\n{pad}  {items}\n{pad}]"
+
+
+def _rotation_text(rec: dict) -> str:
+    """A rotation_to_json record as an element of a witness group."""
+    axis = _floats_text(rec["axis"], "            ")
+    return f'{{\n            "axis": {axis},\n            "angle_deg": {rec["angle_deg"]!r}\n          }}'
+
+
+def _group_text(S: ConcreteSubgroup) -> str:
+    """subgroup_to_json(S) as the value of a witness's embedding or k_rep."""
+    members = []
+    for key, value in subgroup_to_json(S).items():
+        if key == "elements":
+            value = "[\n          " + ",\n          ".join(map(_rotation_text, value)) + "\n        ]"
+        elif key == "axis":
+            value = _floats_text(value, "        ")
+        elif isinstance(value, str):
+            value = f'"{value}"'
+        else:  # the order, or the flip phase
+            value = repr(value)
+        members.append(f'"{key}": {value}')
+    return "{\n        " + ",\n        ".join(members) + "\n      }"
+
+
+def _witness_texts(witnesses) -> list[str]:
+    """Each witness as JSON at its depth in the lift document.
+
+    A witness's text is rendered once and stored on the instance: witnesses
+    are immutable and lifted_lattice returns the same objects on every
+    call, as classify_finite stores its tag.  Equal witnesses may differ in
+    their float bits, so a text is never shared between instances.  The
+    witnesses still without text are rendered embedding by embedding, so
+    each embedding (and a k_rep that is the embedding itself) is rendered
+    once per call; a batch's group texts are dropped after it, and nothing
+    is stored on a group or a rotation.
+    """
+    batches: dict[int, list[LiftWitness]] = {}
+    for w in witnesses:
+        if "_json_text" not in w.__dict__:
+            batches.setdefault(id(w.embedding), []).append(w)
+    for batch in batches.values():
+        E = batch[0].embedding
+        embedding = _group_text(E)
+        for w in batch:
+            k_rep = embedding if w.k_rep is E else _group_text(w.k_rep)
+            w.__dict__["_json_text"] = (
+                f'{{\n      "class": "{w.lifted_class.short()}",\n      "h1": "{w.h1.short()}",\n'
+                f'      "h2": "{w.h2.short()}",\n      "k": "{w.k.short()}",\n'
+                f'      "embedding": {embedding},\n      "k_rep": {k_rep}\n    }}'
+            )
+    return [w.__dict__["_json_text"] for w in witnesses]
+
+
 def _subspace_to_json(sub) -> dict:
     if isinstance(sub, Zero):
         return {"type": "zero"}
@@ -383,31 +448,16 @@ def _cmd_lift(argv) -> int:
     if not a.no_witnesses:
         # reopen the object (cut its "\n}") and print the witness list as joined:
         # it runs to megabytes on large bases and is never copied into one string
-        witnesses = ",\n    ".join(_witness_text(w) for w in result.witnesses)
+        witnesses = ",\n    ".join(_witness_texts(result.witnesses))
         parts = [parts[0][:-2], ',\n  "witnesses": [\n    ', witnesses, "\n  ]\n}"]
     print(*parts, sep="")
     return 0
 
 
-def _witness_text(w: LiftWitness) -> str:
-    """w as JSON at its depth in the lift document, rendered once per object.
-
-    Witnesses are immutable and lifted_lattice returns the same objects on
-    every call, so the text is stored on the instance, as classify_finite
-    stores its tag.  Equal witnesses may differ in their float bits, so the
-    text is never shared between instances.
-    """
-    text = w.__dict__.get("_json_text")
-    if text is None:
-        text = json.dumps(witness_to_json(w), indent=2).replace("\n", "\n    ")
-        w.__dict__["_json_text"] = text
-    return text
-
-
 def _parse_mu(raw: str):
     try:
         mu = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
         raise ValidationError(
             "mu must be a finite JSON number or a list of three finite numbers", "mu"
         ) from None

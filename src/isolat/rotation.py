@@ -58,6 +58,12 @@ def vsub(a: Vec3, b: Vec3) -> Vec3:
 
 def normalize(v: Vec3) -> Vec3:
     n = norm(v)
+    if math.isinf(n):
+        # the squared norm overflowed: divide by the largest magnitude first.
+        # Only here, so every other vector keeps its bits.
+        m = max(map(abs, v))
+        v = (v[0] / m, v[1] / m, v[2] / m)
+        n = norm(v)
     if n <= TOLERANCE:
         raise ValueError("cannot normalize a near-zero vector")
     return (v[0] / n, v[1] / n, v[2] / n)
@@ -449,6 +455,9 @@ def is_finite_number(c) -> bool:
 def rotation_from_json(obj) -> Rotation:
     if not isinstance(obj, dict):
         raise ValueError("rotation record must be an object")
+    extra = set(obj) - {"axis", "angle_deg"}
+    if extra:
+        raise ValueError(f"unknown rotation field {sorted(extra)[0]!r}")
     axis = obj.get("axis")
     angle = obj.get("angle_deg")
     if (

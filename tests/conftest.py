@@ -28,3 +28,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for nodeid in sorted(_RESULTS):
         label, ok = _RESULTS[nodeid]
         terminalreporter.write_line(f"[{'PASS' if ok else 'FAIL'}] {label}")
+
+
+@pytest.fixture
+def fresh_subgroups():
+    """No subgroups_of enumeration stored on the T, O and I representatives,
+    before the test and after it (the enumeration is stored on its parent)."""
+    from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep
+
+    def drop():
+        for t in (TETRA, OCTA, ICOSA):
+            canonical_rep(t).__dict__.pop("_subgroups", None)
+
+    drop()
+    yield
+    drop()

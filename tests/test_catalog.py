@@ -738,14 +738,6 @@ def test_copies_mixed_with_own_objects_take_the_bucket_loop():
     assert checked > 500
 
 
-@pytest.fixture
-def fresh_subgroups():
-    """An empty subgroups_of cache, emptied again afterwards."""
-    catalog._subgroups_cached.cache_clear()
-    yield
-    catalog._subgroups_cached.cache_clear()
-
-
 def test_a_join_off_its_parent_position_is_unclassifiable(fresh_subgroups, monkeypatch):
     # one element of the first join moves by about 5e-8: the same rounded key
     # as its position in the parent, but outside TOLERANCE of it
@@ -781,13 +773,12 @@ def test_enumerated_subgroups_of_the_exceptional_groups_meet_by_identity(t):
             _check_against_the_reference(X, S)
 
 
-def test_an_enumerated_subgroup_keeps_its_parent_alive(fresh_subgroups):
-    # a parent of new objects, equal to no group in the cache
+def test_an_enumerated_subgroup_keeps_its_parent_alive():
+    # a parent of new objects; its enumeration is stored on it alone
     P = FiniteRotationGroup.from_elements(copy.copy(r) for r in canonical_rep(ICOSA))
     members = subgroups_of(P)
     parent = weakref.ref(P)
     del P
-    catalog._subgroups_cached.cache_clear()
     gc.collect()
     assert parent() is not None
     # new objects may now take any id that was freed
@@ -796,6 +787,20 @@ def test_an_enumerated_subgroup_keeps_its_parent_alive(fresh_subgroups):
         for X in [parent(), canonical_rep(ICOSA), *others, *members[::7]]:
             _check_against_the_reference(S, X)
             _check_against_the_reference(X, S)
+
+
+@pytest.mark.parametrize("t", [TETRA, OCTA, ICOSA], ids=lambda t: t.short())
+def test_a_twin_parent_enumerates_its_own_subgroups(t):
+    # equal to canonical_rep(t) but made of other objects: its subgroups are
+    # equal to the canonical ones, and hold the twin's ids, not P's
+    P = canonical_rep(t)
+    twin = _twins(P)[0]
+    own, theirs = subgroups_of(P), subgroups_of(twin)
+    assert theirs == own and theirs is not own
+    assert subgroups_of(twin) is theirs and subgroups_of(P) is own
+    for S in theirs:
+        assert S.id_set <= twin.id_set and not S.id_set & (P.id_set - twin.id_set)
+        assert intersect(S, twin) is S
 
 
 def test_copies_of_an_enumerated_subgroup_hold_their_own_ids():

@@ -118,6 +118,7 @@ def test_parse_spec_with_order_and_action():
         (finite_spec({"axis": [0, 0, 1], "angle_deg": math.nan}), "group.generators[0]"),
         (finite_spec({"axis": [0, 0, 1], "angle_deg": -math.inf}), "group.generators[0]"),
         (finite_spec({"axis": [10**400, 0, 1], "angle_deg": 90}), "group.generators[0]"),
+        (finite_spec({"axis": [0, 0, 1], "angle_deg": 90, "x": 1}), "group.generators[0]"),
     ],
 )
 def test_schema_errors(doc, path):
@@ -428,6 +429,43 @@ def test_mu_rejects_non_finite_value(tmp_path, capsys, value):
     assert rec["code"] == "validation" and rec["path"] == "mu"
 
 
+def test_an_overflowing_generator_axis_is_not_the_identity(tmp_path, capsys):
+    # [1e200, 1e200, 0] squares to inf; it is the quarter turn about [1, 1, 0]
+    big = parse_spec(spec_text(finite_spec({"axis": [1e200, 1e200, 0], "angle_deg": 90})))
+    unit = parse_spec(spec_text(finite_spec({"axis": [1, 1, 0], "angle_deg": 90})))
+    assert len(big.ambient) == 4 and big.ambient.elements == unit.ambient.elements
+    doc = finite_spec({"axis": [1e200, 1e200, 0], "angle_deg": 90})
+    doc["base_lattice"] = ["1", "C4"]
+    code, out, err = run(capsys, "lift", write_spec(tmp_path, doc))
+    assert code == 0 and err == ""
+    assert json.loads(out)["classes"] == ["1", "C4"]
+
+
+# json.loads raises RecursionError on such a nest, which used to escape as a
+# traceback
+DEEP_NEST = "[" * 100_000
+
+
+def deep_nest_error(*argv):
+    """The one error record of a fresh isolat.cli process that exits 2."""
+    proc = run_module(["-m", "isolat.cli", *argv])
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    return json.loads(proc.stderr)["error"]
+
+
+def test_a_deeply_nested_spec_is_a_schema_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_NEST)
+    assert deep_nest_error("lift", str(deep)) == {
+        "code": "schema", "path": "", "message": "input is nested too deeply to parse"
+    }
+
+
+def test_a_deeply_nested_mu_is_a_validation_error(tmp_path):
+    rec = deep_nest_error("mu", write_spec(tmp_path, SO3_SPEC), "--mu", DEEP_NEST)
+    assert rec["code"] == "validation" and rec["path"] == "mu"
+
+
 def test_lift_oversized_closure_record(tmp_path, capsys):
     path = write_spec(tmp_path, finite_spec({"axis": [0, 0, 1], "angle_deg": 1}))
     code, out, err = run(capsys, "lift", path)
@@ -721,17 +759,20 @@ _CACHES_AFTER = """
 import contextlib, io, json, sys
 from isolat import catalog, lift
 from isolat.cli import run_command
+enumerated = []
+real = catalog._enumerate_subgroups
+catalog._enumerate_subgroups = lambda F: enumerated.append(F) or real(F)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = run_command(sys.argv[1:])
-sizes = [f.cache_info().currsize for f in (lift.ann_of, catalog._subgroups_cached)]
+sizes = [lift.ann_of.cache_info().currsize, len(enumerated)]
 print(json.dumps({"code": code, "out": out.getvalue(), "sizes": sizes}))
 """
 
 
 def test_so3_requilibria_and_check_build_no_geometry(tmp_path):
     # both read the lifted lattice off the rule table: a fresh process ends
-    # with no annihilator isotropy and no subgroup enumeration cached
+    # with no annihilator isotropy cached and no subgroup enumeration run
     from isolat.lift import lifted_lattice
 
     base_tags = ["1", "C2", "D2", "T", "O", "I", "SO3"]

@@ -199,9 +199,8 @@ def test_witness_check_refuses_an_orth_circle_ambient():
     "names", [["1", "T"], ["1", "O"], ["1", "I"], ["1", "C2", "D2", "T", "O", "I", "SO3"]],
     ids=",".join,
 )
-def test_warm_witness_check_looks_up_no_element(names, monkeypatch):
+def test_warm_witness_check_looks_up_no_element(names, monkeypatch, fresh_subgroups):
     # every witness pair of a lift meets by object identity, T, O and I too
-    catalog._subgroups_cached.cache_clear()
     lift._diagonal_witnesses.cache_clear()
     G, b = canonical_rep(FULL), lattice(names)
     res = lifted_lattice(G, b)

@@ -1,22 +1,34 @@
 """The lift, requilibria and mu output is the text json.dumps would give.
 
-_cmd_lift renders each witness once and stores the text on the witness
-object, and all three commands render their classes and hasse members from
-fragments.  Here stdout is compared with a plain json.dumps of the whole
-document, on a cold memo, on a warm one, and for finite parents after an
-SO(3) lift whose witnesses compare equal to theirs but carry other floats.
+_cmd_lift renders each witness from its fields once and stores the text on
+the witness object, and all three commands render their classes and hasse
+members from fragments.  Here stdout is compared with a plain json.dumps of
+the whole document, on a cold memo, on a warm one, and for finite parents
+after an SO(3) lift whose witnesses compare equal to theirs but carry other
+floats; and each cold witness text with json.dumps of witness_to_json.
 """
 
+import collections
 import json
 
 import pytest
 
 import isolat.cli
-from isolat.catalog import CIRCLE, ICOSA, OCTA, TETRA, canonical_rep, parse_tag
+from isolat.catalog import (
+    CIRCLE,
+    FULL,
+    ICOSA,
+    OCTA,
+    TETRA,
+    canonical_rep,
+    is_subconjugate,
+    parse_tag,
+)
 from isolat.cli import (
     _document,
+    _group_text,
     _lattice_text,
-    _witness_text,
+    _witness_texts,
     lattice_to_json,
     parse_spec,
     run_command,
@@ -96,12 +108,29 @@ def test_lift_stdout_is_the_plain_json_dump(tmp_path, capsys, name, flags):
 
 def test_warm_lift_renders_no_witness_again(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "exceptional")
-    want = lift_stdout(capsys, path, ())
     calls = []
-    monkeypatch.setattr(isolat.cli, "witness_to_json", lambda w: calls.append(w))
+    monkeypatch.setattr(isolat.cli, "_group_text", lambda S: calls.append(S) or _group_text(S))
+    want = lift_stdout(capsys, path, ())
+    assert calls  # the cold lift renders through the patched function
+    calls.clear()
     assert lift_stdout(capsys, path, ()) == want
     assert lift_stdout(capsys, path, ("--cotangent",)).replace('"T*M"', '"TM"') == want
     assert calls == []
+
+
+def test_a_cold_lift_renders_each_embedding_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "all98")
+    calls = []
+    monkeypatch.setattr(isolat.cli, "_group_text", lambda S: calls.append(S) or _group_text(S))
+    lift_stdout(capsys, path, ())
+    spec = parse_spec(path.read_text())
+    ws = lifted_lattice(spec.ambient, build_lattice(spec.base_tags)).witnesses
+    embeddings = {id(w.embedding) for w in ws}
+    times = collections.Counter(map(id, calls))
+    assert all(times[e] == 1 for e in embeddings)
+    # most witnesses of this base take the embedding itself as k_rep
+    others = sum(w.k_rep is not w.embedding for w in ws)
+    assert len(calls) == len(embeddings) + others and others < len(ws) // 10
 
 
 def test_finite_parents_after_an_so3_lift(tmp_path, capsys):
@@ -119,9 +148,56 @@ def test_equal_witnesses_keep_their_own_bits(tag):
     (finite,) = lifted_lattice(parent, build_lattice([tag])).witnesses
     assert so3.embedding == canonical_rep(tag) and so3 == finite
     assert subgroup_to_json(so3.embedding) != subgroup_to_json(canonical_rep(tag))
-    assert _witness_text(so3) != _witness_text(finite)
-    assert _witness_text(finite) is _witness_text(finite)
-    assert json.loads(_witness_text(finite)) == witness_to_json(finite)
+    (so3_text,), (finite_text,) = _witness_texts([so3]), _witness_texts([finite])
+    assert so3_text != finite_text
+    assert _witness_texts([finite])[0] is finite_text  # stored on the witness
+    assert json.loads(finite_text) == witness_to_json(finite)
+
+
+def reference_text(w):
+    """The witness text of the json.dumps path, at its depth in the lift document."""
+    return json.dumps(witness_to_json(w), indent=2).replace("\n", "\n    ")
+
+
+ALL98 = BASES["all98"][1]
+CANDIDATES = ["1", "C2", "C3", "C4", "C5", "C6", "C7", "D2", "D3", "D4", "D5", "D6", "T", "O", "I"]
+AMBIENT_BASES = {
+    "SO3 all98 T O I": (FULL, ALL98 + ["T", "O", "I"]),
+    **{
+        s: (parse_tag(s), [c for c in CANDIDATES if is_subconjugate(parse_tag(c), parse_tag(s))])
+        for s in ("C6", "C7", "D5", "D6", "T", "O", "I")
+    },
+    "circle": (CIRCLE, ["1", "C2", "C3", "C6", "SO2"]),
+}
+
+
+@pytest.mark.parametrize("name", list(AMBIENT_BASES))
+def test_cold_witness_texts_are_the_json_dumps_texts(name):
+    ambient, names = AMBIENT_BASES[name]
+    result = lifted_lattice(canonical_rep(ambient), build_lattice(tags(*names)))
+    texts = _witness_texts(result.witnesses)
+    assert len(texts) == len(result.witnesses) == len(result.lifted.classes)
+    for w, text in zip(result.witnesses, texts):
+        assert text == reference_text(w), w.lifted_class.short()
+    kinds = {json.loads(t)[k]["type"] for t in texts for k in ("embedding", "k_rep")}
+    if ambient is FULL:
+        assert kinds == {"finite", "so2", "o2", "so3"}
+        assert any("e-17" in t for t in texts)  # noise floats print in exponent form
+    elif ambient is CIRCLE:
+        assert kinds == {"finite", "so2"}
+
+
+def test_a_lift_stores_no_text_on_rotations_or_groups(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"group": SO3, "base_lattice": ALL98 + ["T", "O", "I"]}))
+    lift_stdout(capsys, path, ())
+    spec = parse_spec(path.read_text())
+    ws = lifted_lattice(spec.ambient, build_lattice(spec.base_tags)).witnesses
+    assert all(isinstance(w.__dict__.get("_json_text"), str) for w in ws)
+    groups = {id(S): S for w in ws for S in (w.embedding, w.k_rep)}.values()
+    held = [*groups, *(r for S in groups if hasattr(S, "elements") for r in S)]
+    assert len(held) > 3000
+    assert not [x for x in held if any(isinstance(v, str) for v in x.__dict__.values())]
 
 
 def plain_dump(L, **members):
