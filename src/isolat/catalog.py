@@ -566,17 +566,18 @@ def _cayley_table(F: FiniteRotationGroup) -> list[list[int]]:
 
 
 def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
-    """Cyclic closures of F's elements, then pairwise joins to a fixpoint.
+    """Cyclic closures of F's elements, then one pass of their pairwise joins.
 
-    A subgroup is tracked as an int bitmask over the indices of F.elements
-    and by the element indices that generate it.  A join's mask is the
-    closure of its generator indices over F's Cayley table; a mask already
-    found is skipped, so close_group runs once per new subgroup.  The stored
-    group is still close_group's own result (whose floats decide the sort),
-    and its elements must sit at distinct positions of F that are exactly
-    the mask's bits.  Each group keeps F and, as its id_set, the ids of F's
-    objects at those positions, so intersect meets F's own groups by
-    identity.
+    Every finite subgroup of SO(3) is generated by at most two cyclic
+    subgroups (C_n by one, D_n by C_n and a half turn, T and I by a C2 and
+    a C3, O by a C3 and a C4), so one pass finds every subgroup of F.
+    Subgroups are int bitmasks over F.elements; a join's mask is the closure
+    of its generator indices over F's Cayley table, built first so that a
+    parent that is not a group raises UnclassifiableGroup.  close_group runs
+    once per new mask, and its result (whose floats decide the sort) must
+    sit at distinct positions of F that are exactly the mask's bits.  Each
+    group keeps F and, as its id_set, the ids of F's objects at those
+    positions, so intersect meets F's own groups by identity.
     """
     elements = F.elements
     mult = _cayley_table(F)
@@ -602,44 +603,27 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
         return S
 
     found = {1 << ident: checked(FiniteRotationGroup.from_elements([]), 1 << ident)}
-    gens_of: dict[int, tuple[int, ...]] = {1 << ident: ()}
-
+    gen_of: dict[int, int] = {}  # nontrivial cyclic mask -> index of a generator
     for i, r in enumerate(elements):
         if r.is_identity():
             continue
         mask = closure((i,))
         if mask not in found:
             found[mask] = checked(_cyclic_closure(r), mask)
-            gens_of[mask] = (i,)
+            gen_of[mask] = i
 
-    # Pairwise joins to a fixpoint.  Joins stay inside F, so the closure cap
-    # is |F|; a larger join means the inputs were not subgroups of F.
-    done: set[tuple[int, int]] = set()
-    while True:
-        items = sorted(
-            found, key=lambda m: (len(found[m]), tuple(sorted(found[m].key_set)))
-        )
-        progress = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                if (a, b) in done:
-                    continue
-                done.add((a, b))
-                if (a & b) in (a, b):  # one contains the other
-                    continue
-                gens = gens_of[a] + gens_of[b]
-                mask = closure(gens)
-                if mask in found:
-                    continue
+    cyclics = sorted(gen_of, key=lambda m: (len(found[m]), tuple(sorted(found[m].key_set))))
+    for i, a in enumerate(cyclics):
+        for b in cyclics[i + 1:]:
+            if (a & b) in (a, b):  # one contains the other
+                continue
+            gens = (gen_of[a], gen_of[b])
+            mask = closure(gens)
+            if mask not in found:
                 J = close_group([elements[k] for k in gens], cap=len(F) + 1)
                 if len(J) > len(F):
                     raise UnclassifiableGroup("join escaped the parent group")
                 found[mask] = checked(J, mask)
-                gens_of[mask] = gens
-                progress = True
-        if not progress:
-            break
 
     return tuple(sorted(found.values(), key=_subgroup_sort_key))
 
@@ -647,9 +631,8 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
 def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
     """All subgroups of F, deterministically ordered.
 
-    Every subgroup is generated by its cyclic subgroups, so closing the set
-    of cyclic closures under pairwise join is exhaustive.  The joins run on
-    F's Cayley table as bitmasks (see _enumerate_subgroups).  The tuple is
+    The cyclic closures and one pass of their pairwise joins, on F's Cayley
+    table as bitmasks (see _enumerate_subgroups).  The tuple is
     stored on F itself, as classify_finite stores its tag: a group equal to
     F but made of other objects enumerates its own subgroups.
     """

@@ -389,7 +389,7 @@ def _read_spec_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read spec file: {e}", "specfile") from None
 
 

@@ -10,9 +10,11 @@ diagonal E meet K = K, so the lifted classes are the labels of ann_of(h)
 over the base classes h.  Those labels follow from the class alone (the
 rule table catalog.ann_mask), so lifted_classes reads the lattice off the
 table and builds no group; lifted_lattice adds a witness (h, h, K) per
-class, from ann_of(h), and those witnesses depend on h alone and are built
-once per tag.  The cotangent lift and relative equilibria (momentum.py)
-realize the same lattice.
+class, from ann_of(h).  On the diagonal the position E of h in H2 is H2 =
+canonical_rep(h) itself, so no position is searched for (T, O and I still
+take an enumerated twin, see _diagonal_witnesses); the witnesses depend on
+h alone and are built once per tag.  The cotangent lift and relative
+equilibria (momentum.py) realize the same lattice.
 
 A finite ambient group has zero Lie algebra, so every annihilator is the
 zero space; the circle is abelian, so stabilizers act trivially on their
@@ -146,12 +148,14 @@ def ann_of(h: ClassTag) -> AnnIsotropy:
 def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
     """The witnesses (K, h, h, K) of h over the entries K of ann_of(h).
 
-    The embedding is h's position inside its own canonical representative:
-    equal to canonical_rep(h) as a set, but for T, O and I not bit for bit
-    (those share canonical_rep(h)'s id_set).
-    One tuple per catalog tag, so every lift returns the same objects.
+    The embedding is canonical_rep(h) itself, except for T, O and I: their
+    enumerated position is the same set (and id_set) with other float bits,
+    which their witness bytes carry.  One tuple per catalog tag, so every
+    lift returns the same objects.
     """
-    E = embeddings_of_class_in(h, canonical_rep(h))[0]
+    E = canonical_rep(h)
+    if h.kind in ("T", "O", "I"):  # ROADMAP item 1 deletes this branch
+        E = embeddings_of_class_in(h, E)[0]
     return tuple(
         LiftWitness(e.label, h, h, e.label, E, e.representative) for e in ann_of(h).classes
     )

@@ -288,6 +288,26 @@ def test_subgroups_of_is_bitwise_pinned(tag):
     assert h.hexdigest() == SUBGROUP_DIGESTS[tag]
 
 
+# One sha256 over the subgroups of T, O, I, C2..C36 and D2..D36, each parent
+# in turn and its subgroups in subgroups_of order: every subgroup's order,
+# its elements' float bits and the positions in the parent of the objects
+# its id_set names.  Recorded from the join fixpoint, before the
+# enumeration became one pass over pairs of cyclic subgroups.
+ENUMERATION_PARENTS = [TETRA, OCTA, ICOSA, *map(cyclic, range(2, 37)), *map(dihedral, range(2, 37))]
+ENUMERATION_DIGEST = "63a6a8fcd493d6b8e9ae11635038db8924e2c5adf09b5d48bf0c50c62da54954"
+
+
+def test_one_pass_of_cyclic_joins_enumerates_the_fixpoints_subgroups():
+    h = hashlib.sha256()
+    for p in ENUMERATION_PARENTS:
+        P = canonical_rep(p)
+        at = {id(r): i for i, r in enumerate(P.elements)}
+        for S in subgroups_of(P):
+            record = (len(S), [(r.w, r.x, r.y, r.z) for r in S], sorted(at[i] for i in S.id_set))
+            h.update(repr(record).encode())
+    assert h.hexdigest() == ENUMERATION_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # subconjugation
 

@@ -318,6 +318,16 @@ def test_lift_missing_file(capsys):
     assert rec["code"] == "validation" and rec["path"] == "specfile"
 
 
+def test_a_spec_file_that_is_not_utf8_names_the_specfile(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "lift", str(p))
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "validation" and rec["path"] == "specfile"
+    assert rec["message"].startswith("cannot read spec file: 'utf-8' codec")
+
+
 def test_lift_no_unique_minimum(tmp_path, capsys):
     path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["C2", "C3"]})
     code, _, err = run(capsys, "lift", path)

@@ -14,7 +14,10 @@ independent routes pin that down:
 
 import json
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +135,56 @@ def test_self_embedding_is_the_canonical_rep_as_a_set():
         for w in witnesses:
             assert w.embedding is witnesses[0].embedding
             assert subgroup_equal(w.embedding, canonical_rep(t)), t.short()
+            if t not in (TETRA, OCTA, ICOSA):
+                assert w.embedding is canonical_rep(t), t.short()
+
+
+COLD_LIFT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from isolat import catalog, lift
+from isolat.cli import run_command
+
+calls = []
+
+def counted(f):
+    def wrapper(*args, **kw):
+        calls.append(f.__name__)
+        return f(*args, **kw)
+    return wrapper
+
+catalog._enumerate_subgroups = counted(catalog._enumerate_subgroups)
+catalog.embeddings_of_class_in = counted(catalog.embeddings_of_class_in)
+lift.embeddings_of_class_in = counted(lift.embeddings_of_class_in)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"group": {"kind": "SO3"}, "base_lattice": sys.argv[3:]}, fh)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = run_command(["lift", sys.argv[2]])
+witnesses = [w for t in sys.argv[3:] for w in lift._diagonal_witnesses(catalog.parse_tag(t))]
+print(json.dumps({
+    "code": code,
+    "calls": calls,
+    "printed": out.getvalue().count('"embedding"'),
+    "witnesses": len(witnesses),
+    "own_rep": [w.embedding is catalog.canonical_rep(w.h1) for w in witnesses],
+}))
+"""
+
+
+def test_a_cold_lift_without_exceptional_classes_searches_no_position(tmp_path):
+    # a fresh process: no per-tag witness and no enumeration exists yet
+    base = ["1", "C2", "C3", "C4", "C6", "D2", "D3", "D4", "D6", "SO2", "O2", "SO3"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_LIFT, src, str(tmp_path / "spec.json"), *base],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["code"] == 0 and got["calls"] == []
+    lifted = lifted_classes(canonical_rep(FULL), build_lattice(map(parse_tag, base)))
+    assert got["printed"] == len(lifted.classes)
+    assert got["witnesses"] > got["printed"] and all(got["own_rep"])
 
 
 # ---------------------------------------------------------------------------
