@@ -12,6 +12,8 @@ the lifted-lattice construction and the symplectic corollaries.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .catalog import (
     CIRCLE,
     FULL,
@@ -31,7 +33,6 @@ from .catalog import (
 )
 from .rotation import (
     FiniteRotationGroup,
-    Rotation,
     Value,
     Vec3,
     apply,
@@ -115,21 +116,32 @@ def axis_line_orbits(
 
 def _line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
     # F is a group, so one pass of F over a line already sweeps out the
-    # line's whole orbit
+    # line's whole orbit.  The lines of one orbit share their axial order k,
+    # and an orbit holds at most |F|/k lines, so the pass stops once it has
+    # that many, or as many as there are unseen lines of order k.
     table = F.lines
+    unseen = Counter(len(on_line) + 1 for _, on_line in table.values())
     seen: set[tuple] = set()
     orbits: list[tuple[Vec3, int, FiniteRotationGroup]] = []
     for key, (d, on_line) in table.items():
         if key in seen:
             continue
+        k = len(on_line) + 1
+        size = min(len(F) // k, unseen[k])
         members: dict[tuple, Vec3] = {key: d}
         for g in F:
+            if len(members) == size:
+                break
             gd = canon_direction(apply(g, d))
             members.setdefault(line_key(gd), gd)
         seen.update(members)
+        unseen[k] -= len(members)
         rep = max(members.values())
-        axial = [Rotation.identity()] + [r for r, _ in table[line_key(rep)][1]]
-        orbits.append((rep, len(on_line) + 1, FiniteRotationGroup.from_elements(axial)))
+        rep_key = line_key(rep)
+        axial = FiniteRotationGroup.from_elements([r for r, _ in table[rep_key][1]])
+        # its one line is this entry: the same elements, in the same (key) order
+        axial.__dict__["lines"] = {rep_key: table[rep_key]}
+        orbits.append((rep, k, axial))
     orbits.sort(key=lambda item: (item[1], item[0]))
     return tuple(orbits)
 

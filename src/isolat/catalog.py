@@ -560,11 +560,6 @@ def _index_in(F: FiniteRotationGroup, r: Rotation) -> int:
     return k
 
 
-def _cayley_table(F: FiniteRotationGroup) -> list[list[int]]:
-    """mult[i][j] is the index of compose(F.elements[i], F.elements[j])."""
-    return [[_index_in(F, compose(a, b)) for b in F] for a in F]
-
-
 def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
     """Cyclic closures of F's elements, then one pass of their pairwise joins.
 
@@ -572,15 +567,19 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
     subgroups (C_n by one, D_n by C_n and a half turn, T and I by a C2 and
     a C3, O by a C3 and a C4), so one pass finds every subgroup of F.
     Subgroups are int bitmasks over F.elements; a join's mask is the closure
-    of its generator indices over F's Cayley table, built first so that a
-    parent that is not a group raises UnclassifiableGroup.  close_group runs
-    once per new mask, and its result (whose floats decide the sort) must
-    sit at distinct positions of F that are exactly the mask's bits.  Each
-    group keeps F and, as its id_set, the ids of F's objects at those
-    positions, so intersect meets F's own groups by identity.
+    of its generator indices over F's Cayley table, whose products are
+    looked up on first read.  A parent that is not a group still raises
+    UnclassifiableGroup: a power that escapes F does in its cyclic closure,
+    and if a product g·h escapes F while <g> and <h> lie in F, neither of
+    them contains the other, so the closure of their pair reaches g·h and
+    its lookup raises.  close_group runs once per new mask, and its result
+    (whose floats decide the sort) must sit at distinct positions of F that
+    are exactly the mask's bits.  Each group keeps F and, as its id_set, the
+    ids of F's objects at those positions, so intersect meets F's own groups
+    by identity.
     """
     elements = F.elements
-    mult = _cayley_table(F)
+    mult: list[list[int | None]] = [[None] * len(F) for _ in F]
     ident = F.index_of(Rotation.identity())
 
     def closure(gens: tuple[int, ...]) -> int:
@@ -589,6 +588,8 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
             i = stack.pop()
             for g in uniq:
                 k = mult[g][i]
+                if k is None:
+                    k = mult[g][i] = _index_in(F, compose(elements[g], elements[i]))
                 if not mask >> k & 1:
                     mask |= 1 << k
                     stack.append(k)
@@ -625,6 +626,8 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
                     raise UnclassifiableGroup("join escaped the parent group")
                 found[mask] = checked(J, mask)
 
+    # every product met lay in F, so F is a group, made of at most two cyclic subgroups
+    assert (1 << len(F)) - 1 in found
     return tuple(sorted(found.values(), key=_subgroup_sort_key))
 
 

@@ -260,12 +260,19 @@ def lattice_to_json(L: IsotropyLattice) -> dict:
 def _lattice_text(L: IsotropyLattice) -> str:
     """The "classes" and "hasse" members of an indent=2 JSON object holding L.
 
-    Byte for byte what json.dumps gives lattice_to_json(L), from per-tag fragments.
+    Byte for byte what json.dumps gives lattice_to_json(L), from per-tag
+    fragments.  The text is rendered once and stored on the instance, as a
+    witness's text is: lattices are immutable, take no stored data into
+    equality or hashing, and build_lattice returns the same instance for the
+    same class set, so a lattice seen again is not rendered again.
     """
-    classes = ",\n    ".join(f'"{t.short()}"' for t in L.classes)  # never empty: see build_lattice
-    hasse = ",\n    ".join(f"[\n      {i},\n      {j}\n    ]" for i, j in L.hasse)
-    hasse = f"[\n    {hasse}\n  ]" if hasse else "[]"
-    return f'"classes": [\n    {classes}\n  ],\n  "hasse": {hasse}'
+    text = L.__dict__.get("_json_text")
+    if text is None:
+        classes = ",\n    ".join(f'"{t.short()}"' for t in L.classes)  # never empty: see build_lattice
+        hasse = ",\n    ".join(f"[\n      {i},\n      {j}\n    ]" for i, j in L.hasse)
+        hasse = f"[\n    {hasse}\n  ]" if hasse else "[]"
+        text = L.__dict__["_json_text"] = f'"classes": [\n    {classes}\n  ],\n  "hasse": {hasse}'
+    return text
 
 
 def _member(key: str, value) -> str:
@@ -401,6 +408,12 @@ def _base_lattice(spec: ProblemSpec) -> IsotropyLattice:
         raise NoUniqueMinimum(str(e), "base_lattice") from None
 
 
+def _check_dot_path(path: str | None) -> None:
+    """Refuse an empty --dot path, which would otherwise write nothing."""
+    if path == "":
+        raise ValidationError("--dot needs a file name", "dot")
+
+
 def _write_dot(path: str, L: IsotropyLattice) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -434,6 +447,7 @@ def _lift_parser() -> argparse.ArgumentParser:
 
 def _cmd_lift(argv) -> int:
     a = _lift_parser().parse_args(argv)
+    _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
     base = _base_lattice(spec)
     compute = cotangent_lifted_lattice if a.cotangent else lifted_lattice
@@ -441,7 +455,7 @@ def _cmd_lift(argv) -> int:
     if not lift_witness_check(spec.ambient, base, result):
         _emit_error("witness-check", "", "internal witness recheck failed")
         return 3
-    if a.dot:
+    if a.dot is not None:
         _write_dot(a.dot, result.lifted)
     members = [_member("bundle", "T*M" if a.cotangent else "TM"), _lattice_text(result.lifted)]
     parts = [_document(members)]
@@ -522,10 +536,11 @@ def _requilibria_parser() -> argparse.ArgumentParser:
 
 def _cmd_requilibria(argv) -> int:
     a = _requilibria_parser().parse_args(argv)
+    _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
     base = _base_lattice(spec)
     L = relative_equilibria_lattice(spec.ambient, base)
-    if a.dot:
+    if a.dot is not None:
         _write_dot(a.dot, L)
     print(_document([_lattice_text(L)]))
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 
 from .catalog import ClassTag, below_mask, position_tags, tag_positions
@@ -17,6 +17,9 @@ class IsotropyLattice(Value):
     records whether a single minimum exists.  less, the strict pairs (i, j)
     with classes[i] < classes[j], is derived from classes on first read and
     stored on the instance, so it takes no part in equality or hashing.
+    build_lattice hands back one instance per class set (see
+    lattice_of_mask), so data derived from a lattice alone (less, the cli's
+    JSON text) is derived once per class set and process.
     """
 
     classes: tuple[ClassTag, ...]
@@ -77,13 +80,39 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
 
     Duplicates collapse.  With require_unique_min the poset must have exactly
     one minimal element, which is what a connected action guarantees for its
-    isotropy classes.
+    isotropy classes.  Equal class sets give the same instance: see
+    lattice_of_mask.
     """
     return lattice_of_mask(mask_of(classes), require_unique_min)
 
 
+# Lattices kept by lattice_of_mask.  A constant, not an option: it holds the
+# base and lifted lattices of a few hundred bases (the 401 bases of the bench
+# pool make 667 masks).  An entry of such a base costs about 1.5 KiB with its
+# cli text; the 205-class lattice of the whole catalog costs 56 KiB, and
+# 280 KiB once its less is read.
+LATTICE_CACHE_SIZE = 1024
+
+
 def lattice_of_mask(mask: int, require_unique_min: bool = True) -> IsotropyLattice:
-    """build_lattice for the classes at the set bits of mask (see mask_of)."""
+    """build_lattice for the classes at the set bits of mask (see mask_of).
+
+    The lattice is a function of mask alone, so the last LATTICE_CACHE_SIZE
+    lattices are kept: a class set seen again, with or without
+    require_unique_min, gets the same immutable instance back, and what is
+    stored on it (less, the cli's text) is reused.  The unique-minimum check
+    runs on every call, so a lattice without one raises on every call.
+    """
+    L = _lattice_of_mask(mask)
+    if require_unique_min and not L.unique_min:
+        covered = {j for _, j in L.hasse}
+        names = ", ".join(t.short() for j, t in enumerate(L.classes) if j not in covered)
+        raise NoUniqueMinimum(f"minimal classes are {names}, expected exactly one")
+    return L
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice_of_mask(mask: int) -> IsotropyLattice:
     if not mask:
         raise ValueError("a lattice needs at least one class")
     tags, at, down = _down_sets(mask)
@@ -97,12 +126,8 @@ def lattice_of_mask(mask: int, require_unique_min: bool = True) -> IsotropyLatti
             i = at[p]
             hasse.append((i, j))
             m &= ~(down[i] | 1 << p)
-    minimal = [i for i, m in enumerate(down) if not m]
-    unique_min = len(minimal) == 1
-    if require_unique_min and not unique_min:
-        names = ", ".join(tags[i].short() for i in minimal)
-        raise NoUniqueMinimum(f"minimal classes are {names}, expected exactly one")
     hasse.sort()
+    unique_min = sum(not m for m in down) == 1
     return IsotropyLattice(tuple(tags), tuple(hasse), unique_min)
 
 

@@ -38,6 +38,7 @@ from isolat.rotation import (
     axis_angle_of,
     canon_direction,
     compose,
+    line_key,
     norm,
     vsub,
 )
@@ -216,6 +217,33 @@ def test_axis_line_orbits_are_stored_per_instance():
         assert [(rep, k, axial.key_set) for rep, k, axial in fresh] == [
             (rep, k, axial.key_set) for rep, k, axial in orbits
         ], t.short()
+
+
+def _full_sweep_orbits(F):
+    """The former sweep of all of F over each new line, kept as a reference."""
+    seen, orbits = set(), []
+    for key, (d, on_line) in F.lines.items():
+        if key in seen:
+            continue
+        members = {key: d}
+        for g in F:
+            gd = canon_direction(apply(g, d))
+            members.setdefault(line_key(gd), gd)
+        seen.update(members)
+        rep = max(members.values())
+        orbits.append((rep, len(on_line) + 1, F.lines[line_key(rep)]))
+    return sorted(orbits, key=lambda item: (item[1], item[0]))
+
+
+def test_the_shortened_sweep_finds_the_full_sweeps_orbits():
+    for t in FINITE_CATALOG:
+        F = FiniteRotationGroup(canonical_rep(t).elements)  # a new instance sweeps afresh
+        got, want = axis_line_orbits(F), _full_sweep_orbits(F)
+        assert [(rep, k) for rep, k, _ in got] == [(rep, k) for rep, k, _ in want], t.short()
+        for (_, _, axial), (_, _, entry) in zip(got, want):
+            # the axial group holds its parent's line entry, which its own scan gives
+            assert list(axial.lines.values()) == [entry], t.short()
+            assert axial.lines == FiniteRotationGroup(axial.elements).lines, t.short()
 
 
 def _entry_keys(ai):

@@ -311,6 +311,15 @@ def test_failed_dot_write_prints_no_result(tmp_path, capsys, command):
     assert rec["code"] == "validation" and rec["path"] == "dot"
 
 
+@pytest.mark.parametrize("command", ["lift", "requilibria"])
+def test_an_empty_dot_path_is_a_validation_error(tmp_path, capsys, command):
+    path = write_spec(tmp_path, SO3_SPEC)
+    code, out, err = run(capsys, command, path, "--dot", "")
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec == {"code": "validation", "path": "dot", "message": "--dot needs a file name"}
+
+
 def test_lift_missing_file(capsys):
     code, _, err = run(capsys, "lift", "/nonexistent/spec.json")
     assert code == 2
@@ -802,3 +811,24 @@ def test_so3_requilibria_and_check_build_no_geometry(tmp_path):
     lifted = lifted_lattice(canonical_rep(FULL), build_lattice(map(parse_tag, SO3_SPEC["base_lattice"])))
     row = next(line for line in got["out"].splitlines() if line.startswith("lifted "))
     assert row.split()[1] == "predicted=" + ",".join(t.short() for t in lifted.lifted.classes)
+
+
+def test_a_repeated_lift_and_requilibria_build_and_render_no_lattice(tmp_path, capsys, monkeypatch):
+    # equal class sets share one lattice and its text is stored on it, so a
+    # second round over one spec builds no lattice and names no tag: neither
+    # a lattice's text nor a witness's is rendered again
+    from isolat import poset
+    from isolat.catalog import ClassTag
+
+    path = write_spec(
+        tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "C3", "D6", "SO2", "O2", "SO3"]}
+    )
+    argvs = [["lift", path], ["requilibria", path], ["lift", path, "--cotangent"]]
+    first = [run(capsys, *argv) for argv in argvs]
+    built, named = [], []
+    down_sets, short = poset._down_sets, ClassTag.short
+    monkeypatch.setattr(poset, "_down_sets", lambda mask: built.append(mask) or down_sets(mask))
+    monkeypatch.setattr(ClassTag, "short", lambda t: named.append(t) or short(t))
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert built == [] and named == []
+    assert first[0][0] == 0 and first[1][0] == 0

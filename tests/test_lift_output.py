@@ -37,7 +37,7 @@ from isolat.cli import (
 )
 from isolat.lift import _diagonal_witnesses, lifted_lattice
 from isolat.momentum import mu_lattice, relative_equilibria_lattice
-from isolat.poset import build_lattice
+from isolat.poset import IsotropyLattice, build_lattice
 
 
 def rot(axis, deg):
@@ -234,6 +234,15 @@ def test_lattice_text_of_one_class_and_of_several_minima():
     level = mu_lattice(canonical_rep(CIRCLE), base, 1.0)
     assert level.classes == tags("C2", "C3", "C6") and not level.unique_min
     assert _document([_lattice_text(level)]) == plain_dump(level)
+
+
+def test_a_stored_lattice_text_leaves_equality_and_hash_alone():
+    L = build_lattice(tags("1", "C2", "D2", "D4", "SO3"))
+    fresh = IsotropyLattice(L.classes, L.hasse, L.unique_min)
+    text = _lattice_text(L)
+    assert _lattice_text(L) is text and "_json_text" not in fresh.__dict__
+    assert L == fresh and hash(L) == hash(fresh) and repr(L) == repr(fresh)
+    assert _lattice_text(fresh) == text and _lattice_text(fresh) is not text
 
 
 @pytest.mark.parametrize("name", sorted(BASES))

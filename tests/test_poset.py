@@ -14,7 +14,8 @@ from isolat.catalog import (
     tag_positions,
 )
 from isolat.errors import ClassNotInLattice, NoUniqueMinimum
-from isolat.poset import build_lattice, compute_depths, up_set
+from isolat import poset
+from isolat.poset import IsotropyLattice, build_lattice, compute_depths, lattice_of_mask, mask_of, up_set
 
 
 def tags(*names):
@@ -54,6 +55,34 @@ def test_leq():
 def test_no_unique_minimum_raises():
     with pytest.raises(NoUniqueMinimum):
         build_lattice(tags("C2", "C3"))
+
+
+def test_a_set_without_a_unique_minimum_raises_on_every_call():
+    relaxed = build_lattice(tags("C2", "C3"), require_unique_min=False)
+    for _ in range(3):
+        with pytest.raises(NoUniqueMinimum, match="^minimal classes are C2, C3, expected exactly one$"):
+            build_lattice(tags("C3", "C2"))
+    assert build_lattice(tags("C2", "C3"), require_unique_min=False) is relaxed
+
+
+def test_equal_class_sets_share_one_lattice():
+    pool = tags("1", "C2", "C4", "D4", "SO2", "O2", "SO3")
+    L = build_lattice(pool)
+    assert build_lattice(pool) is L
+    assert build_lattice(pool[::-1] + pool[:2], require_unique_min=False) is L
+    assert lattice_of_mask(mask_of(pool)) is L
+
+
+def test_the_lattice_cache_is_bounded():
+    size = poset.LATTICE_CACHE_SIZE
+    assert poset._lattice_of_mask.cache_info().maxsize == size
+    first = lattice_of_mask(1)
+    assert lattice_of_mask(1) is first
+    for mask in range(2, size + 3):  # every nonzero mask is a set of classes
+        lattice_of_mask(mask, require_unique_min=False)
+    assert poset._lattice_of_mask.cache_info().currsize == size
+    again = lattice_of_mask(1)  # the oldest entry went first
+    assert again is not first and again == first
 
 
 def test_relaxed_minimum():
@@ -182,7 +211,8 @@ def test_build_lattice_matches_the_triple_loop():
 
 def test_less_is_derived_on_first_read():
     pool = tags("1", "C2", "C3", "C6", "D2", "D3", "D6", "T", "SO2", "O2", "SO3")
-    L, fresh = build_lattice(pool), build_lattice(pool)
+    L = build_lattice(pool)
+    fresh = IsotropyLattice(L.classes, L.hasse, L.unique_min)
     assert "less" not in L.__dict__ and "less" not in fresh.__dict__
     assert L.leq(TRIVIAL, FULL)
     assert "less" in L.__dict__ and "less" not in fresh.__dict__
