@@ -151,11 +151,15 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
 
     Class labels are conjugacy classes in the ambient SO(3); representatives
     are actual subgroups of H, one per class, at a fixed position.  The
-    entries that depend on the group alone (a finite group's trivial and
-    axial entries, the marked flip of O(2)) are built once and stored on the
-    group instance; each call returns a new AnnIsotropy whose last entry,
-    the class of H itself, is built on that call.
+    result depends on the group alone, so it is built once and stored on the
+    group instance, as axis_line_orbits is: every call on one instance
+    returns the same AnnIsotropy, whose finite axial entries are the stored
+    axial groups; a new instance over the same elements builds its own.
     """
+    return _stored(H, "_ann", _isotropy_on_ann)
+
+
+def _isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
     sub = ann_h(H)
     if isinstance(H, FullSub):
         return AnnIsotropy(sub, (AnnClass(FULL, FullSub()),))
@@ -163,15 +167,11 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
         # the circle rotates its orthogonal plane freely off the origin
         return AnnIsotropy(sub, (AnnClass(TRIVIAL, trivial_group()), AnnClass(CIRCLE, H)))
     if isinstance(H, OrthCircleSub):
-        return AnnIsotropy(sub, (_stored(H, "_ann_flip", _flip_entry), AnnClass(ORTH_CIRCLE, H)))
-    entries = _stored(H, "_ann_entries", _finite_entries)
-    return AnnIsotropy(sub, (*entries, AnnClass(g_class_of(H), H)))
-
-
-def _flip_entry(H: OrthCircleSub) -> AnnClass:
-    # a nonzero covector in the plane is fixed exactly by the half turn
-    # about its own line; the marked flip is the representative position
-    return AnnClass(cyclic(2), cyclic_group(2, in_plane_direction(H.axis, H.flip_phase)))
+        # a nonzero covector in the plane is fixed exactly by the half turn
+        # about its own line; the marked flip is the representative position
+        flip = cyclic_group(2, in_plane_direction(H.axis, H.flip_phase))
+        return AnnIsotropy(sub, (AnnClass(cyclic(2), flip), AnnClass(ORTH_CIRCLE, H)))
+    return AnnIsotropy(sub, (*_finite_entries(H), AnnClass(g_class_of(H), H)))
 
 
 def _finite_entries(F: FiniteRotationGroup) -> tuple[AnnClass, ...]:

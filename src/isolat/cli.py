@@ -508,7 +508,7 @@ def _cmd_mu(argv) -> int:
     except NotTotallyIsotropic as e:
         raise NotTotallyIsotropic(str(e), "mu") from None
     members = [_member("mu", mu), _lattice_text(level)]  # a tuple renders as a list
-    if a.closure:
+    if a.closure is not None:  # an empty tag fails to parse below
         try:
             t = parse_tag(a.closure)
         except ValueError as e:

@@ -42,7 +42,7 @@ from .catalog import (
     subgroup_equal,
 )
 from .errors import NotRealizableInG
-from .poset import IsotropyLattice, compute_depths, lattice_of_mask, mask_of
+from .poset import IsotropyLattice, compute_depths, lattice_of_mask
 from .rotation import Value
 
 # bench/tracing.py reads the SO(3) ambient's type under this name
@@ -92,14 +92,18 @@ def _validate_realizable(G: ConcreteSubgroup, tags) -> None:
 def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
     """The lifted classes as position bits, from the rule table alone.
 
-    Over SO(3) they are the union of ann_mask(h) over the base classes h; a
-    finite or circle ambient gives the base classes back.
+    Over SO(3) they are the union of ann_mask(h) over the base classes h,
+    stored on the base instance; a finite or circle ambient gives the base
+    classes back.
     """
     if not isinstance(G, FullSub):
-        return mask_of(base.classes)
-    mask = 0
-    for h in base.classes:
-        mask |= ann_mask(h)
+        return base.mask
+    mask = base.__dict__.get("_so3_mask")
+    if mask is None:
+        mask = 0
+        for h in base.classes:
+            mask |= ann_mask(h)
+        base.__dict__["_so3_mask"] = mask
     return mask
 
 
@@ -114,6 +118,8 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
 
     The lattice comes from lifted_classes; each class's witness is the first
     diagonal witness with that label, over the base classes in depth order.
+    Over SO(3) the witness tuple depends on the base alone: it is stored on
+    the base instance, so every lift of that instance returns the same tuple.
     """
     lifted = lifted_classes(G, base)
     if not isinstance(G, FullSub):
@@ -122,16 +128,18 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
             for t in lifted.classes
         )
         return LiftResult(lifted, witnesses)
-
-    depths = compute_depths(base)
-    found: dict[ClassTag, LiftWitness] = {}
-    for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
-        for w in _diagonal_witnesses(h):
-            found.setdefault(w.lifted_class, w)
-    # a table class without a witness, or a witnessed class the table lacks
-    # (listed last), fails lift_witness_check
-    witnesses = tuple(found.pop(t) for t in lifted.classes if t in found)
-    return LiftResult(lifted, witnesses + tuple(found.values()))
+    witnesses = base.__dict__.get("_so3_witnesses")
+    if witnesses is None:
+        depths = compute_depths(base)
+        found: dict[ClassTag, LiftWitness] = {}
+        for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
+            for w in _diagonal_witnesses(h):
+                found.setdefault(w.lifted_class, w)
+        # a table class without a witness, or a witnessed class the table lacks
+        # (listed last), fails lift_witness_check
+        witnesses = tuple(found.pop(t) for t in lifted.classes if t in found)
+        witnesses = base.__dict__["_so3_witnesses"] = witnesses + tuple(found.values())
+    return LiftResult(lifted, witnesses)
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +184,12 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     rule-table classes of the lift of base over G.  Every witness is compared
     on every call and no verdict is stored.  The lattice comes from the rule
     table and the witnesses from geometry, so the last test catches any
-    disagreement between the two.  The check rebuilds its own annihilator
-    isotropy, once per h2 within a call, and never reads the lift's ann_of
-    cache; what it reuses is data stored on the immutable groups themselves
-    (classes, line tables, axis-line orbits, the annihilator entries that
-    depend on the group alone), and intersect hands back a contained
+    disagreement between the two.  The check never reads the lift's ann_of
+    cache: it reads isotropy_on_ann(canonical_rep(h2)), once per h2 within a
+    call, the value stored on that group, whose entries are the objects a
+    lift's witnesses hold.  Other data it reuses is stored too: on the
+    immutable groups (classes, line tables, axis-line orbits) and on the
+    lattices (mask, the SO(3) table mask); intersect hands back a contained
     operand instead of copying it.  A lift's finite k_rep is made of
     canonical_rep(h2)'s own element objects, and so is its finite
     embedding, except for T, O and I, where the embedding is a subgroup
@@ -211,5 +220,5 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
         if g_class_of(intersect(w.embedding, w.k_rep)) != w.lifted_class:
             return False
         witnessed.add(w.lifted_class)
-    classes = result.lifted.classes
-    return witnessed == set(classes) and mask_of(classes) == _table_mask(G, base)
+    lifted = result.lifted
+    return witnessed == set(lifted.classes) and lifted.mask == _table_mask(G, base)

@@ -14,12 +14,13 @@ class IsotropyLattice(Value):
     """Classes sorted by tag_sort_key, Hasse diagram, and unique minimum.
 
     hasse holds the covering pairs (i, j) of indices, sorted; unique_min
-    records whether a single minimum exists.  less, the strict pairs (i, j)
-    with classes[i] < classes[j], is derived from classes on first read and
-    stored on the instance, so it takes no part in equality or hashing.
-    build_lattice hands back one instance per class set (see
-    lattice_of_mask), so data derived from a lattice alone (less, the cli's
-    JSON text) is derived once per class set and process.
+    records whether a single minimum exists.  mask (mask_of(classes)) and
+    less, the strict pairs (i, j) with classes[i] < classes[j], are derived
+    on first read and stored on the instance, so they take no part in
+    equality or hashing.  build_lattice hands back one instance per class set
+    (see lattice_of_mask), so data derived from a lattice alone (mask, less,
+    the SO(3) lift's table mask and witnesses, the cli's JSON text) is
+    derived once per class set and process.
     """
 
     classes: tuple[ClassTag, ...]
@@ -27,8 +28,12 @@ class IsotropyLattice(Value):
     unique_min: bool
 
     @cached_property
+    def mask(self) -> int:
+        return mask_of(self.classes)
+
+    @cached_property
     def less(self) -> frozenset:
-        _, at, down = _down_sets(mask_of(self.classes))
+        _, at, down = _down_sets(self.mask)
         pairs = []
         for j, m in enumerate(down):
             while m:

@@ -371,6 +371,14 @@ def test_mu_closure_outside_the_level_set_names_closure(tmp_path, capsys):
     assert "C7" in rec["message"]
 
 
+def test_an_empty_mu_closure_is_a_validation_error(tmp_path, capsys):
+    path = write_spec(tmp_path, SO3_SPEC)
+    code, out, err = run(capsys, "mu", path, "--mu", "0", "--closure", "")
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec == {"code": "validation", "path": "closure", "message": "cannot parse class tag ''"}
+
+
 def test_mu_zero_vector(tmp_path, capsys):
     path = write_spec(tmp_path, SO3_SPEC)
     code, out, _ = run(capsys, "mu", path, "--mu", "[0,0,0]")

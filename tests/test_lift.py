@@ -10,6 +10,9 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
+    CircleSub,
+    FullSub,
+    OrthCircleSub,
     canonical_rep,
     cyclic,
     dihedral,
@@ -27,7 +30,7 @@ from isolat.lift import (
     lifted_lattice,
 )
 from isolat.momentum import mu_lattice, relative_equilibria_lattice, zero_level_lattice
-from isolat.poset import build_lattice
+from isolat.poset import IsotropyLattice, build_lattice
 from isolat.rotation import FiniteRotationGroup
 
 
@@ -276,10 +279,24 @@ CATALOG = (
 )
 
 
+def new_instance(H):
+    """A new group object over the same data as H, with nothing stored on it."""
+    if isinstance(H, FiniteRotationGroup):
+        return FiniteRotationGroup(H.elements)
+    if isinstance(H, CircleSub):
+        return CircleSub(H.axis)
+    if isinstance(H, OrthCircleSub):
+        return OrthCircleSub(H.axis, H.flip_phase)
+    return FullSub()
+
+
 def test_ann_of_equals_fresh_isotropy_for_every_catalog_tag():
     for t in CATALOG:
-        cached, fresh = ann_of(t), isotropy_on_ann(canonical_rep(t))
-        assert cached is ann_of(t)
+        # isotropy_on_ann stores its value on the group: an independent build
+        # needs a new instance
+        H = canonical_rep(t)
+        cached, fresh = ann_of(t), isotropy_on_ann(new_instance(H))
+        assert cached is ann_of(t) and fresh is not cached
         assert [e.label for e in cached.classes] == [e.label for e in fresh.classes]
         assert all(
             subgroup_equal(a.representative, b.representative)
@@ -357,3 +374,41 @@ def test_tampered_witnesses_fail_on_every_call():
             assert not lift_witness_check(canonical_rep(FULL), b, bad), name
     # the lift still hands out the same, untouched witness objects
     assert all(x is y for x, y in zip(lifted_lattice(canonical_rep(FULL), b).witnesses, res.witnesses))
+
+
+def test_a_second_lift_of_one_base_returns_the_stored_witness_tuple():
+    b = lattice(["C2", "C4", "D2", "D4", "T", "O", "SO2", "O2", "SO3"])
+    first = lifted_lattice(canonical_rep(FULL), b)
+    assert lifted_lattice(canonical_rep(FULL), b).witnesses is first.witnesses
+    # a new instance over the same classes builds its own, equal tuple
+    other = IsotropyLattice(b.classes, b.hasse, b.unique_min)
+    assert other is not b
+    again = lifted_lattice(canonical_rep(FULL), other)
+    assert again.witnesses is not first.witnesses and again.witnesses == first.witnesses
+    assert lift_witness_check(canonical_rep(FULL), b, first)
+    assert lift_witness_check(canonical_rep(FULL), other, again)
+
+
+def test_a_warm_witness_check_intersects_every_witness_on_every_call(monkeypatch):
+    b = lattice(["C2", "C4", "D2", "D4", "T", "O", "SO2", "O2", "SO3"])
+    res = lifted_lattice(canonical_rep(FULL), b)
+    assert lift_witness_check(canonical_rep(FULL), b, res)
+    calls = []
+
+    def counted(a, k):
+        calls.append((a, k))
+        return catalog.intersect(a, k)
+
+    monkeypatch.setattr(lift, "intersect", counted)
+    for n in range(1, 4):
+        assert lift_witness_check(canonical_rep(FULL), b, lifted_lattice(canonical_rep(FULL), b))
+        assert calls == [(w.embedding, w.k_rep) for w in res.witnesses] * n
+
+
+def test_tampered_witnesses_fail_after_a_warm_lift_of_their_base():
+    b, res, also_valid, tampered = _d4_tampered_results()
+    warm = lifted_lattice(canonical_rep(FULL), b)
+    assert warm.witnesses is res.witnesses
+    assert lift_witness_check(canonical_rep(FULL), b, warm)
+    for name, bad in tampered.items():
+        assert not lift_witness_check(canonical_rep(FULL), b, bad), name

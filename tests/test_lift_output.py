@@ -14,6 +14,7 @@ import json
 import pytest
 
 import isolat.cli
+from isolat import poset
 from isolat.catalog import (
     CIRCLE,
     FULL,
@@ -70,8 +71,13 @@ FLAGS = [(), ("--cotangent",), ("--no-witnesses",)]
 
 @pytest.fixture(autouse=True)
 def fresh_witnesses():
-    """New witness objects, so the first lift in a test renders every text."""
+    """New witness objects, so the first lift in a test renders every text.
+
+    An SO(3) lift stores its witness tuple on the shared base lattice, so the
+    lattices go too.
+    """
     _diagonal_witnesses.cache_clear()
+    poset._lattice_of_mask.cache_clear()
 
 
 def write(tmp_path, name):
