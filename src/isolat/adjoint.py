@@ -38,6 +38,7 @@ from .rotation import (
     apply,
     canon_direction,
     line_key,
+    stored,
 )
 
 
@@ -85,19 +86,6 @@ def ann_h(H: ConcreteSubgroup) -> AnnSubspace:
     return _FULL3
 
 
-def _stored(owner: object, key: str, build):
-    """owner.__dict__[key], built as build(owner) on first read.
-
-    For data that depends on an immutable group alone, stored on the group
-    instance as classify_finite stores its tag; nothing is shared between
-    instances.
-    """
-    value = owner.__dict__.get(key)
-    if value is None:
-        value = owner.__dict__[key] = build(owner)
-    return value
-
-
 def axis_line_orbits(
     F: FiniteRotationGroup,
 ) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
@@ -111,7 +99,7 @@ def axis_line_orbits(
     swept once and keeps the same axial group objects; nothing is shared
     between instances.
     """
-    return _stored(F, "_line_orbits", _line_orbits)
+    return stored(F, "_line_orbits", _line_orbits)
 
 
 def _line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
@@ -156,7 +144,7 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
     returns the same AnnIsotropy, whose finite axial entries are the stored
     axial groups; a new instance over the same elements builds its own.
     """
-    return _stored(H, "_ann", _isotropy_on_ann)
+    return stored(H, "_ann", _isotropy_on_ann)
 
 
 def _isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:

@@ -43,7 +43,7 @@ from .catalog import (
 )
 from .errors import NotRealizableInG
 from .poset import IsotropyLattice, compute_depths, lattice_of_mask
-from .rotation import Value
+from .rotation import Value, stored
 
 # bench/tracing.py reads the SO(3) ambient's type under this name
 SO3Ambient = FullSub
@@ -92,18 +92,14 @@ def _validate_realizable(G: ConcreteSubgroup, tags) -> None:
 def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
     """The lifted classes as position bits, from the rule table alone.
 
-    Over SO(3) they are the union of ann_mask(h) over the base classes h,
-    stored on the base instance; a finite or circle ambient gives the base
-    classes back.
+    Over SO(3) they are the union of ann_mask(h) over the base classes h; a
+    finite or circle ambient gives the base classes back.
     """
     if not isinstance(G, FullSub):
         return base.mask
-    mask = base.__dict__.get("_so3_mask")
-    if mask is None:
-        mask = 0
-        for h in base.classes:
-            mask |= ann_mask(h)
-        base.__dict__["_so3_mask"] = mask
+    mask = 0
+    for h in base.classes:
+        mask |= ann_mask(h)
     return mask
 
 
@@ -128,26 +124,26 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
             for t in lifted.classes
         )
         return LiftResult(lifted, witnesses)
-    witnesses = base.__dict__.get("_so3_witnesses")
-    if witnesses is None:
-        depths = compute_depths(base)
-        found: dict[ClassTag, LiftWitness] = {}
-        for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
-            for w in _diagonal_witnesses(h):
-                found.setdefault(w.lifted_class, w)
-        # a table class without a witness, or a witnessed class the table lacks
-        # (listed last), fails lift_witness_check
-        witnesses = tuple(found.pop(t) for t in lifted.classes if t in found)
-        witnesses = base.__dict__["_so3_witnesses"] = witnesses + tuple(found.values())
-    return LiftResult(lifted, witnesses)
+    return LiftResult(lifted, stored(base, "_so3_witnesses", lambda b: _so3_witnesses(b, lifted)))
 
 
-@lru_cache(maxsize=None)
+def _so3_witnesses(base: IsotropyLattice, lifted: IsotropyLattice) -> tuple[LiftWitness, ...]:
+    depths = compute_depths(base)
+    found: dict[ClassTag, LiftWitness] = {}
+    for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
+        for w in _diagonal_witnesses(h):
+            found.setdefault(w.lifted_class, w)
+    # a table class without a witness, or a witnessed class the table lacks
+    # (listed last), fails lift_witness_check
+    return tuple(found.pop(t) for t in lifted.classes if t in found) + tuple(found.values())
+
+
 def ann_of(h: ClassTag) -> AnnIsotropy:
     """Isotropy of the canonical h representative on its annihilator.
 
-    K depends on h alone, so it is built once per class; the cache holds at
-    most one entry per catalog tag.
+    K depends on h alone: canonical_rep is one group per tag and
+    isotropy_on_ann stores its value on that group, so every call for one tag
+    returns the same object.
     """
     return isotropy_on_ann(canonical_rep(h))
 
@@ -184,20 +180,19 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     rule-table classes of the lift of base over G.  Every witness is compared
     on every call and no verdict is stored.  The lattice comes from the rule
     table and the witnesses from geometry, so the last test catches any
-    disagreement between the two.  The check never reads the lift's ann_of
-    cache: it reads isotropy_on_ann(canonical_rep(h2)), once per h2 within a
-    call, the value stored on that group, whose entries are the objects a
-    lift's witnesses hold.  Other data it reuses is stored too: on the
-    immutable groups (classes, line tables, axis-line orbits) and on the
-    lattices (mask, the SO(3) table mask); intersect hands back a contained
-    operand instead of copying it.  A lift's finite k_rep is made of
-    canonical_rep(h2)'s own element objects, and so is its finite
-    embedding, except for T, O and I, where the embedding is a subgroup
-    enumerated from canonical_rep(h2) whose id_set holds the ids of the
-    canonical objects it matches.  So intersect proves each finite
-    containment by object identity and looks up no element; a witness
-    built elsewhere takes the element lookup.  An O(2) ambient raises
-    ValueError, as in lifted_lattice.
+    disagreement between the two.  The check never calls the lift's ann_of:
+    it reads isotropy_on_ann(canonical_rep(h2)), once per h2 within a call,
+    the value stored on that group, whose entries are the objects a lift's
+    witnesses hold.  Other data it reuses is stored too: on the immutable
+    groups (classes, line tables, axis-line orbits) and on the lattices
+    (mask); intersect hands back a contained operand instead of copying it.
+    A lift's finite k_rep is made of canonical_rep(h2)'s own element
+    objects, and so is its finite embedding, except for T, O and I, where
+    the embedding is a subgroup enumerated from canonical_rep(h2) whose
+    id_set holds the ids of the canonical objects it matches.  So intersect
+    proves each finite containment by object identity and looks up no
+    element; a witness built elsewhere takes the element lookup.  An O(2)
+    ambient raises ValueError, as in lifted_lattice.
     """
     ambient_class(G)  # refuses an O(2) ambient
     anns: dict[ClassTag, AnnIsotropy] = {}

@@ -19,8 +19,8 @@ class IsotropyLattice(Value):
     on first read and stored on the instance, so they take no part in
     equality or hashing.  build_lattice hands back one instance per class set
     (see lattice_of_mask), so data derived from a lattice alone (mask, less,
-    the SO(3) lift's table mask and witnesses, the cli's JSON text) is
-    derived once per class set and process.
+    the SO(3) lift's witnesses, the cli's JSON text) is derived once per
+    class set and process.
     """
 
     classes: tuple[ClassTag, ...]

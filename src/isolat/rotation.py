@@ -138,6 +138,19 @@ class Value:
         return f"{type(self).__name__}{self._values()!r}"
 
 
+def stored(owner: object, key: str, build):
+    """owner.__dict__[key], built as build(owner) on first read.
+
+    For data that depends on an immutable instance alone (a group, a
+    lattice), stored on that instance as classify_finite stores its tag;
+    nothing is shared between instances.
+    """
+    value = owner.__dict__.get(key)
+    if value is None:
+        value = owner.__dict__[key] = build(owner)
+    return value
+
+
 class Rotation(Value):
     """Unit quaternion in canonical sign; construction normalizes the input."""
 

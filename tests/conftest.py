@@ -43,3 +43,14 @@ def fresh_subgroups():
     drop()
     yield
     drop()
+
+
+@pytest.fixture
+def fresh_lattices():
+    """No shared lattice, nor what is stored on one (the SO(3) lift's witness
+    tuple, the cli's text), carried into the test or out of it."""
+    from isolat import poset
+
+    poset._lattice_of_mask.cache_clear()
+    yield
+    poset._lattice_of_mask.cache_clear()

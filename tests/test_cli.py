@@ -763,19 +763,30 @@ def test_one_process_answers_like_fresh_ones(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("change", ["add", "drop"])
 @pytest.mark.parametrize("flags", [(), ("--no-witnesses",), ("--cotangent",)])
 def test_rule_table_and_witnesses_disagreeing_is_a_witness_check_error(
-    tmp_path, capsys, monkeypatch, change, flags
+    tmp_path, capsys, monkeypatch, fresh_lattices, change, flags
 ):
     # the lattice comes from the rule table and the witnesses from geometry:
     # a table class with no witness ("add") and a witnessed class the table
-    # lacks ("drop") both end in the recheck's coded error, with no output
+    # lacks ("drop") both end in the recheck's coded error, with no output.
+    # An SO(3) lift stores its witness tuple, ordered by the table, on the
+    # shared base lattice, so each case starts and ends without lattices.
     import isolat.lift as lift_module
     from isolat.catalog import ann_mask, cyclic, dihedral, tag_positions
 
     bit = 1 << tag_positions()[cyclic(7) if change == "add" else cyclic(4)]
     d4 = dihedral(4)
-    monkeypatch.setattr(lift_module, "ann_mask", lambda h: ann_mask(h) ^ bit if h is d4 else ann_mask(h))
+    tampered = []
+
+    def tampered_mask(h):
+        if h is d4:
+            tampered.append(h)
+            return ann_mask(h) ^ bit
+        return ann_mask(h)
+
+    monkeypatch.setattr(lift_module, "ann_mask", tampered_mask)
     path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "D4"]})
     code, out, err = run(capsys, "lift", path, *flags)
+    assert tampered  # the patched rule is what the lift read
     assert code == 3 and out == ""
     assert json.loads(err) == {
         "error": {"code": "witness-check", "path": "", "message": "internal witness recheck failed"}
@@ -784,22 +795,24 @@ def test_rule_table_and_witnesses_disagreeing_is_a_witness_check_error(
 
 _CACHES_AFTER = """
 import contextlib, io, json, sys
-from isolat import catalog, lift
+from isolat import adjoint, catalog
 from isolat.cli import run_command
-enumerated = []
+enumerated, built = [], []
 real = catalog._enumerate_subgroups
 catalog._enumerate_subgroups = lambda F: enumerated.append(F) or real(F)
+real_ann = adjoint._isotropy_on_ann
+adjoint._isotropy_on_ann = lambda H: built.append(H) or real_ann(H)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = run_command(sys.argv[1:])
-sizes = [lift.ann_of.cache_info().currsize, len(enumerated)]
+sizes = [len(built), len(enumerated)]
 print(json.dumps({"code": code, "out": out.getvalue(), "sizes": sizes}))
 """
 
 
 def test_so3_requilibria_and_check_build_no_geometry(tmp_path):
     # both read the lifted lattice off the rule table: a fresh process ends
-    # with no annihilator isotropy cached and no subgroup enumeration run
+    # with no annihilator isotropy built and no subgroup enumeration run
     from isolat.lift import lifted_lattice
 
     base_tags = ["1", "C2", "D2", "T", "O", "I", "SO3"]
