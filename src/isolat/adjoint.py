@@ -86,23 +86,14 @@ def ann_h(H: ConcreteSubgroup) -> AnnSubspace:
     return _FULL3
 
 
-def axis_line_orbits(
-    F: FiniteRotationGroup,
-) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
+def axis_line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
     """Orbits of F on its own rotation-axis lines.
 
     Each orbit yields (representative direction, axial order k, axial
     subgroup at the representative).  The representative is the
     lexicographically largest canonical direction in the orbit.  Orbits are
-    sorted by (k, representative).  The tuple is stored on F itself (groups
-    are immutable), as classify_finite stores its tag, so each instance is
-    swept once and keeps the same axial group objects; nothing is shared
-    between instances.
+    sorted by (k, representative).
     """
-    return stored(F, "_line_orbits", _line_orbits)
-
-
-def _line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
     # F is a group, so one pass of F over a line already sweeps out the
     # line's whole orbit.  The lines of one orbit share their axial order k,
     # and an orbit holds at most |F|/k lines, so the pass stops once it has
@@ -138,11 +129,7 @@ def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
     """Isotropy classes of H on the annihilator of its own algebra.
 
     Class labels are conjugacy classes in the ambient SO(3); representatives
-    are actual subgroups of H, one per class, at a fixed position.  The
-    result depends on the group alone, so it is built once and stored on the
-    group instance, as axis_line_orbits is: every call on one instance
-    returns the same AnnIsotropy, whose finite axial entries are the stored
-    axial groups; a new instance over the same elements builds its own.
+    are actual subgroups of H, one per class, at a fixed position.
     """
     return stored(H, "_ann", _isotropy_on_ann)
 

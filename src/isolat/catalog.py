@@ -34,9 +34,9 @@ from .rotation import (
     compose,
     cross,
     dot,
-    eq,
     line_key,
     normalize,
+    stored,
 )
 
 # Largest n admitted for C_n and D_n tags.
@@ -289,14 +289,9 @@ def classify_finite(F: FiniteRotationGroup) -> ClassTag:
     """Conjugacy class of a finite rotation group.
 
     The multiset of rotation-axis lines separates the finite subgroups of
-    SO(3) completely, so classification only inspects that.  The tag is
-    stored on F itself (groups are immutable), so each instance is
-    classified once; nothing is shared between instances.
+    SO(3) completely, so classification only inspects that.
     """
-    tag = F.__dict__.get("_class_tag")
-    if tag is None:
-        tag = F.__dict__["_class_tag"] = _classify(F)
-    return tag
+    return stored(F, "_class_tag", _classify)
 
 
 def _classify(F: FiniteRotationGroup) -> ClassTag:
@@ -621,10 +616,7 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
             gens = (gen_of[a], gen_of[b])
             mask = closure(gens)
             if mask not in found:
-                J = close_group([elements[k] for k in gens], cap=len(F) + 1)
-                if len(J) > len(F):
-                    raise UnclassifiableGroup("join escaped the parent group")
-                found[mask] = checked(J, mask)
+                found[mask] = checked(close_group([elements[k] for k in gens]), mask)
 
     # every product met lay in F, so F is a group, made of at most two cyclic subgroups
     assert (1 << len(F)) - 1 in found
@@ -635,18 +627,13 @@ def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
     """All subgroups of F, deterministically ordered.
 
     The cyclic closures and one pass of their pairwise joins, on F's Cayley
-    table as bitmasks (see _enumerate_subgroups).  The tuple is
-    stored on F itself, as classify_finite stores its tag: a group equal to
-    F but made of other objects enumerates its own subgroups.
+    table as bitmasks (see _enumerate_subgroups).
     """
     if len(F) > SUBGROUPS_ORDER_CAP:
         raise ValueError(
             f"subgroup enumeration is limited to order {SUBGROUPS_ORDER_CAP}"
         )
-    found = F.__dict__.get("_subgroups")
-    if found is None:
-        found = F.__dict__["_subgroups"] = _enumerate_subgroups(F)
-    return found
+    return stored(F, "_subgroups", _enumerate_subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -695,18 +682,9 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
         a_len = len(A) if isinstance(A, FiniteRotationGroup) else math.inf
         b_len = len(B) if isinstance(B, FiniteRotationGroup) else math.inf
         small, other = (A, B) if a_len <= b_len else (B, A)
-        if isinstance(other, FiniteRotationGroup):
-            if small.id_set <= other.id_set:
-                return small  # each element is one of other's own objects
-            # other.index_of, inlined
-            els, table, kept = other.elements, other._buckets, []
-            for r in small:
-                for i in table.get(r.key(), ()):
-                    if els[i] is r or eq(els[i], r):
-                        kept.append(r)
-                        break
-        else:
-            kept = [r for r in small if subgroup_contains(other, r)]
+        if isinstance(other, FiniteRotationGroup) and small.id_set <= other.id_set:
+            return small  # each element is one of other's own objects
+        kept = [r for r in small if subgroup_contains(other, r)]
         if len(kept) == len(small):
             return small
         return FiniteRotationGroup.from_elements(kept)

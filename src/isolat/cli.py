@@ -79,6 +79,7 @@ from .rotation import (
     rotation_from_json,
     rotation_to_json,
     round12,
+    stored,
 )
 
 _USAGE = """usage: isolat COMMAND ...
@@ -104,9 +105,19 @@ class ProblemSpec(Value):
 _TOP_KEYS = {"group", "base_lattice", "order", "action"}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is a schema error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise SchemaError(f"repeated key {key!r}", "")
+    return obj
+
+
 def parse_spec(text: str) -> ProblemSpec:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"input is not valid JSON: {e}", "") from None
     except RecursionError:
@@ -261,18 +272,16 @@ def _lattice_text(L: IsotropyLattice) -> str:
     """The "classes" and "hasse" members of an indent=2 JSON object holding L.
 
     Byte for byte what json.dumps gives lattice_to_json(L), from per-tag
-    fragments.  The text is rendered once and stored on the instance, as a
-    witness's text is: lattices are immutable, take no stored data into
-    equality or hashing, and build_lattice returns the same instance for the
-    same class set, so a lattice seen again is not rendered again.
+    fragments.
     """
-    text = L.__dict__.get("_json_text")
-    if text is None:
-        classes = ",\n    ".join(f'"{t.short()}"' for t in L.classes)  # never empty: see build_lattice
-        hasse = ",\n    ".join(f"[\n      {i},\n      {j}\n    ]" for i, j in L.hasse)
-        hasse = f"[\n    {hasse}\n  ]" if hasse else "[]"
-        text = L.__dict__["_json_text"] = f'"classes": [\n    {classes}\n  ],\n  "hasse": {hasse}'
-    return text
+    return stored(L, "_json_text", _render_lattice)
+
+
+def _render_lattice(L: IsotropyLattice) -> str:
+    classes = ",\n    ".join(f'"{t.short()}"' for t in L.classes)  # never empty: see build_lattice
+    hasse = ",\n    ".join(f"[\n      {i},\n      {j}\n    ]" for i, j in L.hasse)
+    hasse = f"[\n    {hasse}\n  ]" if hasse else "[]"
+    return f'"classes": [\n    {classes}\n  ],\n  "hasse": {hasse}'
 
 
 def _member(key: str, value) -> str:
@@ -343,30 +352,24 @@ def _group_text(S: ConcreteSubgroup) -> str:
 def _witness_texts(witnesses) -> list[str]:
     """Each witness as JSON at its depth in the lift document.
 
-    A witness's text is rendered once and stored on the instance: witnesses
-    are immutable and lifted_lattice returns the same objects on every
-    call, as classify_finite stores its tag.  Equal witnesses may differ in
-    their float bits, so a text is never shared between instances.  The
-    witnesses still without text are rendered embedding by embedding, so
-    each embedding (and a k_rep that is the embedding itself) is rendered
-    once per call; a batch's group texts are dropped after it, and nothing
-    is stored on a group or a rotation.
+    A group that several witnesses of the call hold, as an embedding or as a
+    k_rep, is rendered once per call; its text is not kept after the call.
     """
-    batches: dict[int, list[LiftWitness]] = {}
-    for w in witnesses:
-        if "_json_text" not in w.__dict__:
-            batches.setdefault(id(w.embedding), []).append(w)
-    for batch in batches.values():
-        E = batch[0].embedding
-        embedding = _group_text(E)
-        for w in batch:
-            k_rep = embedding if w.k_rep is E else _group_text(w.k_rep)
-            w.__dict__["_json_text"] = (
-                f'{{\n      "class": "{w.lifted_class.short()}",\n      "h1": "{w.h1.short()}",\n'
-                f'      "h2": "{w.h2.short()}",\n      "k": "{w.k.short()}",\n'
-                f'      "embedding": {embedding},\n      "k_rep": {k_rep}\n    }}'
-            )
-    return [w.__dict__["_json_text"] for w in witnesses]
+    groups: dict[int, str] = {}  # id of a group the witnesses keep alive -> its text
+
+    def group(S: ConcreteSubgroup) -> str:
+        if id(S) not in groups:
+            groups[id(S)] = _group_text(S)
+        return groups[id(S)]
+
+    def render(w: LiftWitness) -> str:
+        return (
+            f'{{\n      "class": "{w.lifted_class.short()}",\n      "h1": "{w.h1.short()}",\n'
+            f'      "h2": "{w.h2.short()}",\n      "k": "{w.k.short()}",\n'
+            f'      "embedding": {group(w.embedding)},\n      "k_rep": {group(w.k_rep)}\n    }}'
+        )
+
+    return [stored(w, "_json_text", render) for w in witnesses]
 
 
 def _subspace_to_json(sub) -> dict:

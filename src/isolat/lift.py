@@ -34,6 +34,7 @@ from .catalog import (
     FullSub,
     OrthCircleSub,
     ann_mask,
+    below_mask,
     canonical_rep,
     embeddings_of_class_in,
     g_class_of,
@@ -42,7 +43,7 @@ from .catalog import (
     subgroup_equal,
 )
 from .errors import NotRealizableInG
-from .poset import IsotropyLattice, compute_depths, lattice_of_mask
+from .poset import IsotropyLattice, compute_depths, lattice_of_mask, mask_of
 from .rotation import Value, stored
 
 # bench/tracing.py reads the SO(3) ambient's type under this name
@@ -61,10 +62,7 @@ class LiftWitness(Value):
 
     embedding is a concrete position of h1 inside the canonical h2
     representative; k_rep is the concrete linear-isotropy subgroup whose
-    intersection with the embedding lands in lifted_class.  Over SO(3),
-    lifted_lattice returns the same witness objects on every call (one tuple
-    per base tag), so data derived from one (the cli's JSON text) may be
-    stored on the instance.
+    intersection with the embedding lands in lifted_class.
     """
 
     lifted_class: ClassTag
@@ -80,13 +78,16 @@ class LiftResult(Value):
     witnesses: tuple[LiftWitness, ...]
 
 
-def _validate_realizable(G: ConcreteSubgroup, tags) -> None:
+def _validate_realizable(G: ConcreteSubgroup, base: IsotropyLattice) -> None:
+    """Refuse a base class that is not a subgroup class of the ambient.
+
+    One mask test; the class named is the first one outside, in the
+    lattice's (position) order.
+    """
     amb = ambient_class(G)
-    for t in tags:
-        if not is_subconjugate(t, amb):
-            raise NotRealizableInG(
-                f"{t.short()} is not a subgroup class of the ambient {amb.short()}"
-            )
+    if base.mask & ~(below_mask(amb) | mask_of([amb])):
+        t = next(t for t in base.classes if not is_subconjugate(t, amb))
+        raise NotRealizableInG(f"{t.short()} is not a subgroup class of the ambient {amb.short()}")
 
 
 def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
@@ -105,7 +106,7 @@ def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
 
 def lifted_classes(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
     """The lifted lattice from the rule table alone: no group is built."""
-    _validate_realizable(G, base.classes)
+    _validate_realizable(G, base)
     return lattice_of_mask(_table_mask(G, base))
 
 
@@ -114,8 +115,6 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
 
     The lattice comes from lifted_classes; each class's witness is the first
     diagonal witness with that label, over the base classes in depth order.
-    Over SO(3) the witness tuple depends on the base alone: it is stored on
-    the base instance, so every lift of that instance returns the same tuple.
     """
     lifted = lifted_classes(G, base)
     if not isinstance(G, FullSub):
@@ -139,12 +138,7 @@ def _so3_witnesses(base: IsotropyLattice, lifted: IsotropyLattice) -> tuple[Lift
 
 
 def ann_of(h: ClassTag) -> AnnIsotropy:
-    """Isotropy of the canonical h representative on its annihilator.
-
-    K depends on h alone: canonical_rep is one group per tag and
-    isotropy_on_ann stores its value on that group, so every call for one tag
-    returns the same object.
-    """
+    """Isotropy of the canonical h representative on its annihilator."""
     return isotropy_on_ann(canonical_rep(h))
 
 
@@ -180,22 +174,17 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     rule-table classes of the lift of base over G.  Every witness is compared
     on every call and no verdict is stored.  The lattice comes from the rule
     table and the witnesses from geometry, so the last test catches any
-    disagreement between the two.  The check never calls the lift's ann_of:
-    it reads isotropy_on_ann(canonical_rep(h2)), once per h2 within a call,
-    the value stored on that group, whose entries are the objects a lift's
-    witnesses hold.  Other data it reuses is stored too: on the immutable
-    groups (classes, line tables, axis-line orbits) and on the lattices
-    (mask); intersect hands back a contained operand instead of copying it.
-    A lift's finite k_rep is made of canonical_rep(h2)'s own element
-    objects, and so is its finite embedding, except for T, O and I, where
-    the embedding is a subgroup enumerated from canonical_rep(h2) whose
-    id_set holds the ids of the canonical objects it matches.  So intersect
-    proves each finite containment by object identity and looks up no
-    element; a witness built elsewhere takes the element lookup.  An O(2)
-    ambient raises ValueError, as in lifted_lattice.
+    disagreement between the two.  The check does not call the lift's ann_of
+    but reads isotropy_on_ann(canonical_rep(h2)) itself.  A lift's finite
+    k_rep is made of canonical_rep(h2)'s own element objects, and so is its
+    finite embedding, except for T, O and I, where the embedding is a
+    subgroup enumerated from canonical_rep(h2) whose id_set holds the ids of
+    the canonical objects it matches.  So intersect proves each finite
+    containment by object identity and looks up no element; a witness built
+    elsewhere takes the element lookup.  An O(2) ambient raises ValueError,
+    as in lifted_lattice.
     """
     ambient_class(G)  # refuses an O(2) ambient
-    anns: dict[ClassTag, AnnIsotropy] = {}
     base_classes = set(base.classes)
     witnessed = set()
     for w in result.witnesses:
@@ -203,11 +192,9 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
             return False
         if not is_subconjugate(w.h1, w.h2):
             return False
-        if w.h2 not in anns:
-            anns[w.h2] = isotropy_on_ann(canonical_rep(w.h2))
         if not any(
             entry.label == w.k and subgroup_equal(entry.representative, w.k_rep)
-            for entry in anns[w.h2].classes
+            for entry in isotropy_on_ann(canonical_rep(w.h2)).classes
         ):
             return False
         if g_class_of(w.embedding) != w.h1:

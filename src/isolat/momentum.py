@@ -52,7 +52,7 @@ def _mu_is_zero(mu) -> bool:
 
 def zero_level_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
     """Isotropy lattice on the zero momentum level set: the base lattice."""
-    _validate_realizable(G, base.classes)
+    _validate_realizable(G, base)
     return build_lattice(base.classes)
 
 
@@ -65,7 +65,7 @@ def mu_lattice(G: ConcreteSubgroup, base: IsotropyLattice, mu) -> IsotropyLattic
     isotropic value is automatic only when mu is zero.  The lattice's
     unique_min says whether a single minimal class is left.
     """
-    _validate_realizable(G, base.classes)
+    _validate_realizable(G, base)
     if not is_totally_isotropic(G, mu):
         raise NotTotallyIsotropic(
             "the level-set description applies to totally isotropic momentum "

@@ -141,9 +141,14 @@ class Value:
 def stored(owner: object, key: str, build):
     """owner.__dict__[key], built as build(owner) on first read.
 
-    For data that depends on an immutable instance alone (a group, a
-    lattice), stored on that instance as classify_finite stores its tag;
-    nothing is shared between instances.
+    The one way data derived from an immutable instance (a rotation, a group,
+    a lattice, a witness) is kept, other than a class's own cached_property:
+    the value is stored on that instance and read back from it.  Nothing is
+    shared between instances, not even equal ones: two equal groups may hold
+    other element objects, and two equal witnesses other float bits, so each
+    instance derives its own.  This is safe because the instance cannot
+    change, so the value cannot go stale, and stored data takes no part in
+    equality or hashing.  build must not return None.
     """
     value = owner.__dict__.get(key)
     if value is None:
@@ -188,16 +193,8 @@ class Rotation(Value):
         return Rotation(self.w, -self.x, -self.y, -self.z)
 
     def key(self) -> tuple[float, float, float, float]:
-        """Rounded lookup key, stored on the instance on the first call."""
-        k = self.__dict__.get("_key")
-        if k is None:
-            k = self.__dict__["_key"] = (
-                round(self.w, _KEY_DIGITS),
-                round(self.x, _KEY_DIGITS),
-                round(self.y, _KEY_DIGITS),
-                round(self.z, _KEY_DIGITS),
-            )
-        return k
+        """Rounded lookup key."""
+        return stored(self, "_key", _rounded_key)
 
     def is_identity(self) -> bool:
         return (
@@ -205,6 +202,11 @@ class Rotation(Value):
             and abs(self.y) <= TOLERANCE
             and abs(self.z) <= TOLERANCE
         )
+
+
+def _rounded_key(r: Rotation) -> tuple[float, float, float, float]:
+    d = _KEY_DIGITS
+    return (round(r.w, d), round(r.x, d), round(r.y, d), round(r.z, d))
 
 
 _IDENTITY = Rotation(1.0, 0.0, 0.0, 0.0)
@@ -319,7 +321,7 @@ class FiniteRotationGroup(Value):
     elements: tuple[Rotation, ...]
 
     @classmethod
-    def from_elements(cls, elements, cap: int = CLOSURE_CAP) -> "FiniteRotationGroup":
+    def from_elements(cls, elements) -> "FiniteRotationGroup":
         """Deduplicate, add the identity and sort by descending key.
 
         Each element's key() is computed once and serves the deduplication,
@@ -333,8 +335,8 @@ class FiniteRotationGroup(Value):
             hits = buckets.get(k)
             if hits is not None and any(eq(unique[i][1], r) for i in hits):
                 continue
-            if len(unique) >= cap:
-                raise GroupTooLarge(f"rotation set exceeds cap {cap}")
+            if len(unique) >= CLOSURE_CAP:
+                raise GroupTooLarge(f"rotation set exceeds cap {CLOSURE_CAP}")
             buckets.setdefault(k, []).append(len(unique))
             unique.append((k, r))
         unique.sort(key=lambda kr: (-kr[0][0], -kr[0][1], -kr[0][2], -kr[0][3]))
@@ -354,9 +356,8 @@ class FiniteRotationGroup(Value):
     def id_set(self) -> frozenset:
         """The id()s of objects equal to the elements, for containment by identity.
 
-        By default those of the element objects themselves.  A subgroup that
-        catalog.subgroups_of enumerates from a parent P holds instead the ids
-        of P's objects at its elements' positions, and keeps P alive.
+        Those of the element objects themselves, unless catalog.subgroups_of
+        sets them at construction (see _enumerate_subgroups).
         """
         return frozenset(map(id, self.elements))
 
@@ -406,13 +407,13 @@ class FiniteRotationGroup(Value):
         return type(self), (self.elements,)
 
 
-def close_group(generators, cap: int = CLOSURE_CAP) -> FiniteRotationGroup:
+def close_group(generators) -> FiniteRotationGroup:
     """Multiplicative closure of the generators plus the identity.
 
     Breadth-first boundary multiplication; duplicates are detected with the
     rounded-coordinate lookup confirmed by eq.  Raises GroupTooLarge when the
-    closure would exceed cap, which is also how generators of effectively
-    infinite order surface.
+    closure would exceed CLOSURE_CAP, which is also how generators of
+    effectively infinite order surface.
     """
     ident = Rotation.identity()
     els: list[Rotation] = [ident]
@@ -423,8 +424,8 @@ def close_group(generators, cap: int = CLOSURE_CAP) -> FiniteRotationGroup:
         return bool(hits) and any(eq(els[i], r) for i in hits)
 
     def add(r: Rotation) -> None:
-        if len(els) >= cap:
-            raise GroupTooLarge(f"closure exceeds cap {cap}")
+        if len(els) >= CLOSURE_CAP:
+            raise GroupTooLarge(f"closure exceeds cap {CLOSURE_CAP}")
         buckets.setdefault(r.key(), []).append(len(els))
         els.append(r)
 
@@ -443,7 +444,7 @@ def close_group(generators, cap: int = CLOSURE_CAP) -> FiniteRotationGroup:
                     add(c)
                     fresh.append(c)
         frontier = fresh
-    return FiniteRotationGroup.from_elements(els, cap=cap)
+    return FiniteRotationGroup.from_elements(els)
 
 
 def rotation_to_json(r: Rotation) -> dict:

@@ -206,17 +206,18 @@ FINITE_CATALOG = (
 )
 
 
+def _orbit_keys(orbits):
+    return [(rep, k, axial.key_set) for rep, k, axial in orbits]
+
+
 def test_axis_line_orbits_are_stored_per_instance():
+    # the orbits are not stored themselves: isotropy_on_ann, their reader, is
     for t in FINITE_CATALOG:
         F = canonical_rep(t)
-        orbits = axis_line_orbits(F)
-        assert isinstance(orbits, tuple)
-        assert axis_line_orbits(F) is orbits, t.short()
-        # a new instance over the same elements sweeps its orbits afresh
-        fresh = axis_line_orbits(FiniteRotationGroup(F.elements))
-        assert [(rep, k, axial.key_set) for rep, k, axial in fresh] == [
-            (rep, k, axial.key_set) for rep, k, axial in orbits
-        ], t.short()
+        orbits = _orbit_keys(axis_line_orbits(F))
+        assert _orbit_keys(axis_line_orbits(F)) == orbits, t.short()
+        # a new instance over the same elements sweeps the same orbits
+        assert _orbit_keys(axis_line_orbits(FiniteRotationGroup(F.elements))) == orbits, t.short()
 
 
 def _full_sweep_orbits(F):
@@ -253,13 +254,13 @@ def _entry_keys(ai):
 def test_isotropy_on_ann_reuses_the_stored_axial_groups():
     for t in FINITE_CATALOG:
         H = canonical_rep(t)
-        axial = {id(a) for _, _, a in axis_line_orbits(H)}
+        axial = {a.key_set for _, _, a in axis_line_orbits(H)}
         first, again = isotropy_on_ann(H), isotropy_on_ann(H)
         # the whole value is stored on the group
         assert first is again, t.short()
         for a in first.classes[:-1]:
             if a.label is not TRIVIAL:
-                assert id(a.representative) in axial, t.short()
+                assert a.representative.key_set in axial, t.short()
         # a new instance over the same elements builds its own, equal entries
         fresh = isotropy_on_ann(FiniteRotationGroup(H.elements))
         assert fresh == first, t.short()

@@ -352,6 +352,23 @@ def test_lift_schema_error_record(tmp_path, capsys):
     assert rec["code"] == "schema" and rec["path"] == "x" and rec["message"]
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"group": {"kind": "SO3"}, "base_lattice": ["1", "SO3"], "base_lattice": ["1"]}', "base_lattice"),
+        ('{"group": {"kind": "circle", "kind": "SO3"}, "base_lattice": ["1"]}', "kind"),
+    ],
+)
+@pytest.mark.parametrize("command", [["lift"], ["requilibria"], ["mu", "--mu", "0"]])
+def test_a_repeated_key_is_a_schema_error(tmp_path, capsys, text, key, command):
+    # json.loads alone keeps the last value of a repeated key
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "schema", "path": "", "message": f"repeated key {key!r}"}
+
+
 def test_mu_command(tmp_path, capsys):
     path = write_spec(tmp_path, CIRCLE_SPEC)
     code, out, _ = run(capsys, "mu", path, "--mu", "1", "--closure", "C2")

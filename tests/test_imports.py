@@ -100,3 +100,55 @@ def test_the_oracle_imports_no_lattice_engine_module():
     # with it: no lift, adjoint, poset or momentum code
     source = (SRC / "oracle.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"catalog", "errors", "rotation"}
+
+
+def dict_reads(source: str) -> list[str]:
+    """Where a module reads an instance's __dict__ for stored data.
+
+    A read is X.__dict__.get(...) or .setdefault(...), a test key in
+    X.__dict__, or a load of X.__dict__[...].  Writes (a value set at
+    construction) are not reads.  Returns "function:line" for each read
+    outside a function named stored.
+    """
+    def is_dict(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    found = []
+
+    def visit(node, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        read = (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "setdefault")
+            and is_dict(node.func.value)
+        ) or (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+            and any(is_dict(c) for c in node.comparators)
+        ) or (
+            isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and is_dict(node.value)
+        )
+        if read and func != "stored":
+            found.append(f"{func}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_a_hand_rolled_store():
+    src = (
+        "def stored(o, k, b):\n    v = o.__dict__.get(k)\n    o.__dict__[k] = v\n"
+        "def a(F):\n    F.__dict__['x'] = 1\n    return F.__dict__.get('t')\n"
+        "def b(F):\n    return 't' not in F.__dict__ or F.__dict__['t']\n"
+    )
+    assert dict_reads(src) == ["a:6", "b:8", "b:8"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_stored_reads_a_dict_for_stored_data(path):
+    # derived data is kept through rotation.stored or a cached_property
+    assert dict_reads(path.read_text(encoding="utf-8")) == []
