@@ -7,7 +7,7 @@ momentum level sets and the classes realized by relative equilibria.  A
 brute-force oracle over concrete actions cross-checks the predictions.
 """
 
-from .adjoint import AnnClass, AnnIsotropy, Full3, Plane, Zero, ann_h, isotropy_on_ann
+from .adjoint import isotropy_on_ann
 from .catalog import (
     CIRCLE,
     FULL,
@@ -56,7 +56,6 @@ from .lift import (
     LiftResult,
     LiftWitness,
     ambient_class,
-    cotangent_lifted_lattice,
     lift_witness_check,
     lifted_classes,
     lifted_lattice,

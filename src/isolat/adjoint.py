@@ -5,9 +5,9 @@ R^3 carrying the standard rotation action.  The annihilator of the algebra
 of H is then: the zero subspace for H = SO(3), the plane orthogonal to the
 axis for the circle groups, and all of R^3 for finite H.
 
-isotropy_on_ann computes the isotropy classes of H acting on that subspace,
-together with one concrete stabilizer subgroup per class.  These pairs drive
-the lifted-lattice construction and the symplectic corollaries.
+isotropy_on_ann computes one concrete stabilizer subgroup of H per isotropy
+class on that subspace.  These subgroups drive the lifted-lattice
+construction and the symplectic corollaries.
 """
 
 from __future__ import annotations
@@ -15,75 +15,22 @@ from __future__ import annotations
 from collections import Counter
 
 from .catalog import (
-    CIRCLE,
-    FULL,
-    ORTH_CIRCLE,
-    TRIVIAL,
     CircleSub,
-    ClassTag,
     ConcreteSubgroup,
     FullSub,
     OrthCircleSub,
-    classify_finite,
-    cyclic,
     cyclic_group,
-    g_class_of,
     in_plane_direction,
     trivial_group,
 )
 from .rotation import (
     FiniteRotationGroup,
-    Value,
     Vec3,
     apply,
     canon_direction,
     line_key,
     stored,
 )
-
-
-class Zero(Value):
-    pass
-
-
-class Plane(Value):
-    """Plane through the origin orthogonal to axis."""
-
-    axis: Vec3
-
-    def __post_init__(self):
-        self.__dict__["axis"] = canon_direction(self.axis)
-
-
-class Full3(Value):
-    pass
-
-
-AnnSubspace = Zero | Plane | Full3
-
-
-class AnnClass(Value):
-    """One isotropy class on the annihilator with a concrete witness."""
-
-    label: ClassTag
-    representative: ConcreteSubgroup
-
-
-class AnnIsotropy(Value):
-    subspace: AnnSubspace
-    classes: tuple[AnnClass, ...]
-
-
-_ZERO = Zero()
-_FULL3 = Full3()
-
-
-def ann_h(H: ConcreteSubgroup) -> AnnSubspace:
-    if isinstance(H, FullSub):
-        return _ZERO
-    if isinstance(H, (CircleSub, OrthCircleSub)):
-        return Plane(H.axis)
-    return _FULL3
 
 
 def axis_line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:
@@ -125,37 +72,31 @@ def axis_line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRot
     return tuple(orbits)
 
 
-def isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
-    """Isotropy classes of H on the annihilator of its own algebra.
+def isotropy_on_ann(H: ConcreteSubgroup) -> tuple[ConcreteSubgroup, ...]:
+    """Stabilizer subgroups of H on the annihilator of its own algebra.
 
-    Class labels are conjugacy classes in the ambient SO(3); representatives
-    are actual subgroups of H, one per class, at a fixed position.
+    Actual subgroups of H at fixed positions, one per orbit type, the last
+    being H itself (the stabilizer of the origin); a class may repeat at
+    another position (D4 has two orbits of C2 axes).  An entry's class in
+    the ambient SO(3) is g_class_of of the entry.
     """
     return stored(H, "_ann", _isotropy_on_ann)
 
 
-def _isotropy_on_ann(H: ConcreteSubgroup) -> AnnIsotropy:
-    sub = ann_h(H)
+def _isotropy_on_ann(H: ConcreteSubgroup) -> tuple[ConcreteSubgroup, ...]:
     if isinstance(H, FullSub):
-        return AnnIsotropy(sub, (AnnClass(FULL, FullSub()),))
+        return (H,)
     if isinstance(H, CircleSub):
         # the circle rotates its orthogonal plane freely off the origin
-        return AnnIsotropy(sub, (AnnClass(TRIVIAL, trivial_group()), AnnClass(CIRCLE, H)))
+        return (trivial_group(), H)
     if isinstance(H, OrthCircleSub):
         # a nonzero covector in the plane is fixed exactly by the half turn
-        # about its own line; the marked flip is the representative position
-        flip = cyclic_group(2, in_plane_direction(H.axis, H.flip_phase))
-        return AnnIsotropy(sub, (AnnClass(cyclic(2), flip), AnnClass(ORTH_CIRCLE, H)))
-    return AnnIsotropy(sub, (*_finite_entries(H), AnnClass(g_class_of(H), H)))
-
-
-def _finite_entries(F: FiniteRotationGroup) -> tuple[AnnClass, ...]:
-    entries: list[AnnClass] = []
-    if len(F) > 1:
-        entries.append(AnnClass(TRIVIAL, trivial_group()))
-    for _, k, axial in axis_line_orbits(F):
-        # an axial group of order |F| is F itself (it lies inside F): it
+        # about its own line; the flip at phase 0 is the marked position
+        return (cyclic_group(2, in_plane_direction(H.axis, 0.0)), H)
+    entries: list[FiniteRotationGroup] = [trivial_group()] if len(H) > 1 else []
+    for _, k, axial in axis_line_orbits(H):
+        # an axial group of order |H| is H itself (it lies inside H): it
         # merges with the origin class (cyclic H fixing its own axis)
-        if k < len(F):
-            entries.append(AnnClass(classify_finite(axial), axial))
-    return tuple(entries)
+        if k < len(H):
+            entries.append(axial)
+    return (*entries, H)

@@ -192,24 +192,15 @@ class CircleSub(Value):
 class OrthCircleSub(Value):
     """Rotations about the axis plus half turns about every orthogonal axis.
 
-    flip_phase in [0, pi) fixes a reference orthogonal direction
-    in_plane_direction(axis, flip_phase).  The group itself does not depend
-    on the phase (all orthogonal half turns belong to it); the phase only
-    marks a distinguished position used when the group arises as the linear
-    isotropy of a covector.
+    The half turn about in_plane_direction(axis, 0.0) is the marked flip:
+    the position used when the group arises as the linear isotropy of a
+    covector, and the reference of its embedded positions.
     """
 
     axis: Vec3
-    flip_phase: float = 0.0
 
     def __post_init__(self):
         self.__dict__["axis"] = canon_direction(self.axis)
-        p = math.fmod(self.flip_phase, math.pi)
-        if p < 0.0:
-            p += math.pi
-        if math.pi - p <= TOLERANCE:
-            p = 0.0
-        self.__dict__["flip_phase"] = p
 
 
 class FullSub(Value):
@@ -411,7 +402,7 @@ def canonical_rep(t: ClassTag) -> ConcreteSubgroup:
     if t.kind == "SO2":
         return CircleSub(_Z)
     if t.kind == "O2":
-        return OrthCircleSub(_Z, 0.0)
+        return OrthCircleSub(_Z)
     return FullSub()
 
 
@@ -718,10 +709,7 @@ def subgroup_equal(A: ConcreteSubgroup, B: ConcreteSubgroup) -> bool:
         return True
     if isinstance(A, FiniteRotationGroup) and isinstance(B, FiniteRotationGroup):
         return A == B
-    if isinstance(A, CircleSub) and isinstance(B, CircleSub):
-        return _same_line(A.axis, B.axis)
-    if isinstance(A, OrthCircleSub) and isinstance(B, OrthCircleSub):
-        # phase marks a position, not a different group
+    if isinstance(A, (CircleSub, OrthCircleSub)) and type(A) is type(B):
         return _same_line(A.axis, B.axis)
     if isinstance(A, FullSub) and isinstance(B, FullSub):
         return True
@@ -813,7 +801,7 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
             return [CircleSub(H2.axis)]
         return [cyclic_group(t.n, H2.axis)]
     if isinstance(H2, OrthCircleSub):
-        a, phi = H2.axis, H2.flip_phase
+        a = H2.axis
         if t.kind == "O2":
             return [H2]
         if t.kind == "SO2":
@@ -825,14 +813,14 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
             # direction, and a flip in generic position relative to the mark
             return [
                 cyclic_group(2, a),
-                cyclic_group(2, in_plane_direction(a, phi)),
-                cyclic_group(2, in_plane_direction(a, phi + math.pi / 4.0)),
+                cyclic_group(2, in_plane_direction(a, 0.0)),
+                cyclic_group(2, in_plane_direction(a, math.pi / 4.0)),
             ]
         # D_m positions in O(2): flip set aligned with the mark or not
         m = t.n
         return [
-            dihedral_group(m, a, phi),
-            dihedral_group(m, a, phi + math.pi / (2.0 * m)),
+            dihedral_group(m, a, 0.0),
+            dihedral_group(m, a, math.pi / (2.0 * m)),
         ]
     if t.kind == "C":
         subs = _finite_cyclic_embeddings(H2, t.n)

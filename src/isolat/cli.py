@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import lru_cache
 
-from .adjoint import AnnIsotropy, Plane, Zero
+from .adjoint import isotropy_on_ann
 from .catalog import (
     CIRCLE,
     FULL,
@@ -37,8 +36,10 @@ from .catalog import (
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
+    FullSub,
     OrthCircleSub,
     canonical_rep,
+    g_class_of,
     is_subconjugate,
     parse_tag,
     tag_positions,
@@ -57,8 +58,6 @@ from .errors import (
 from .lift import (
     LiftWitness,
     ambient_class,
-    ann_of,
-    cotangent_lifted_lattice,
     lift_witness_check,
     lifted_classes,
     lifted_lattice,
@@ -256,7 +255,7 @@ def subgroup_to_json(S: ConcreteSubgroup) -> dict:
         return {
             "type": "o2",
             "axis": [round12(c) for c in S.axis],
-            "flip_phase_deg": round12(math.degrees(S.flip_phase)),
+            "flip_phase_deg": 0.0,  # the marked flip's (catalog.OrthCircleSub)
         }
     return {"type": "so3"}
 
@@ -372,21 +371,22 @@ def _witness_texts(witnesses) -> list[str]:
     return [stored(w, "_json_text", render) for w in witnesses]
 
 
-def _subspace_to_json(sub) -> dict:
-    if isinstance(sub, Zero):
+def _subspace_to_json(H: ConcreteSubgroup) -> dict:
+    """The annihilator of H's algebra, which H's type fixes."""
+    if isinstance(H, FullSub):
         return {"type": "zero"}
-    if isinstance(sub, Plane):
-        return {"type": "plane", "normal": [round12(c) for c in sub.axis]}
+    if isinstance(H, (CircleSub, OrthCircleSub)):
+        return {"type": "plane", "normal": [round12(c) for c in H.axis]}
     return {"type": "all"}
 
 
-def adjoint_to_json(t: ClassTag, ai: AnnIsotropy) -> dict:
+def adjoint_to_json(t: ClassTag, H: ConcreteSubgroup) -> dict:
     return {
         "class": t.short(),
-        "subspace": _subspace_to_json(ai.subspace),
+        "subspace": _subspace_to_json(H),
         "entries": [
-            {"class": e.label.short(), "subgroup": subgroup_to_json(e.representative)}
-            for e in ai.classes
+            {"class": g_class_of(K).short(), "subgroup": subgroup_to_json(K)}
+            for K in isotropy_on_ann(H)
         ],
     }
 
@@ -453,8 +453,7 @@ def _cmd_lift(argv) -> int:
     _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
     base = _base_lattice(spec)
-    compute = cotangent_lifted_lattice if a.cotangent else lifted_lattice
-    result = compute(spec.ambient, base)
+    result = lifted_lattice(spec.ambient, base)
     if not lift_witness_check(spec.ambient, base, result):
         _emit_error("witness-check", "", "internal witness recheck failed")
         return 3
@@ -624,8 +623,7 @@ def _cmd_adjoint(argv) -> int:
         t = parse_tag(a.tag)
     except ValueError as e:
         raise ValidationError(str(e), "tag") from None
-    ai = ann_of(t)
-    print(json.dumps(adjoint_to_json(t, ai), indent=2))
+    print(json.dumps(adjoint_to_json(t, canonical_rep(t)), indent=2))
     return 0
 
 

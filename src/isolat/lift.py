@@ -6,15 +6,15 @@ lifted action on TM consists of the classes (E meet K) over base pairs
 the annihilator of its algebra.  The diagonal h1 = h2 suffices: h1 lies in
 h2, so ann(h2) lies in ann(h1), and E meet (H2)_xi = E_xi is already a class
 of h1 on its own annihilator (the slice picture T_xM = g/h + N).  On the
-diagonal E meet K = K, so the lifted classes are the labels of ann_of(h)
-over the base classes h.  Those labels follow from the class alone (the
-rule table catalog.ann_mask), so lifted_classes reads the lattice off the
-table and builds no group; lifted_lattice adds a witness (h, h, K) per
-class, from ann_of(h).  On the diagonal the position E of h in H2 is H2 =
-canonical_rep(h) itself, so no position is searched for (T, O and I still
-take an enumerated twin, see _diagonal_witnesses); the witnesses depend on
-h alone and are built once per tag.  The cotangent lift and relative
-equilibria (momentum.py) realize the same lattice.
+diagonal E meet K = K, so the lifted classes are the classes of the entries
+K of ann_of(h) over the base classes h.  Those classes follow from h's class
+alone (the rule table catalog.ann_mask), so lifted_classes reads the lattice
+off the table and builds no group; lifted_lattice adds a witness (h, h, K)
+per class, from ann_of(h).  On the diagonal the position E of h in H2 is
+H2 = canonical_rep(h) itself, so no position is searched for (T, O and I
+still take an enumerated twin, see _diagonal_witnesses); the witnesses
+depend on h alone and are built once per tag.  The cotangent lift and
+relative equilibria (momentum.py) realize the same lattice.
 
 A finite ambient group has zero Lie algebra, so every annihilator is the
 zero space; the circle is abelian, so stabilizers act trivially on their
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .adjoint import AnnIsotropy, isotropy_on_ann
+from .adjoint import isotropy_on_ann
 from .catalog import (
     ClassTag,
     ConcreteSubgroup,
@@ -137,14 +137,14 @@ def _so3_witnesses(base: IsotropyLattice, lifted: IsotropyLattice) -> tuple[Lift
     return tuple(found.pop(t) for t in lifted.classes if t in found) + tuple(found.values())
 
 
-def ann_of(h: ClassTag) -> AnnIsotropy:
-    """Isotropy of the canonical h representative on its annihilator."""
+def ann_of(h: ClassTag) -> tuple[ConcreteSubgroup, ...]:
+    """Stabilizers of the canonical h representative on its annihilator."""
     return isotropy_on_ann(canonical_rep(h))
 
 
 @lru_cache(maxsize=None)
 def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
-    """The witnesses (K, h, h, K) of h over the entries K of ann_of(h).
+    """The witnesses (k, h, h, k) of h, one per entry K of ann_of(h), k its class.
 
     The embedding is canonical_rep(h) itself, except for T, O and I: their
     enumerated position is the same set (and id_set) with other float bits,
@@ -154,32 +154,25 @@ def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
     E = canonical_rep(h)
     if h.kind in ("T", "O", "I"):  # ROADMAP item 1 deletes this branch
         E = embeddings_of_class_in(h, E)[0]
-    return tuple(
-        LiftWitness(e.label, h, h, e.label, E, e.representative) for e in ann_of(h).classes
-    )
-
-
-def cotangent_lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
-    """Lattice of the lifted action on T*M; identical to the tangent one."""
-    return lifted_lattice(G, base)
+    return tuple(LiftWitness(g_class_of(K), h, h, g_class_of(K), E, K) for K in ann_of(h))
 
 
 def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftResult) -> bool:
     """Recheck every witness of a lift result.
 
-    Verifies that each witness uses a valid base pair, that its k entry
-    matches an isotropy class on the annihilator of its h2, that the claimed
-    intersection lands in the claimed class, and that the witnessed classes
-    are exactly the classes of the lifted lattice, which are in turn the
-    rule-table classes of the lift of base over G.  Every witness is compared
-    on every call and no verdict is stored.  The lattice comes from the rule
-    table and the witnesses from geometry, so the last test catches any
-    disagreement between the two.  The check does not call the lift's ann_of
-    but reads isotropy_on_ann(canonical_rep(h2)) itself.  A lift's finite
-    k_rep is made of canonical_rep(h2)'s own element objects, and so is its
-    finite embedding, except for T, O and I, where the embedding is a
-    subgroup enumerated from canonical_rep(h2) whose id_set holds the ids of
-    the canonical objects it matches.  So intersect proves each finite
+    Verifies that each witness uses a valid base pair, that its k_rep is a
+    stabilizer on the annihilator of its h2 and k that stabilizer's class,
+    that the claimed intersection lands in the claimed class, and that the
+    witnessed classes are exactly the classes of the lifted lattice, which
+    are in turn the rule-table classes of the lift of base over G.  Every
+    witness is compared on every call and no verdict is stored.  The lattice
+    comes from the rule table and the witnesses from geometry, so the last
+    test catches any disagreement between the two.  The check does not call
+    the lift's ann_of but reads isotropy_on_ann(canonical_rep(h2)) itself.
+    A lift's finite k_rep is made of canonical_rep(h2)'s own element
+    objects, and so is its finite embedding, except for T, O and I, where
+    the embedding is a subgroup enumerated from canonical_rep(h2) whose
+    id_set holds the ids of the canonical objects it matches.  So intersect proves each finite
     containment by object identity and looks up no element; a witness built
     elsewhere takes the element lookup.  An O(2) ambient raises ValueError,
     as in lifted_lattice.
@@ -193,8 +186,8 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
         if not is_subconjugate(w.h1, w.h2):
             return False
         if not any(
-            entry.label == w.k and subgroup_equal(entry.representative, w.k_rep)
-            for entry in isotropy_on_ann(canonical_rep(w.h2)).classes
+            g_class_of(K) is w.k and subgroup_equal(K, w.k_rep)
+            for K in isotropy_on_ann(canonical_rep(w.h2))
         ):
             return False
         if g_class_of(w.embedding) != w.h1:

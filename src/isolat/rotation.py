@@ -339,6 +339,12 @@ class FiniteRotationGroup(Value):
                 raise GroupTooLarge(f"rotation set exceeds cap {CLOSURE_CAP}")
             buckets.setdefault(k, []).append(len(unique))
             unique.append((k, r))
+        return cls._of_unique(unique)
+
+    @classmethod
+    def _of_unique(cls, unique: list[tuple[tuple, Rotation]]) -> "FiniteRotationGroup":
+        """The group of distinct (key, rotation) pairs, the identity among
+        them, sorted by descending key; the keys fill the _buckets table."""
         unique.sort(key=lambda kr: (-kr[0][0], -kr[0][1], -kr[0][2], -kr[0][3]))
         group = cls(tuple(r for _, r in unique))
         group.__dict__["_buckets"] = _bucket_table(k for k, _ in unique)
@@ -410,41 +416,38 @@ class FiniteRotationGroup(Value):
 def close_group(generators) -> FiniteRotationGroup:
     """Multiplicative closure of the generators plus the identity.
 
-    Breadth-first boundary multiplication; duplicates are detected with the
-    rounded-coordinate lookup confirmed by eq.  Raises GroupTooLarge when the
-    closure would exceed CLOSURE_CAP, which is also how generators of
-    effectively infinite order surface.
+    Breadth-first boundary multiplication; duplicates are detected once, as
+    in from_elements, with the rounded-coordinate lookup confirmed by eq.
+    Raises GroupTooLarge when the closure would exceed CLOSURE_CAP, which is
+    also how generators of effectively infinite order surface.
     """
     ident = Rotation.identity()
-    els: list[Rotation] = [ident]
-    buckets: dict[tuple, list[int]] = {ident.key(): [0]}
+    unique: list[tuple[tuple, Rotation]] = [(ident.key(), ident)]
+    buckets: dict[tuple, list[int]] = {unique[0][0]: [0]}
 
-    def seen(r: Rotation) -> bool:
-        hits = buckets.get(r.key())
-        return bool(hits) and any(eq(els[i], r) for i in hits)
-
-    def add(r: Rotation) -> None:
-        if len(els) >= CLOSURE_CAP:
+    def add(r: Rotation) -> bool:
+        """Append r unless an equal element is in already; True if it was new."""
+        k = r.key()
+        hits = buckets.get(k)
+        if hits is not None and any(eq(unique[i][1], r) for i in hits):
+            return False
+        if len(unique) >= CLOSURE_CAP:
             raise GroupTooLarge(f"closure exceeds cap {CLOSURE_CAP}")
-        buckets.setdefault(r.key(), []).append(len(els))
-        els.append(r)
+        buckets.setdefault(k, []).append(len(unique))
+        unique.append((k, r))
+        return True
 
-    gens: list[Rotation] = []
-    for g in generators:
-        if not seen(g):
-            add(g)
-            gens.append(g)
+    gens = [g for g in generators if add(g)]
     frontier = list(gens)
     while frontier:
         fresh: list[Rotation] = []
         for a in gens:
             for b in frontier:
                 c = compose(a, b)
-                if not seen(c):
-                    add(c)
+                if add(c):
                     fresh.append(c)
         frontier = fresh
-    return FiniteRotationGroup.from_elements(els)
+    return FiniteRotationGroup._of_unique(unique)
 
 
 def rotation_to_json(r: Rotation) -> dict:

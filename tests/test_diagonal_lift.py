@@ -1,6 +1,7 @@
 """The lift from the diagonal pairs only, checked against exact rules.
 
-The lift takes, for each base class h, the labels of ann_of(h).  Three
+The lift takes, for each base class h, the classes of the entries of
+ann_of(h).  Three
 independent routes pin that down:
 
 - an integer rule per catalog kind (no rotations) for the isotropy classes
@@ -102,9 +103,9 @@ def rule(t):
 def pair_classes(h1, h2):
     """Classes of E meet K over the positions E of h1 in h2, built geometrically."""
     return {
-        g_class_of(intersect(E, entry.representative))
+        g_class_of(intersect(E, K))
         for E in embeddings_of_class_in(h1, canonical_rep(h2))
-        for entry in isotropy_on_ann(canonical_rep(h2)).classes
+        for K in isotropy_on_ann(canonical_rep(h2))
     }
 
 
@@ -112,7 +113,7 @@ def test_rule_matches_ann_of_for_every_tag():
     # requilibria and check read ann_mask alone: this is its geometric guard
     assert len(CATALOG) == 205
     for t in CATALOG:
-        labels = {e.label for e in ann_of(t).classes}
+        labels = set(map(g_class_of, ann_of(t)))
         assert labels == rule(t), t.short()
         assert ann_mask(t) == mask_of(rule(t)) == mask_of(labels), t.short()
 
@@ -195,10 +196,10 @@ def test_a_cold_lift_without_exceptional_classes_searches_no_position(tmp_path):
 def old_pair_contribution(h1, h2):
     found = {}
     for E in embeddings_of_class_in(h1, canonical_rep(h2)):
-        for entry in ann_of(h2).classes:
-            t = g_class_of(intersect(E, entry.representative))
+        for K in ann_of(h2):
+            t = g_class_of(intersect(E, K))
             if t not in found:
-                found[t] = LiftWitness(t, h1, h2, entry.label, E, entry.representative)
+                found[t] = LiftWitness(t, h1, h2, g_class_of(K), E, K)
     return tuple(found.values())
 
 

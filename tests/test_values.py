@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from isolat.adjoint import AnnClass, AnnIsotropy, Full3, Plane, Zero
 from isolat.catalog import (
     FULL,
     ClassTag,
@@ -49,15 +48,10 @@ def examples():
         (FiniteRotationGroup, (d3.elements,)),
         (ClassTag, ("C", 3)),
         (CircleSub, (Z,)),
-        (OrthCircleSub, (Z, 0.5)),
+        (OrthCircleSub, ((1.0, 0.0, 0.0),)),
         (FullSub, ()),
         (LiftWitness, witness),
         (LiftResult, (lat, (LiftWitness(*witness),))),
-        (Zero, ()),
-        (Plane, (Z,)),
-        (Full3, ()),
-        (AnnClass, (c2, canonical_rep(c2))),
-        (AnnIsotropy, (Zero(), (AnnClass(c2, canonical_rep(c2)),))),
         (ConcreteAction, ("SO3_on_R3", "so3_r3", canonical_rep(FULL), None)),
         (SamplePlan, (0, 10, ((Z, Z),))),
         (IsotropyLattice, (lat.classes, lat.hasse, lat.unique_min)),
@@ -70,7 +64,9 @@ IDS = [cls.__name__ for cls, _ in EXAMPLES]
 
 
 def test_every_former_dataclass_is_covered():
-    assert len(EXAMPLES) == 18 and len(set(IDS)) == 18
+    # 18 former dataclasses, less the five annihilator wrappers since deleted
+    # (isotropy_on_ann returns the stabilizer subgroups themselves)
+    assert len(EXAMPLES) == 13 and len(set(IDS)) == 13
 
 
 @pytest.mark.parametrize("cls,args", EXAMPLES, ids=IDS)
@@ -102,20 +98,19 @@ def test_values_of_different_classes_are_never_equal(cls, args):
 
 
 def test_field_free_and_same_field_classes_stay_apart():
-    assert len({Zero(), Full3(), FullSub()}) == 3
-    assert CircleSub(Z) != Plane(Z)
+    assert len({CircleSub(Z), OrthCircleSub(Z), FullSub()}) == 3
+    assert CircleSub(Z) != OrthCircleSub(Z)
 
 
 def test_unequal_fields_give_unequal_values():
     assert CircleSub(Z) != CircleSub((1.0, 0.0, 0.0))
-    assert OrthCircleSub(Z, 0.25) != OrthCircleSub(Z, 0.5)
+    assert OrthCircleSub(Z) != OrthCircleSub((1.0, 0.0, 0.0))
     assert Rotation.from_axis_angle(Z, 0.5) != Rotation.identity()
 
 
 def test_defaults_and_keywords():
     assert ClassTag("T").n is None
-    assert OrthCircleSub(Z).flip_phase == 0.0
-    assert OrthCircleSub(axis=Z) == OrthCircleSub(Z, 0.0)
+    assert OrthCircleSub(axis=Z) == OrthCircleSub(Z)
     so3 = canonical_rep(FULL)
     action = ConcreteAction("SO3_on_R3", "so3_r3", so3)
     assert action.tag is None
@@ -131,7 +126,8 @@ def test_defaults_and_keywords():
         lambda: CircleSub(Z, axis=Z),
         lambda: CircleSub(direction=Z),
         lambda: OrthCircleSub(Z, phase=1.0),
-        lambda: Zero(1),
+        lambda: OrthCircleSub(Z, 0.0),
+        lambda: FullSub(1),
     ],
 )
 def test_wrong_fields_raise_type_error(build):
@@ -142,10 +138,7 @@ def test_wrong_fields_raise_type_error(build):
 def test_axis_types_still_canonicalize():
     flipped = (0.0, 0.0, -2.0)
     assert CircleSub(flipped) == CircleSub(Z) and CircleSub(flipped).axis == Z
-    assert Plane(flipped) == Plane(Z)
-    assert OrthCircleSub(flipped, math.pi + 0.25) == OrthCircleSub(Z, 0.25)
-    assert OrthCircleSub(Z, -0.25).flip_phase == pytest.approx(math.pi - 0.25)
-    assert OrthCircleSub(Z, math.pi).flip_phase == 0.0
+    assert OrthCircleSub(flipped) == OrthCircleSub(Z) and OrthCircleSub(flipped).axis == Z
 
 
 def test_rotation_normalizes_once_in_init():
@@ -196,9 +189,9 @@ def test_copies_and_pickles_return_the_same_tag(name):
 
 def test_values_holding_tags_copy_to_the_interned_tags():
     c2 = cyclic(2)
-    value = AnnClass(c2, canonical_rep(c2))
+    value = LiftWitness(c2, c2, c2, c2, canonical_rep(c2), canonical_rep(c2))
     for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert clone == value and clone.label is c2
+        assert clone == value and clone.lifted_class is c2 and clone.k is c2
 
 
 @pytest.mark.parametrize(
