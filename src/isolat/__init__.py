@@ -68,13 +68,12 @@ from .momentum import (
 )
 from .oracle import (
     ConcreteAction,
-    SamplePlan,
-    default_plan,
     empirical_lattices,
     empirical_requilibria_lattice,
     make_action,
     stabilizer_of_point,
     stabilizer_of_tangent,
+    strata_seeds,
 )
 from .poset import IsotropyLattice, build_lattice, compute_depths, up_set
 from .rotation import (

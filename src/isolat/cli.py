@@ -63,12 +63,7 @@ from .lift import (
     lifted_lattice,
 )
 from .momentum import mu_lattice, relative_equilibria_lattice, zero_level_lattice
-from .oracle import (
-    ConcreteAction,
-    empirical_lattices,
-    empirical_requilibria_lattice,
-    make_action,
-)
+from .oracle import DEFAULT_SAMPLES, ConcreteAction, empirical_lattices, make_action
 from .poset import IsotropyLattice, build_lattice, up_set
 from .rotation import (
     FiniteRotationGroup,
@@ -564,7 +559,7 @@ def _check_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples",
         type=int,
-        default=4000,
+        default=DEFAULT_SAMPLES,
         help="random draws per lattice besides the strata seeds; 0 uses the seeds only",
     )
     return p
@@ -584,17 +579,12 @@ def _cmd_check(argv) -> int:
     base = _base_lattice(spec)
     lifted = set(lifted_classes(spec.ambient, base).classes)
     zero = set(zero_level_lattice(spec.ambient, base).classes)
-    found = empirical_lattices(action, a.seed, a.samples)
-    rows = list(zip(("base", "lifted", "zero-level"), (set(base.classes), lifted, zero), found))
-    if not isinstance(spec.ambient, FiniteRotationGroup):
-        # relative equilibria realize exactly the lifted lattice
-        rows.append(
-            (
-                "requilibria",
-                lifted,
-                empirical_requilibria_lattice(action, a.seed, min(a.samples, 2000)),
-            )
-        )
+    labels = ("base", "lifted", "zero-level", "requilibria")
+    # relative equilibria realize exactly the lifted lattice
+    predictions = (set(base.classes), lifted, zero, lifted)
+    rows = list(zip(labels, predictions, empirical_lattices(action, a.seed, a.samples)))
+    if isinstance(spec.ambient, FiniteRotationGroup):
+        del rows[3]  # a finite group moves no point along a trajectory
     ok = True
     for label, predicted, empirical in rows:
         good = predicted == empirical

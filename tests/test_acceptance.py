@@ -118,7 +118,7 @@ def test_criterion_03(tmp_path, capsys):
     }
     for name, want in expected_bases.items():
         action = make_action(f"Finite_on_R3:{name}")
-        oracle_base, empirical, _ = empirical_lattices(action, 0, 1000)
+        oracle_base, empirical, _, _ = empirical_lattices(action, 0, 1000)
         assert sorted(shorts(oracle_base)) == sorted(want), name
 
         base = build_lattice(oracle_base)

@@ -596,6 +596,25 @@ def test_check_with_zero_samples_uses_the_strata_seeds(tmp_path, capsys):
     assert lines[-1] == "MATCH" and len(lines) == 5
 
 
+def test_check_takes_one_point_stabilizer_per_walked_pair(tmp_path, capsys, monkeypatch):
+    # every row reads one walk: the 5 strata seeds of SO3_on_R3 and 60 draws
+    # cost 65 point stabilizers, none recomputed for the requilibria row
+    from isolat import oracle
+
+    points = []
+    real = oracle.stabilizer_of_point
+
+    def counting(action, x):
+        points.append(x)
+        return real(action, x)
+
+    monkeypatch.setattr(oracle, "stabilizer_of_point", counting)
+    path = write_spec(tmp_path, dict(SO3_SPEC, action="SO3_on_R3"))
+    code, out, _ = run(capsys, "check", path, "--samples", "60")
+    assert code == 0 and out.strip().splitlines()[-1] == "MATCH"
+    assert len(points) == 65
+
+
 def test_check_needs_an_action(tmp_path, capsys):
     path = write_spec(tmp_path, SO3_SPEC)
     code, _, err = run(capsys, "check", path)

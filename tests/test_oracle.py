@@ -1,18 +1,21 @@
+import random
+
 import pytest
 
 from isolat import oracle
 from isolat.catalog import CIRCLE, FULL, CircleSub, FullSub, canonical_rep, g_class_of, parse_tag
 from isolat.errors import NotTangent
-from isolat.rotation import FiniteRotationGroup, apply, norm, vsub
+from isolat.rotation import FiniteRotationGroup, apply, cross, norm, normalize, vsub
 from isolat.oracle import (
     SAMPLE_TOL,
-    _iter_pairs,
-    default_plan,
+    SPHERE_DRAW_MIN_NORM,
+    _walk,
     empirical_lattices,
     empirical_requilibria_lattice,
     make_action,
     stabilizer_of_point,
     stabilizer_of_tangent,
+    strata_seeds,
 )
 
 
@@ -22,13 +25,14 @@ def shorts(ts):
 
 def test_make_action_names():
     assert make_action("SO3_on_R3").ambient is canonical_rep(FULL)
-    assert make_action("SO3_on_S2").kind == "so3_s2"
+    assert make_action("SO3_on_S2").space == "S2"
     assert make_action("Circle_on_R2").ambient is canonical_rep(CIRCLE)
     a = make_action("Finite_on_R3:D4")
     assert isinstance(a.ambient, FiniteRotationGroup)
-    assert a.tag.short() == "D4"
+    assert a.space == "R3" and g_class_of(a.ambient).short() == "D4"
     assert len(a.ambient) == 8
-    assert make_action("Finite_on_S2:T").kind == "finite_s2"
+    assert make_action("Finite_on_S2:T").space == "S2"
+    assert make_action("Circle_on_R2").space == "R2"
 
 
 @pytest.mark.parametrize(
@@ -123,6 +127,20 @@ def test_tangent_stabilizers_plane():
     assert g_class_of(stabilizer_of_tangent(a, (1.0, 2.0, 0.0), o)).short() == "1"
 
 
+def test_plane_rejects_data_off_the_plane():
+    a = make_action("Circle_on_R2")
+    for x in [(0.0, 0.0, 5.0), (1.0, 0.0, 1e-6)]:
+        with pytest.raises(NotTangent, match="^plane points must have z = 0$"):
+            stabilizer_of_point(a, x)
+        with pytest.raises(NotTangent, match="^plane points must have z = 0$"):
+            stabilizer_of_tangent(a, x, (0.0, 0.0, 0.0))
+    for x in [(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)]:
+        with pytest.raises(NotTangent, match="^tangent vectors to the plane must have z = 0$"):
+            stabilizer_of_tangent(a, x, (0.0, 0.0, 3.0))
+    # rounding within the sample slack stays on the plane
+    assert g_class_of(stabilizer_of_tangent(a, (0.0, 0.0, 1e-12), (0.0, 0.0, -1e-12))).short() == "SO2"
+
+
 ACTION_TABLES = [
     ("SO3_on_R3", ["SO2", "SO3"], ["1", "SO2", "SO3"], ["SO2", "SO3"]),
     ("SO3_on_S2", ["SO2"], ["1", "SO2"], ["SO2"]),
@@ -135,7 +153,7 @@ ACTION_TABLES = [
 @pytest.mark.parametrize("name,base,lifted,zero", ACTION_TABLES)
 def test_empirical_lattices(name, base, lifted, zero):
     a = make_action(name)
-    found_base, found_lifted, found_zero = empirical_lattices(a, 0, 600)
+    found_base, found_lifted, found_zero, _ = empirical_lattices(a, 0, 600)
     assert shorts(found_base) == base
     assert shorts(found_lifted) == lifted
     assert shorts(found_zero) == zero
@@ -154,6 +172,65 @@ def test_empirical_requilibria(name, expected):
     assert shorts(empirical_requilibria_lattice(a, 0, 300)) == expected
 
 
+# The separate requilibria walk that empirical_lattices replaced, kept as a
+# reference: its own draws, a fresh G_x per evaluation and the 44 directions
+# turned into velocities by hand per action.
+def _reference_requilibria(a, rng_seed, n_random):
+    points = [x for x, _ in strata_seeds(a)]
+    rng = random.Random(rng_seed)
+    for _ in range(n_random):
+        x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+        for _ in range(3):
+            rng.uniform(-2, 2)  # the draw's v, which this loop does not read
+        if a.name == "SO3_on_S2":
+            if norm(x) <= SPHERE_DRAW_MIN_NORM:
+                continue
+            x = normalize(x)
+        if a.name == "Circle_on_R2":
+            x = (x[0], x[1], 0.0)
+        points.append(x)
+    rng = random.Random(rng_seed + 1)
+    xis = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -1.2, 0.7)]
+    xis += [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+    out, moved = set(), set()
+    for x in points:
+        for xi in xis:
+            if a.name == "Circle_on_R2":
+                v = (-xi[2] * x[1], xi[2] * x[0], 0.0)
+            else:
+                v = cross(xi, x)
+            moved.add((x, v))
+            out.add(g_class_of(stabilizer_of_tangent(a, x, v)))
+    return out, moved
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["SO3_on_R3", "SO3_on_S2", "Circle_on_R2"])
+def test_one_walk_requilibria_equal_the_separate_walk(monkeypatch, name, seed):
+    a = make_action(name)
+    reference = {}
+    for n_random in (0, 60, 2000, 4000):
+        # 4000 draws cross the cut: the row reads the first 2000 alone
+        cut = min(n_random, oracle.REQUILIBRIA_DRAWS)
+        if cut not in reference:
+            reference[cut] = _reference_requilibria(a, seed, cut)
+        want, want_moved = reference[cut]
+        walked = {(x, v) for x, v, _ in _walk(a, seed, n_random)}
+        seen = set()
+        real = oracle._tangent_isotropy
+
+        def recording(action, x, Gx, v):
+            seen.add((x, v))
+            return real(action, x, Gx, v)
+
+        monkeypatch.setattr(oracle, "_tangent_isotropy", recording)
+        got = empirical_lattices(a, seed, n_random)[3]
+        monkeypatch.undo()
+        assert got == want, n_random
+        # the same trajectory velocities are evaluated, besides the walked pairs
+        assert seen == walked | want_moved, n_random
+
+
 def test_requilibria_needs_continuous_ambient():
     with pytest.raises(ValueError):
         empirical_requilibria_lattice(make_action("Finite_on_R3:T"))
@@ -164,7 +241,7 @@ def test_requilibria_needs_continuous_ambient():
 )
 def test_empirical_lattices_is_one_walk(monkeypatch, name):
     a = make_action(name)
-    points = [x for x, _ in _iter_pairs(a, default_plan(a, 1, 200))]
+    points = [x for x, _, _ in _walk(a, 1, 200)]
     seen = []
     real = oracle.stabilizer_of_point
 
@@ -193,7 +270,7 @@ ZERO_LEVEL_ACTIONS = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ZERO_LEVEL_ACTIONS)
 def test_zero_level_lies_in_lifted(name, seed):
-    _, lifted, zero_level = empirical_lattices(make_action(name), seed, 300)
+    _, lifted, zero_level, _ = empirical_lattices(make_action(name), seed, 300)
     assert zero_level <= lifted
 
 
@@ -206,7 +283,7 @@ def _fixes(g, p):
 def test_tangent_stabilizer_matches_direct_filter(space, tag):
     a = make_action(f"Finite_on_{space}:{tag}")
     F = a.ambient
-    for x, v in _iter_pairs(a, default_plan(a, 0, 300)):
+    for x, v, _ in _walk(a, 0, 300):
         for w in (v, (0.0, 0.0, 0.0), x):
             if space == "S2" and w is x:
                 with pytest.raises(NotTangent):
@@ -231,15 +308,13 @@ def test_sampling_is_deterministic():
 
 def test_plan_seeds_cover_axis_strata():
     a = make_action("Finite_on_R3:O")
-    plan = default_plan(a)
-    hits = {g_class_of(stabilizer_of_point(a, x)).short() for x, _ in plan.stratum_seeds}
+    hits = {g_class_of(stabilizer_of_point(a, x)).short() for x, _ in strata_seeds(a)}
     assert hits == {"1", "C2", "C3", "C4", "O"}
 
 
 def test_sphere_plan_pairs_are_tangent():
     a = make_action("Finite_on_S2:T")
-    plan = default_plan(a)
-    for x, v in plan.stratum_seeds:
+    for x, v in strata_seeds(a):
         stabilizer_of_tangent(a, x, v)  # must not raise
 
 

@@ -28,7 +28,7 @@ from isolat.catalog import (
 )
 from isolat.cli import ProblemSpec
 from isolat.lift import LiftResult, LiftWitness
-from isolat.oracle import ConcreteAction, SamplePlan
+from isolat.oracle import ConcreteAction
 from isolat.poset import IsotropyLattice, build_lattice
 from isolat.rotation import AxisAngle, FiniteRotationGroup, Rotation, close_group
 
@@ -52,8 +52,7 @@ def examples():
         (FullSub, ()),
         (LiftWitness, witness),
         (LiftResult, (lat, (LiftWitness(*witness),))),
-        (ConcreteAction, ("SO3_on_R3", "so3_r3", canonical_rep(FULL), None)),
-        (SamplePlan, (0, 10, ((Z, Z),))),
+        (ConcreteAction, ("SO3_on_R3", "R3", canonical_rep(FULL))),
         (IsotropyLattice, (lat.classes, lat.hasse, lat.unique_min)),
         (ProblemSpec, (canonical_rep(FULL), lat.classes, None)),
     ]
@@ -65,8 +64,9 @@ IDS = [cls.__name__ for cls, _ in EXAMPLES]
 
 def test_every_former_dataclass_is_covered():
     # 18 former dataclasses, less the five annihilator wrappers since deleted
-    # (isotropy_on_ann returns the stabilizer subgroups themselves)
-    assert len(EXAMPLES) == 13 and len(set(IDS)) == 13
+    # (isotropy_on_ann returns the stabilizer subgroups themselves) and the
+    # oracle's sample plan (empirical_lattices walks strata_seeds directly)
+    assert len(EXAMPLES) == 12 and len(set(IDS)) == 12
 
 
 @pytest.mark.parametrize("cls,args", EXAMPLES, ids=IDS)
@@ -112,9 +112,8 @@ def test_defaults_and_keywords():
     assert ClassTag("T").n is None
     assert OrthCircleSub(axis=Z) == OrthCircleSub(Z)
     so3 = canonical_rep(FULL)
-    action = ConcreteAction("SO3_on_R3", "so3_r3", so3)
-    assert action.tag is None
-    assert ConcreteAction(name="SO3_on_R3", kind="so3_r3", ambient=so3, tag=None) == action
+    action = ConcreteAction("SO3_on_R3", "R3", so3)
+    assert ConcreteAction(name="SO3_on_R3", space="R3", ambient=so3) == action
     assert Rotation(w=2.0, x=0.0, y=0.0, z=0.0) == Rotation.identity()
 
 
