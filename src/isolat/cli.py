@@ -13,11 +13,14 @@ Problem specs are JSON documents:
 
 Subcommands: lift, mu, requilibria, check, adjoint, catalog.  Results go to
 stdout as JSON (check prints a plain-text report); errors go to stderr as a
-single {"error": {code, path, message}} record.  Exit codes: 0 success,
-1 usage, 2 invalid input, 3 semantic failure (unclassifiable group, witness
-recheck failure, or a check mismatch), 141 stdout closed before the output
-was all written (128 + SIGPIPE, the status a shell gives a writer ended by a
-closed pipe).
+single {"error": {code, path, message}} record, except two kinds: no command
+or an unknown one prints the top-level usage, and a command line argparse
+refuses (an extra argument, a missing --mu, --samples x) prints argparse's
+usage and error lines.  Exit codes: 0 success, 1 no or unknown command,
+2 invalid input or a refused command line, 3 semantic failure
+(unclassifiable group, witness recheck failure, or a check mismatch), 141
+stdout closed before the output was all written (128 + SIGPIPE, the status a
+shell gives a writer ended by a closed pipe).
 """
 
 from __future__ import annotations
@@ -109,7 +112,23 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# Spec texts whose ProblemSpec parse_spec keeps.  A constant, not an option:
+# a warm lift and its requilibria read one text twice, and the bench pool's
+# round of 51 texts fits.  By tracemalloc, an entry of an SO(3) pool base
+# costs about 0.5 KiB; a finite one keeps its closed group, about 180 KiB for
+# D90-D100, so a full cache of such specs holds about 23 MiB.
+SPEC_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def parse_spec(text: str) -> ProblemSpec:
+    """The validated spec of a JSON text; a fault raises a coded IsolatError.
+
+    The spec is a function of the text alone, so the last SPEC_CACHE_SIZE
+    parsed texts are kept: a text seen again gets the same immutable
+    ProblemSpec back, its ambient group included.  A refused text is
+    stored nowhere, and is parsed and refused again on every call.
+    """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:

@@ -18,11 +18,11 @@ from the rule table, with no witness and no group built.
 
 from __future__ import annotations
 
-from .catalog import CIRCLE, ConcreteSubgroup
+from .catalog import CIRCLE, CircleSub, ConcreteSubgroup
 from .errors import NotTotallyIsotropic
 from .lift import _validate_realizable, ambient_class, lifted_classes
 from .poset import IsotropyLattice, build_lattice
-from .rotation import TOLERANCE, Vec3
+from .rotation import TOLERANCE, Vec3, dot
 
 
 def is_totally_isotropic(G: ConcreteSubgroup, mu) -> bool:
@@ -34,7 +34,7 @@ def is_totally_isotropic(G: ConcreteSubgroup, mu) -> bool:
     """
     if ambient_class(G) == CIRCLE:
         return True
-    return _mu_is_zero(mu)
+    return _mu_is_zero(G, mu)
 
 
 def _as_vec3(mu) -> Vec3:
@@ -46,8 +46,13 @@ def _as_vec3(mu) -> Vec3:
     return t
 
 
-def _mu_is_zero(mu) -> bool:
-    return max(abs(c) for c in _as_vec3(mu)) <= TOLERANCE
+def _mu_is_zero(G: ConcreteSubgroup, mu) -> bool:
+    """Whether mu is zero; for a circle, its component along the axis, which
+    is all the circle's momentum x × v reads."""
+    v = _as_vec3(mu)
+    if isinstance(G, CircleSub):
+        return abs(dot(v, G.axis)) <= TOLERANCE
+    return max(abs(c) for c in v) <= TOLERANCE
 
 
 def zero_level_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
@@ -62,8 +67,9 @@ def mu_lattice(G: ConcreteSubgroup, base: IsotropyLattice, mu) -> IsotropyLattic
     A class survives iff mu annihilates the algebra of its representatives.
     Finite classes always survive (zero algebra); circle classes need mu in
     the plane orthogonal to some axis position, which for a totally
-    isotropic value is automatic only when mu is zero.  The lattice's
-    unique_min says whether a single minimal class is left.
+    isotropic value is automatic only when mu is zero.  On the circle, mu
+    is read along the axis: its other components are not on the algebra.
+    The lattice's unique_min says whether a single minimal class is left.
     """
     _validate_realizable(G, base)
     if not is_totally_isotropic(G, mu):
@@ -71,7 +77,7 @@ def mu_lattice(G: ConcreteSubgroup, base: IsotropyLattice, mu) -> IsotropyLattic
             "the level-set description applies to totally isotropic momentum "
             "values only"
         )
-    if _mu_is_zero(mu):
+    if _mu_is_zero(G, mu):
         return build_lattice(base.classes, require_unique_min=False)
     # nonzero totally isotropic mu exists only for the circle ambient, where
     # the algebra of the circle itself is not annihilated

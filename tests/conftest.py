@@ -54,3 +54,13 @@ def fresh_lattices():
     poset._lattice_of_mask.cache_clear()
     yield
     poset._lattice_of_mask.cache_clear()
+
+
+@pytest.fixture
+def fresh_specs():
+    """No spec text parsed by cli.parse_spec carried into the test or out of it."""
+    from isolat.cli import parse_spec
+
+    parse_spec.cache_clear()
+    yield
+    parse_spec.cache_clear()

@@ -412,10 +412,13 @@ CIRCLE_WITH_ONE_SPEC = {"group": {"kind": "circle"}, "base_lattice": ["1", "C2",
     "doc,value,classes",
     [
         (CIRCLE_WITH_ONE_SPEC, "[0,0,0]", ["1", "C2", "SO2"]),
-        (CIRCLE_WITH_ONE_SPEC, "[1,0,0]", ["1", "C2"]),
+        # the circle's momentum is the component along its axis, the z axis,
+        # so [1,0,0] is its zero level
+        (CIRCLE_WITH_ONE_SPEC, "[1,0,0]", ["1", "C2", "SO2"]),
+        (CIRCLE_WITH_ONE_SPEC, "[0,0,2]", ["1", "C2"]),
         (TETRA_SPEC, "[0,0,0]", ["1", "C2", "C3", "T"]),
     ],
-    ids=["circle-zero", "circle-nonzero", "finite-zero"],
+    ids=["circle-zero", "circle-nonzero", "circle-on-axis", "finite-zero"],
 )
 def test_mu_vector_on_circle_and_finite_ambients(tmp_path, capsys, doc, value, classes):
     # a three-component mu goes through momentum._mu_is_zero on these ambients
@@ -874,6 +877,7 @@ def test_a_repeated_lift_and_requilibria_build_and_render_no_lattice(tmp_path, c
     # equal class sets share one lattice and its text is stored on it, so a
     # second round over one spec builds no lattice and names no tag: neither
     # a lattice's text nor a witness's is rendered again
+    # (nor is the spec text decoded again: its ProblemSpec is kept)
     from isolat import poset
     from isolat.catalog import ClassTag
 
@@ -886,6 +890,76 @@ def test_a_repeated_lift_and_requilibria_build_and_render_no_lattice(tmp_path, c
     down_sets, short = poset._down_sets, ClassTag.short
     monkeypatch.setattr(poset, "_down_sets", lambda mask: built.append(mask) or down_sets(mask))
     monkeypatch.setattr(ClassTag, "short", lambda t: named.append(t) or short(t))
+    decoded = counting_decodes(monkeypatch)
     assert [run(capsys, *argv) for argv in argvs] == first
-    assert built == [] and named == []
+    assert built == [] and named == [] and decoded == []
     assert first[0][0] == 0 and first[1][0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-text spec cache
+
+
+def counting_decodes(monkeypatch):
+    """The top-level objects cli decodes from here on, one per spec decode."""
+    from isolat import cli
+
+    decoded, real = [], cli._unique_keys
+
+    def counting(pairs):
+        if any(k == "base_lattice" for k, _ in pairs):
+            decoded.append(pairs)
+        return real(pairs)
+
+    monkeypatch.setattr(cli, "_unique_keys", counting)
+    return decoded
+
+
+def test_a_lift_and_its_requilibria_decode_the_spec_once(tmp_path, capsys, monkeypatch, fresh_specs):
+    decoded = counting_decodes(monkeypatch)
+    path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "D4", "SO3"]})
+    assert run(capsys, "lift", path)[0] == 0
+    assert run(capsys, "requilibria", path)[0] == 0
+    assert len(decoded) == 1
+    info = parse_spec.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_a_refused_spec_is_refused_again_on_every_call(tmp_path, capsys, monkeypatch, fresh_specs):
+    decoded = counting_decodes(monkeypatch)
+    path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "X"]})
+    first = run(capsys, "lift", path)
+    assert first[0] == 2 and first[1] == ""
+    assert json.loads(first[2])["error"]["path"] == "base_lattice[1]"
+    assert run(capsys, "lift", path) == first
+    assert len(decoded) == 2 and parse_spec.cache_info().currsize == 0
+
+
+def test_a_rewritten_spec_file_gives_the_new_answer(tmp_path, capsys, fresh_specs):
+    # the cache is keyed by the text, not by the path
+    path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["SO2", "SO3"]})
+    code, out, _ = run(capsys, "requilibria", path)
+    assert code == 0 and json.loads(out)["classes"] == ["1", "SO2", "SO3"]
+    write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "C2", "SO3"]})
+    code, out, _ = run(capsys, "requilibria", path)
+    assert code == 0 and json.loads(out)["classes"] == ["1", "C2", "SO3"]
+    write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["C2", "X"]})
+    code, out, err = run(capsys, "requilibria", path)
+    assert code == 2 and out == "" and json.loads(err)["error"]["path"] == "base_lattice[1]"
+
+
+def test_the_spec_cache_is_bounded(fresh_specs):
+    from isolat import cli
+
+    size = cli.SPEC_CACHE_SIZE
+    assert parse_spec.cache_info().maxsize == size
+    texts = [spec_text({"group": {"kind": "SO3"}, "base_lattice": [f"{k}{n}"]})
+             for k in "CD" for n in range(2, N_CAP + 1)]
+    assert len(texts) > size + 1
+    first = parse_spec(texts[0])
+    assert parse_spec(texts[0]) is first
+    for text in texts[1:size + 2]:
+        parse_spec(text)
+    assert parse_spec.cache_info().currsize == size
+    again = parse_spec(texts[0])  # the oldest entry went first
+    assert again is not first and again == first

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isolat.cli import run_command
+from isolat.cli import _USAGE, run_command
 
 FUZZ = settings(
     max_examples=150,
@@ -209,12 +209,29 @@ ARGV_WORDS = [
 @FUZZ
 @given(words=st.lists(st.sampled_from(ARGV_WORDS + ["SPEC", "MISSING"]), max_size=6))
 def test_every_drawn_argv_ends_in_an_exit_code(tmp_path, words):
+    # stderr is empty, one coded record, the top-level usage (exit 1), or a
+    # command's argparse usage and error line (exit 2); stdout is written
+    # only on exit 0
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"group": {"kind": "SO3"}, "base_lattice": ["SO2", "SO3"]}')
     argv = [
         str(spec_path) if w == "SPEC" else str(tmp_path / "missing.json") if w == "MISSING" else w
         for w in words
     ]
-    code, _, err = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, (argv, err)
+    assert code == 0 or out == "", (argv, code, out)
+    if not err:
+        return
+    if err.startswith("{"):
+        assert code in (2, 3), (argv, code)
+        one_record(err)
+    elif code == 1:
+        # the top-level usage, after the unknown command if there was one
+        unknown = f"unknown command {argv[0]!r}\n" if argv else ""
+        assert err == unknown + _USAGE + "\n", (argv, err)
+    else:
+        # argparse's own refusal: the command's usage, then one error line
+        assert code == 2 and err.startswith(f"usage: isolat {argv[0]} "), (argv, code, err)
+        assert err.endswith("\n") and err.splitlines()[-1].startswith(f"isolat {argv[0]}: error: "), (argv, err)

@@ -79,6 +79,18 @@ def test_circle_nonzero_mu_drops_the_circle():
     assert m.unique_min
 
 
+@pytest.mark.parametrize(
+    "mu,classes",
+    [((1.0, 0.0, 0.0), ["C2", "C4", "SO2"]), ((0.0, -3.0, 0.0), ["C2", "C4", "SO2"]),
+     ((5.0, 0.0, 1.0), ["C2", "C4"]), ((0.0, 0.0, 1.0), ["C2", "C4"])],
+)
+def test_a_circle_reads_a_vector_mu_along_its_axis(mu, classes):
+    # the circle's momentum is the axis component of x × v: the others are
+    # not on its algebra, as a number mu stands for (0, 0, mu)
+    b = lattice(["C2", "C4", "SO2"])
+    assert shorts(mu_lattice(canonical_rep(CIRCLE), b, mu).classes) == classes
+
+
 def test_circle_nonzero_mu_keeps_trivial():
     b = lattice(["1", "C2", "SO2"])
     m = mu_lattice(canonical_rep(CIRCLE), b, -2.5)
