@@ -3,24 +3,23 @@
 Given the isotropy lattice of a proper action of G on M, the lattice of the
 lifted action on TM consists of the classes (E meet K) over base pairs
 (h1) <= (h2), E a position of h1 in H2 and K an isotropy subgroup of H2 on
-the annihilator of its algebra.  The diagonal h1 = h2 suffices: h1 lies in
-h2, so ann(h2) lies in ann(h1), and E meet (H2)_xi = E_xi is already a class
-of h1 on its own annihilator (the slice picture T_xM = g/h + N).  On the
-diagonal E meet K = K, so the lifted classes are the classes of the entries
-K of ann_of(h) over the base classes h.  Those classes follow from h's class
-alone (the rule table catalog.ann_mask), so lifted_classes reads the lattice
-off the table and builds no group; lifted_lattice adds a witness (h, h, K)
-per class, from ann_of(h).  On the diagonal the position E of h in H2 is
-H2 = canonical_rep(h) itself, so no position is searched for (T, O and I
-still take an enumerated twin, see _diagonal_witnesses); the witnesses
-depend on h alone and are built once per tag.  The cotangent lift and
-relative equilibria (momentum.py) realize the same lattice.
-
-A finite ambient group has zero Lie algebra, so every annihilator is the
-zero space; the circle is abelian, so stabilizers act trivially on their
-annihilators.  Either way the linear isotropy on the annihilator is the
-whole stabilizer and the lifted lattice equals the base lattice, so those
-ambients take a fast path that never touches geometry.
+the annihilator of its algebra in g*.  The diagonal h1 = h2 suffices: h1
+lies in h2, so ann(h2) lies in ann(h1), and E meet (H2)_xi = E_xi is already
+a class of h1 on its own annihilator (the slice picture T_xM = g/h + N).  On
+the diagonal E meet K = K, so the lifted classes are the classes of the
+entries K over the base classes h.  Only the rule giving those entries
+depends on the ambient (_entries): SO(3) moves the annihilator
+(isotropy_on_ann); a finite G has zero algebra and the circle is abelian,
+so there the one entry is H itself and the lift gives the base back.  The
+classes follow from h's class and the ambient's alone (over SO(3) the rule
+table catalog.ann_mask), so lifted_classes reads the lattice off the table
+and builds no group; lifted_lattice adds a witness (h, h, K) per class, one
+path for every ambient.  On the diagonal the position E of h in H2 is
+H2 = canonical_rep(h) itself, so no position is searched for (over SO(3),
+T, O and I still take an enumerated twin, see _diagonal_witnesses); the
+witnesses depend on h and the rule alone and are built once per tag.  The
+cotangent lift and relative equilibria (momentum.py) realize the same
+lattice.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from functools import lru_cache
 
 from .adjoint import isotropy_on_ann
 from .catalog import (
+    FULL,
     ClassTag,
     ConcreteSubgroup,
     FullSub,
@@ -78,8 +78,8 @@ class LiftResult(Value):
     witnesses: tuple[LiftWitness, ...]
 
 
-def _validate_realizable(G: ConcreteSubgroup, base: IsotropyLattice) -> None:
-    """Refuse a base class that is not a subgroup class of the ambient.
+def _validate_realizable(G: ConcreteSubgroup, base: IsotropyLattice) -> ClassTag:
+    """The ambient's class; refuse a base class that is not a subgroup class of it.
 
     One mask test; the class named is the first one outside, in the
     lattice's (position) order.
@@ -88,15 +88,19 @@ def _validate_realizable(G: ConcreteSubgroup, base: IsotropyLattice) -> None:
     if base.mask & ~(below_mask(amb) | mask_of([amb])):
         t = next(t for t in base.classes if not is_subconjugate(t, amb))
         raise NotRealizableInG(f"{t.short()} is not a subgroup class of the ambient {amb.short()}")
+    return amb
 
 
-def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
-    """The lifted classes as position bits, from the rule table alone.
+def _entries(so3: bool):
+    """The rule H -> H's stabilizers on the annihilator of its algebra in g*: SO(3)
+    moves it; a finite G has zero algebra and the circle is abelian, so H fixes it."""
+    return isotropy_on_ann if so3 else lambda H: (H,)
 
-    Over SO(3) they are the union of ann_mask(h) over the base classes h; a
-    finite or circle ambient gives the base classes back.
-    """
-    if not isinstance(G, FullSub):
+
+def _table_mask(amb: ClassTag, base: IsotropyLattice) -> int:
+    """The lifted classes as position bits, from the rule table alone: over
+    SO(3) the union of ann_mask(h) over the base classes h, else the base."""
+    if amb is not FULL:
         return base.mask
     mask = 0
     for h in base.classes:
@@ -106,8 +110,7 @@ def _table_mask(G: ConcreteSubgroup, base: IsotropyLattice) -> int:
 
 def lifted_classes(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
     """The lifted lattice from the rule table alone: no group is built."""
-    _validate_realizable(G, base)
-    return lattice_of_mask(_table_mask(G, base))
+    return lattice_of_mask(_table_mask(_validate_realizable(G, base), base))
 
 
 def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
@@ -117,20 +120,16 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
     diagonal witness with that label, over the base classes in depth order.
     """
     lifted = lifted_classes(G, base)
-    if not isinstance(G, FullSub):
-        witnesses = tuple(
-            LiftWitness(t, t, t, t, canonical_rep(t), canonical_rep(t))
-            for t in lifted.classes
-        )
-        return LiftResult(lifted, witnesses)
-    return LiftResult(lifted, stored(base, "_so3_witnesses", lambda b: _so3_witnesses(b, lifted)))
+    so3 = ambient_class(G) is FULL
+    key = "_so3_witnesses" if so3 else "_own_witnesses"  # lattice_of_mask shares a base
+    return LiftResult(lifted, stored(base, key, lambda b: _witnesses(b, lifted, so3)))
 
 
-def _so3_witnesses(base: IsotropyLattice, lifted: IsotropyLattice) -> tuple[LiftWitness, ...]:
+def _witnesses(base: IsotropyLattice, lifted: IsotropyLattice, so3: bool) -> tuple[LiftWitness, ...]:
     depths = compute_depths(base)
     found: dict[ClassTag, LiftWitness] = {}
     for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
-        for w in _diagonal_witnesses(h):
+        for w in _diagonal_witnesses(h, so3):
             found.setdefault(w.lifted_class, w)
     # a table class without a witness, or a witnessed class the table lacks
     # (listed last), fails lift_witness_check
@@ -143,41 +142,43 @@ def ann_of(h: ClassTag) -> tuple[ConcreteSubgroup, ...]:
 
 
 @lru_cache(maxsize=None)
-def _diagonal_witnesses(h: ClassTag) -> tuple[LiftWitness, ...]:
-    """The witnesses (k, h, h, k) of h, one per entry K of ann_of(h), k its class.
+def _diagonal_witnesses(h: ClassTag, so3: bool) -> tuple[LiftWitness, ...]:
+    """The witnesses (k, h, h, k) of h, one per entry K of h (_entries), k its class.
 
-    The embedding is canonical_rep(h) itself, except for T, O and I: their
-    enumerated position is the same set (and id_set) with other float bits,
-    which their witness bytes carry.  One tuple per catalog tag, so every
-    lift returns the same objects.
+    The embedding is canonical_rep(h) itself, except for T, O and I over
+    SO(3): their enumerated position is the same set (and id_set) with other
+    float bits, which their witness bytes carry.  One tuple per catalog tag
+    and rule, so every lift returns the same objects.
     """
-    E = canonical_rep(h)
-    if h.kind in ("T", "O", "I"):  # ROADMAP item 1 deletes this branch
+    H = E = canonical_rep(h)
+    if so3 and h.kind in ("T", "O", "I"):  # ROADMAP item 1 deletes this branch
         E = embeddings_of_class_in(h, E)[0]
-    return tuple(LiftWitness(g_class_of(K), h, h, g_class_of(K), E, K) for K in ann_of(h))
+    return tuple(LiftWitness(g_class_of(K), h, h, g_class_of(K), E, K) for K in _entries(so3)(H))
 
 
 def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftResult) -> bool:
     """Recheck every witness of a lift result.
 
-    Verifies that each witness uses a valid base pair, that its k_rep is a
-    stabilizer on the annihilator of its h2 and k that stabilizer's class,
+    Verifies that each witness uses a valid base pair, that its k_rep is an
+    entry of its h2 under G's rule (_entries) and k that entry's class,
     that the claimed intersection lands in the claimed class, and that the
     witnessed classes are exactly the classes of the lifted lattice, which
     are in turn the rule-table classes of the lift of base over G.  Every
     witness is compared on every call and no verdict is stored.  The lattice
     comes from the rule table and the witnesses from geometry, so the last
-    test catches any disagreement between the two.  The check does not call
-    the lift's ann_of but reads isotropy_on_ann(canonical_rep(h2)) itself.
-    A lift's finite k_rep is made of canonical_rep(h2)'s own element
-    objects, and so is its finite embedding, except for T, O and I, where
-    the embedding is a subgroup enumerated from canonical_rep(h2) whose
-    id_set holds the ids of the canonical objects it matches.  So intersect proves each finite
-    containment by object identity and looks up no element; a witness built
-    elsewhere takes the element lookup.  An O(2) ambient raises ValueError,
-    as in lifted_lattice.
+    test catches any disagreement between the two.  One path for every
+    ambient: the check reads G's own entries, so an SO(3) witness fails
+    over a finite or circle G, and it reads isotropy_on_ann over SO(3), not
+    the lift's ann_of.  A lift's finite k_rep is made of canonical_rep(h2)'s
+    own element objects, and so is its finite embedding, except for T, O
+    and I over SO(3), where the embedding is a subgroup enumerated from
+    canonical_rep(h2) whose id_set holds the ids of the canonical objects it
+    matches.  So intersect proves each finite containment by object identity
+    and looks up no element; a witness built elsewhere takes the element
+    lookup.  An O(2) ambient raises ValueError, as in lifted_lattice.
     """
-    ambient_class(G)  # refuses an O(2) ambient
+    amb = ambient_class(G)  # refuses an O(2) ambient
+    entries = _entries(amb is FULL)
     base_classes = set(base.classes)
     witnessed = set()
     for w in result.witnesses:
@@ -187,7 +188,7 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
             return False
         if not any(
             g_class_of(K) is w.k and subgroup_equal(K, w.k_rep)
-            for K in isotropy_on_ann(canonical_rep(w.h2))
+            for K in entries(canonical_rep(w.h2))
         ):
             return False
         if g_class_of(w.embedding) != w.h1:
@@ -196,4 +197,4 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
             return False
         witnessed.add(w.lifted_class)
     lifted = result.lifted
-    return witnessed == set(lifted.classes) and lifted.mask == _table_mask(G, base)
+    return witnessed == set(lifted.classes) and lifted.mask == _table_mask(amb, base)

@@ -18,7 +18,7 @@ from the rule table, with no witness and no group built.
 
 from __future__ import annotations
 
-from .catalog import CIRCLE, CircleSub, ConcreteSubgroup
+from .catalog import CIRCLE, ConcreteSubgroup
 from .errors import NotTotallyIsotropic
 from .lift import _validate_realizable, ambient_class, lifted_classes
 from .poset import IsotropyLattice, build_lattice
@@ -32,9 +32,7 @@ def is_totally_isotropic(G: ConcreteSubgroup, mu) -> bool:
     points, so every value does.  A finite group has a zero dual, so zero is
     the only momentum value there is.  O(2) is not an ambient: ValueError.
     """
-    if ambient_class(G) == CIRCLE:
-        return True
-    return _mu_is_zero(G, mu)
+    return ambient_class(G) is CIRCLE or _mu_is_zero(G, mu)
 
 
 def _as_vec3(mu) -> Vec3:
@@ -50,7 +48,7 @@ def _mu_is_zero(G: ConcreteSubgroup, mu) -> bool:
     """Whether mu is zero; for a circle, its component along the axis, which
     is all the circle's momentum x × v reads."""
     v = _as_vec3(mu)
-    if isinstance(G, CircleSub):
+    if ambient_class(G) is CIRCLE:
         return abs(dot(v, G.axis)) <= TOLERANCE
     return max(abs(c) for c in v) <= TOLERANCE
 
@@ -72,15 +70,15 @@ def mu_lattice(G: ConcreteSubgroup, base: IsotropyLattice, mu) -> IsotropyLattic
     The lattice's unique_min says whether a single minimal class is left.
     """
     _validate_realizable(G, base)
-    if not is_totally_isotropic(G, mu):
+    if _mu_is_zero(G, mu):
+        return build_lattice(base.classes, require_unique_min=False)
+    # a nonzero mu is totally isotropic only for the circle ambient, where
+    # the algebra of the circle itself is not annihilated
+    if ambient_class(G) is not CIRCLE:
         raise NotTotallyIsotropic(
             "the level-set description applies to totally isotropic momentum "
             "values only"
         )
-    if _mu_is_zero(G, mu):
-        return build_lattice(base.classes, require_unique_min=False)
-    # nonzero totally isotropic mu exists only for the circle ambient, where
-    # the algebra of the circle itself is not annihilated
     kept = [t for t in base.classes if t.kind in ("1", "C")]
     if not kept:
         raise NotTotallyIsotropic(

@@ -107,7 +107,7 @@ def test_criterion_02(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "MATCH"
 
 
-@pytest.mark.acceptance("finite ambient fast path over T, O, I, D4, C6")
+@pytest.mark.acceptance("finite ambient lift over T, O, I, D4, C6, one path with SO(3)")
 def test_criterion_03(tmp_path, capsys):
     expected_bases = {
         "T": ["1", "C2", "C3", "T"],
@@ -141,7 +141,7 @@ def test_criterion_03(tmp_path, capsys):
         assert json.loads(out)["classes"] == shorts(base.classes), name
 
 
-@pytest.mark.acceptance("circle ambient fast path {C2 < C4 < SO2}")
+@pytest.mark.acceptance("circle ambient lift {C2 < C4 < SO2}, one path with SO(3)")
 def test_criterion_04(tmp_path, capsys):
     base = build_lattice(tags(["C2", "C4", "SO2"]))
     res = lifted_lattice(canonical_rep(CIRCLE), base)

@@ -131,8 +131,8 @@ def test_off_diagonal_pairs_add_nothing():
 
 def test_self_embedding_is_the_canonical_rep_as_a_set():
     for t in CATALOG:
-        witnesses = _diagonal_witnesses(t)
-        assert witnesses is _diagonal_witnesses(t)
+        witnesses = _diagonal_witnesses(t, True)
+        assert witnesses is _diagonal_witnesses(t, True)
         for w in witnesses:
             assert w.embedding is witnesses[0].embedding
             assert subgroup_equal(w.embedding, canonical_rep(t)), t.short()
@@ -161,7 +161,7 @@ with open(sys.argv[2], "w") as fh:
     json.dump({"group": {"kind": "SO3"}, "base_lattice": sys.argv[3:]}, fh)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = run_command(["lift", sys.argv[2]])
-witnesses = [w for t in sys.argv[3:] for w in lift._diagonal_witnesses(catalog.parse_tag(t))]
+witnesses = [w for t in sys.argv[3:] for w in lift._diagonal_witnesses(catalog.parse_tag(t), True)]
 print(json.dumps({
     "code": code,
     "calls": calls,

@@ -152,3 +152,52 @@ def test_the_scan_sees_a_hand_rolled_store():
 def test_only_stored_reads_a_dict_for_stored_data(path):
     # derived data is kept through rotation.stored or a cached_property
     assert dict_reads(path.read_text(encoding="utf-8")) == []
+
+
+def ambient_type_tests(source: str) -> list[str]:
+    """Where a module tests an ambient's type outside ambient_class.
+
+    An ambient is the name G or an attribute .ambient; a test is an
+    isinstance call on one.  Returns "function:line" for each.
+    """
+    def is_ambient(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "G") or (
+            isinstance(node, ast.Attribute) and node.attr == "ambient"
+        )
+
+    found = []
+
+    def visit(node, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and node.args
+            and is_ambient(node.args[0])
+            and func != "ambient_class"
+        ):
+            found.append(f"{func}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_an_ambient_type_test():
+    src = (
+        "def ambient_class(G):\n    return isinstance(G, O2)\n"
+        "def a(G, S):\n    return isinstance(S, F) or isinstance(G, FullSub)\n"
+        "def b(spec):\n    return isinstance(spec.ambient, F)\n"
+        "isinstance(G, F)\n"
+    )
+    assert ambient_type_tests(src) == ["a:4", "b:6", "<module>:7"]
+
+
+@pytest.mark.parametrize("name", ["lift.py", "momentum.py", "cli.py"])
+def test_only_ambient_class_tests_an_ambient_type(name):
+    # the ambient's class decides its kind; the lift, momentum and cli code
+    # read that tag
+    assert ambient_type_tests((SRC / name).read_text(encoding="utf-8")) == []

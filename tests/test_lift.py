@@ -110,6 +110,25 @@ def test_witness_check_rejects_a_lift_over_another_ambient():
     assert not lift_witness_check(so3, b, over_g)
 
 
+@pytest.mark.parametrize("ambient", [TETRA, CIRCLE], ids=lambda t: t.short())
+def test_witness_check_rejects_an_so3_only_witness_over_another_ambient(ambient):
+    # (1, h, h, 1) holds over SO(3), where the trivial group is an entry of
+    # h's annihilator isotropy; over the finite T or the circle, h's one
+    # entry is h itself, so the recheck must refuse it in place of (1, 1, 1, 1)
+    G, so3, b = canonical_rep(ambient), canonical_rep(FULL), lattice(["1", ambient.short()])
+    K = next(K for K in isotropy_on_ann(G) if g_class_of(K) is TRIVIAL)
+    so3_only = LiftWitness(TRIVIAL, ambient, ambient, TRIVIAL, G, K)
+
+    def swapped(res):
+        ws = tuple(so3_only if w.lifted_class is TRIVIAL else w for w in res.witnesses)
+        return replaced(res, witnesses=ws)
+
+    over_so3, over_g = lifted_lattice(so3, b), lifted_lattice(G, b)
+    assert lift_witness_check(so3, b, swapped(over_so3))
+    assert lift_witness_check(G, b, over_g)
+    assert not lift_witness_check(G, b, swapped(over_g))
+
+
 def test_finite_fast_path_keeps_order():
     G = canonical_rep(parse_tag("D6"))
     b = lattice(["1", "C2", "C3", "D6"])

@@ -149,7 +149,7 @@ def test_finite_parents_after_an_so3_lift(tmp_path, capsys):
 
 @pytest.mark.parametrize("tag", [TETRA, OCTA, ICOSA], ids=lambda t: t.short())
 def test_equal_witnesses_keep_their_own_bits(tag):
-    so3 = next(w for w in _diagonal_witnesses(tag) if w.lifted_class == tag)
+    so3 = next(w for w in _diagonal_witnesses(tag, True) if w.lifted_class == tag)
     parent = canonical_rep(tag)
     (finite,) = lifted_lattice(parent, build_lattice([tag])).witnesses
     assert so3.embedding == canonical_rep(tag) and so3 == finite
