@@ -64,9 +64,10 @@ def axis_line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRot
         unseen[k] -= len(members)
         rep = max(members.values())
         rep_key = line_key(rep)
-        axial = FiniteRotationGroup.from_elements([r for r, _ in table[rep_key][1]])
-        # its one line is this entry: the same elements, in the same (key) order
-        axial.__dict__["lines"] = {rep_key: table[rep_key]}
+        on_rep = {id(r) for r, _ in table[rep_key][1]}
+        axial = F.where(lambda r: id(r) in on_rep)
+        # its one line is this entry: the same elements, in the same order
+        stored(axial, "lines", lambda _: {rep_key: table[rep_key]})
         orbits.append((rep, k, axial))
     orbits.sort(key=lambda item: (item[1], item[0]))
     return tuple(orbits)

@@ -585,8 +585,8 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
         at = {F.index_of(r) for r in S}
         if None in at or len(at) != len(S) or sum(1 << i for i in at) != mask:
             raise UnclassifiableGroup("closure disagrees with the parent's Cayley table")
-        S.__dict__["_parent"] = F  # keeps the ids below valid
-        S.__dict__["id_set"] = frozenset(id(elements[i]) for i in at)
+        stored(S, "_parent", lambda _: F)  # keeps the ids below valid
+        stored(S, "id_set", lambda _: frozenset(id(elements[i]) for i in at))
         return S
 
     found = {1 << ident: checked(FiniteRotationGroup.from_elements([]), 1 << ident)}
@@ -663,7 +663,9 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
     Two finite operands are first compared by identity: when the smaller
     one's id_set lies in the other's (every element matched by one of the
     other's own objects), the smaller one is the intersection and no
-    element is looked up.
+    element is looked up.  Otherwise a finite intersection is the smaller
+    finite operand's where() selection of the elements the other contains:
+    its own objects, in its order, so the result meets it by identity.
     """
     if A is B or isinstance(A, FullSub):
         return B
@@ -675,10 +677,7 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
         small, other = (A, B) if a_len <= b_len else (B, A)
         if isinstance(other, FiniteRotationGroup) and small.id_set <= other.id_set:
             return small  # each element is one of other's own objects
-        kept = [r for r in small if subgroup_contains(other, r)]
-        if len(kept) == len(small):
-            return small
-        return FiniteRotationGroup.from_elements(kept)
+        return small.where(lambda r: subgroup_contains(other, r))
     if isinstance(A, CircleSub) and isinstance(B, CircleSub):
         return A if _same_line(A.axis, B.axis) else trivial_group()
     if isinstance(A, OrthCircleSub) and isinstance(B, OrthCircleSub):
@@ -732,9 +731,8 @@ def _cyclic_part_about(members, m: int) -> list[Rotation] | None:
 
 def _position(H: FiniteRotationGroup, els: list[Rotation]) -> FiniteRotationGroup:
     """The subgroup of H on els, H's own elements: H itself when they fill it."""
-    if len(els) == len(H):
-        return H
-    return FiniteRotationGroup.from_elements(els)
+    ids = set(map(id, els))
+    return H.where(lambda r: id(r) in ids)
 
 
 def _finite_cyclic_embeddings(H: FiniteRotationGroup, m: int) -> list[FiniteRotationGroup]:

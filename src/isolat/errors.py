@@ -14,7 +14,7 @@ class IsolatError(Exception):
 
 
 class GroupTooLarge(IsolatError):
-    """Multiplicative closure exceeded the element cap."""
+    """A finite rotation group would exceed the element cap."""
 
     code = "group-too-large"
 

@@ -136,11 +136,6 @@ def _witnesses(base: IsotropyLattice, lifted: IsotropyLattice, so3: bool) -> tup
     return tuple(found.pop(t) for t in lifted.classes if t in found) + tuple(found.values())
 
 
-def ann_of(h: ClassTag) -> tuple[ConcreteSubgroup, ...]:
-    """Stabilizers of the canonical h representative on its annihilator."""
-    return isotropy_on_ann(canonical_rep(h))
-
-
 @lru_cache(maxsize=None)
 def _diagonal_witnesses(h: ClassTag, so3: bool) -> tuple[LiftWitness, ...]:
     """The witnesses (k, h, h, k) of h, one per entry K of h (_entries), k its class.
@@ -168,14 +163,14 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     comes from the rule table and the witnesses from geometry, so the last
     test catches any disagreement between the two.  One path for every
     ambient: the check reads G's own entries, so an SO(3) witness fails
-    over a finite or circle G, and it reads isotropy_on_ann over SO(3), not
-    the lift's ann_of.  A lift's finite k_rep is made of canonical_rep(h2)'s
-    own element objects, and so is its finite embedding, except for T, O
-    and I over SO(3), where the embedding is a subgroup enumerated from
-    canonical_rep(h2) whose id_set holds the ids of the canonical objects it
-    matches.  So intersect proves each finite containment by object identity
-    and looks up no element; a witness built elsewhere takes the element
-    lookup.  An O(2) ambient raises ValueError, as in lifted_lattice.
+    over a finite or circle G.  A lift's finite k_rep is made of
+    canonical_rep(h2)'s own element objects, and so is its finite
+    embedding, except for T, O and I over SO(3), where the embedding is a
+    subgroup enumerated from canonical_rep(h2) whose id_set holds the ids
+    of the canonical objects it matches.  So intersect proves each finite
+    containment by object identity and looks up no element; a witness built
+    elsewhere takes the element lookup.  An O(2) ambient raises ValueError,
+    as in lifted_lattice.
     """
     amb = ambient_class(G)  # refuses an O(2) ambient
     entries = _entries(amb is FULL)

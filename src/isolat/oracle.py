@@ -103,10 +103,7 @@ def _fixing(S: ConcreteSubgroup, p: Vec3) -> ConcreteSubgroup:
     if isinstance(S, FullSub):
         return CircleSub(p)
     tol = SAMPLE_TOL * max(1.0, n)
-    kept = [g for g in S if norm(vsub(apply(g, p), p)) <= tol]
-    if len(kept) == len(S):
-        return S
-    return FiniteRotationGroup.from_elements(kept)
+    return S.where(lambda g: norm(vsub(apply(g, p), p)) <= tol)
 
 
 def stabilizer_of_point(action: ConcreteAction, x: Vec3) -> ConcreteSubgroup:

@@ -89,10 +89,10 @@ class Value:
     """Immutable record of the fields its subclass annotates, in that order.
 
     Built from the fields by position or keyword (class attributes are the
-    defaults), then __post_init__ may canonicalize them through __dict__,
-    where derived data may be cached too.  Values of one class with equal
-    fields are equal and hash alike.  Assignment and deletion raise
-    AttributeError.
+    defaults), then __post_init__ may canonicalize them through __dict__.
+    Derived data is kept there too, through stored or a cached_property.
+    Values of one class with equal fields are equal and hash alike.
+    Assignment and deletion raise AttributeError.
     """
 
     _fields = ()  # the field names, set per subclass
@@ -303,14 +303,6 @@ def axis_angle_of(r: Rotation) -> AxisAngle | None:
     return AxisAngle(axis, angle, _order_of_angle(angle))
 
 
-def _bucket_table(keys) -> dict[tuple, list[int]]:
-    """Map each key to the positions that carry it."""
-    table: dict[tuple, list[int]] = {}
-    for i, k in enumerate(keys):
-        table.setdefault(k, []).append(i)
-    return table
-
-
 class FiniteRotationGroup(Value):
     """Immutable finite set of rotations, sorted deterministically.
 
@@ -322,37 +314,19 @@ class FiniteRotationGroup(Value):
 
     @classmethod
     def from_elements(cls, elements) -> "FiniteRotationGroup":
-        """Deduplicate, add the identity and sort by descending key.
-
-        Each element's key() is computed once and serves the deduplication,
-        the sort and the group's _buckets lookup table.
-        """
-        ident = Rotation.identity()
-        unique: list[tuple[tuple, Rotation]] = [(ident.key(), ident)]
-        buckets: dict[tuple, list[int]] = {unique[0][0]: [0]}
+        """The distinct elements (the first object of each) and
+        Rotation.identity(), sorted by descending key (see _distinct)."""
+        found, add = _distinct()
         for r in elements:
-            k = r.key()
-            hits = buckets.get(k)
-            if hits is not None and any(eq(unique[i][1], r) for i in hits):
-                continue
-            if len(unique) >= CLOSURE_CAP:
-                raise GroupTooLarge(f"rotation set exceeds cap {CLOSURE_CAP}")
-            buckets.setdefault(k, []).append(len(unique))
-            unique.append((k, r))
-        return cls._of_unique(unique)
-
-    @classmethod
-    def _of_unique(cls, unique: list[tuple[tuple, Rotation]]) -> "FiniteRotationGroup":
-        """The group of distinct (key, rotation) pairs, the identity among
-        them, sorted by descending key; the keys fill the _buckets table."""
-        unique.sort(key=lambda kr: (-kr[0][0], -kr[0][1], -kr[0][2], -kr[0][3]))
-        group = cls(tuple(r for _, r in unique))
-        group.__dict__["_buckets"] = _bucket_table(k for k, _ in unique)
-        return group
+            add(r)
+        return _sorted_group(found)
 
     @cached_property
-    def _buckets(self) -> dict:
-        return _bucket_table(r.key() for r in self.elements)
+    def _buckets(self) -> dict[tuple, list[int]]:
+        table: dict[tuple, list[int]] = {}
+        for i, r in enumerate(self.elements):
+            table.setdefault(r.key(), []).append(i)
+        return table
 
     @cached_property
     def key_set(self) -> frozenset:
@@ -363,7 +337,9 @@ class FiniteRotationGroup(Value):
         """The id()s of objects equal to the elements, for containment by identity.
 
         Those of the element objects themselves, unless catalog.subgroups_of
-        sets them at construction (see _enumerate_subgroups).
+        stores the ids of its parent's objects first (see
+        _enumerate_subgroups).  A where() selection holds its parent's own
+        objects, so its ids are theirs.
         """
         return frozenset(map(id, self.elements))
 
@@ -394,6 +370,15 @@ class FiniteRotationGroup(Value):
     def contains(self, r: Rotation) -> bool:
         return self.index_of(r) is not None
 
+    def where(self, keep) -> "FiniteRotationGroup":
+        """The subgroup on the elements that keep accepts, and the identity.
+
+        keep must pick a subgroup.  It holds this group's own element objects,
+        its identity included, in this order (so they are not deduplicated or
+        sorted again), and is this group itself when all are kept."""
+        kept = tuple(r for r in self.elements if keep(r) or r.is_identity())
+        return self if len(kept) == len(self.elements) else FiniteRotationGroup(kept)
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -413,41 +398,45 @@ class FiniteRotationGroup(Value):
         return type(self), (self.elements,)
 
 
+def _distinct():
+    """A list of distinct rotations, the identity first, and its add(r).
+
+    add appends r unless an equal element is in already (a rounded-key probe
+    confirmed by eq), says whether r was new, and raises GroupTooLarge when
+    the list would exceed CLOSURE_CAP."""
+    found = [Rotation.identity()]
+    buckets: dict[tuple, list[Rotation]] = {found[0].key(): [found[0]]}
+
+    def add(r: Rotation) -> bool:
+        hits = buckets.setdefault(r.key(), [])
+        if any(eq(s, r) for s in hits):
+            return False
+        if len(found) >= CLOSURE_CAP:
+            raise GroupTooLarge(f"group order exceeds cap {CLOSURE_CAP}")
+        hits.append(r)
+        found.append(r)
+        return True
+
+    return found, add
+
+
+def _sorted_group(found: list[Rotation]) -> FiniteRotationGroup:
+    # descending keys; a stable sort keeps equal keys in the order found
+    return FiniteRotationGroup(tuple(sorted(found, key=Rotation.key, reverse=True)))
+
+
 def close_group(generators) -> FiniteRotationGroup:
     """Multiplicative closure of the generators plus the identity.
 
-    Breadth-first boundary multiplication; duplicates are detected once, as
-    in from_elements, with the rounded-coordinate lookup confirmed by eq.
-    Raises GroupTooLarge when the closure would exceed CLOSURE_CAP, which is
-    also how generators of effectively infinite order surface.
-    """
-    ident = Rotation.identity()
-    unique: list[tuple[tuple, Rotation]] = [(ident.key(), ident)]
-    buckets: dict[tuple, list[int]] = {unique[0][0]: [0]}
-
-    def add(r: Rotation) -> bool:
-        """Append r unless an equal element is in already; True if it was new."""
-        k = r.key()
-        hits = buckets.get(k)
-        if hits is not None and any(eq(unique[i][1], r) for i in hits):
-            return False
-        if len(unique) >= CLOSURE_CAP:
-            raise GroupTooLarge(f"closure exceeds cap {CLOSURE_CAP}")
-        buckets.setdefault(k, []).append(len(unique))
-        unique.append((k, r))
-        return True
-
+    Breadth-first boundary multiplication over from_elements' distinct set,
+    so GroupTooLarge is also how generators of effectively infinite order
+    surface."""
+    found, add = _distinct()
     gens = [g for g in generators if add(g)]
-    frontier = list(gens)
+    frontier = gens
     while frontier:
-        fresh: list[Rotation] = []
-        for a in gens:
-            for b in frontier:
-                c = compose(a, b)
-                if add(c):
-                    fresh.append(c)
-        frontier = fresh
-    return FiniteRotationGroup._of_unique(unique)
+        frontier = [c for a in gens for b in frontier if add(c := compose(a, b))]
+    return _sorted_group(found)
 
 
 def rotation_to_json(r: Rotation) -> dict:

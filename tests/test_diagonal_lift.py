@@ -1,13 +1,12 @@
 """The lift from the diagonal pairs only, checked against exact rules.
 
 The lift takes, for each base class h, the classes of the entries of
-ann_of(h).  Three
-independent routes pin that down:
+isotropy_on_ann(canonical_rep(h)).  Three independent routes pin that down:
 
 - an integer rule per catalog kind (no rotations) for the isotropy classes
-  of h on the annihilator of its algebra, checked against ann_of and, for
-  every off-diagonal pair h1 < h2, against the classes of E meet K built
-  geometrically;
+  of h on the annihilator of its algebra, checked against those entries
+  and, for every off-diagonal pair h1 < h2, against the classes of E meet K
+  built geometrically;
 - the lifted lattice of any base equals build_lattice(base + rule(h) ...);
 - a copy of the former h1 x h2 pair loop, whose output bytes must equal the
   diagonal engine's on fixed and seeded random bases.
@@ -49,7 +48,6 @@ from isolat.cli import lattice_to_json, witness_to_json
 from isolat.lift import (
     LiftWitness,
     _diagonal_witnesses,
-    ann_of,
     lift_witness_check,
     lifted_classes,
     lifted_lattice,
@@ -109,11 +107,11 @@ def pair_classes(h1, h2):
     }
 
 
-def test_rule_matches_ann_of_for_every_tag():
+def test_rule_matches_the_annihilator_isotropy_for_every_tag():
     # requilibria and check read ann_mask alone: this is its geometric guard
     assert len(CATALOG) == 205
     for t in CATALOG:
-        labels = set(map(g_class_of, ann_of(t)))
+        labels = set(map(g_class_of, isotropy_on_ann(canonical_rep(t))))
         assert labels == rule(t), t.short()
         assert ann_mask(t) == mask_of(rule(t)) == mask_of(labels), t.short()
 
@@ -196,7 +194,7 @@ def test_a_cold_lift_without_exceptional_classes_searches_no_position(tmp_path):
 def old_pair_contribution(h1, h2):
     found = {}
     for E in embeddings_of_class_in(h1, canonical_rep(h2)):
-        for K in ann_of(h2):
+        for K in isotropy_on_ann(canonical_rep(h2)):
             t = g_class_of(intersect(E, K))
             if t not in found:
                 found[t] = LiftWitness(t, h1, h2, g_class_of(K), E, K)

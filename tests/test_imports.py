@@ -154,6 +154,72 @@ def test_only_stored_reads_a_dict_for_stored_data(path):
     assert dict_reads(path.read_text(encoding="utf-8")) == []
 
 
+# Where __dict__ may be written: stored, the two constructors that fill the
+# fields, and a __post_init__ that canonicalises one of its class's fields.
+DICT_WRITERS = ("stored", "Value.__init__", "Rotation.__init__")
+DICT_MUTATORS = ("update", "pop", "popitem", "clear", "__setitem__", "__delitem__")
+
+
+def dict_writes(source: str) -> list[str]:
+    """Where a module writes an instance's __dict__ by hand.
+
+    A write is a store into or a deletion from X.__dict__[...], a mutating
+    method of X.__dict__ (update, pop and the like), or X.__dict__ bound to
+    a name to be written through.  Returns "qualified.name:line" for each
+    write outside DICT_WRITERS and the field writes of a __post_init__.
+    """
+    def is_dict(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    found = []
+
+    def visit(node, qual: str, fields: set) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            qual = f"{qual}.{node.name}" if qual else node.name
+        if isinstance(node, ast.ClassDef):
+            fields = {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+        field_write = False
+        if isinstance(node, ast.Subscript) and is_dict(node.value):
+            write = isinstance(node.ctx, (ast.Store, ast.Del))
+            key = node.slice.value if isinstance(node.slice, ast.Constant) else None
+            field_write = write and isinstance(node.ctx, ast.Store) and key in fields
+        elif isinstance(node, ast.Attribute) and is_dict(node.value):
+            write = node.attr in DICT_MUTATORS
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            write = any(map(is_dict, values))
+        else:
+            write = False
+        if write and qual not in DICT_WRITERS and not (
+            field_write and qual.endswith(".__post_init__")
+        ):
+            found.append(f"{qual}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, qual, fields)
+
+    visit(ast.parse(source), "", set())
+    return found
+
+
+def test_the_scan_sees_a_hand_written_store():
+    src = (
+        "def stored(o, k, b):\n    o.__dict__[k] = b(o)\n"
+        "class Value:\n    x: int\n    def __init__(self):\n        d = self.__dict__\n"
+        "    def __post_init__(self):\n        self.__dict__['x'] = 1\n"
+        "        self.__dict__['lines'] = 2\n"
+        "def a(F):\n    F.__dict__['lines'] = {}\n    F.__dict__.update(t=1)\n"
+        "def b(F):\n    d = F.__dict__\n    del F.__dict__['t']\n"
+    )
+    assert dict_writes(src) == ["Value.__post_init__:9", "a:11", "a:12", "b:14", "b:15"]
+    assert dict_reads(src) == []  # the read scan sees none of them
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_stored_writes_a_dict_for_derived_data(path):
+    # derived data is kept through rotation.stored or a cached_property
+    assert dict_writes(path.read_text(encoding="utf-8")) == []
+
+
 def ambient_type_tests(source: str) -> list[str]:
     """Where a module tests an ambient's type outside ambient_class.
 

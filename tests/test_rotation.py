@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -9,6 +10,7 @@ from isolat.catalog import ICOSA, N_CAP, OCTA, TETRA, TRIVIAL, canonical_rep, cy
 from isolat.errors import GroupTooLarge
 from isolat.rotation import (
     _KEY_DIGITS,
+    CLOSURE_CAP,
     ORDER_CAP,
     TOLERANCE,
     FiniteRotationGroup,
@@ -179,6 +181,51 @@ def test_close_group_sizes(gens, size):
 def test_close_group_caps_infinite_generators():
     with pytest.raises(GroupTooLarge):
         close_group([Rotation.from_axis_angle((0, 0, 1), 1.0)])
+
+
+def test_from_elements_and_close_group_raise_one_cap_message():
+    turn = Rotation.from_axis_angle((0, 0, 1), 1.0)  # of infinite order
+    powers = [turn]
+    while len(powers) < CLOSURE_CAP:
+        powers.append(compose(turn, powers[-1]))
+    assert len(FiniteRotationGroup.from_elements(powers[:-1])) == CLOSURE_CAP
+    with pytest.raises(GroupTooLarge) as built:
+        FiniteRotationGroup.from_elements(powers)
+    with pytest.raises(GroupTooLarge) as closed:
+        close_group([turn])
+    assert str(built.value) == str(closed.value) == f"group order exceeds cap {CLOSURE_CAP}"
+
+
+def test_where_keeping_every_element_is_the_group_itself():
+    F = canonical_rep(OCTA)
+    assert F.where(lambda r: True) is F
+    # the identity is kept whatever keep says of it
+    assert F.where(lambda r: not r.is_identity()) is F
+
+
+def test_where_keeps_the_parent_objects_in_the_parent_order():
+    from isolat.catalog import intersect
+
+    F = canonical_rep(dihedral(4))
+    _, quarter_line = max(F.lines.values(), key=lambda entry: len(entry[1]))
+    on_line = {id(r) for r, _ in quarter_line}
+    S = F.where(lambda r: id(r) in on_line)
+    assert len(S) == 4 and S == canonical_rep(cyclic(4))
+    assert S.elements == tuple(r for r in F.elements if id(r) in on_line or r.is_identity())
+    assert all(any(r is g for g in F) for r in S)
+    # so intersect meets S inside F by identity, looking up no element
+    assert S.id_set <= F.id_set and intersect(S, F) is S
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_where_keeps_a_copied_parent_own_identity(clone):
+    F = clone(canonical_rep(dihedral(4)))
+    ident = next(r for r in F if r.is_identity())
+    half = next(r for r in F if axis_angle_of(r) is not None and axis_angle_of(r).order == 2)
+    assert F.where(lambda r: False).elements == (ident,)
+    S = F.where(lambda r: r is half)
+    assert len(S) == 2 and S.elements[0] is ident and S.elements[1] is half
+    assert S.id_set <= F.id_set
 
 
 def test_close_group_is_idempotent():
