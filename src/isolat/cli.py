@@ -94,9 +94,12 @@ run 'isolat COMMAND --help' for details on one command
 
 
 class ProblemSpec(Value):
+    """A validated spec: its ambient group, its base lattice, and the
+    concrete action it names, or None."""
+
     ambient: ConcreteSubgroup
-    base_tags: tuple[ClassTag, ...]
-    action: str | None
+    base: IsotropyLattice
+    action: ConcreteAction | None
 
 
 _TOP_KEYS = {"group", "base_lattice", "order", "action"}
@@ -115,8 +118,9 @@ def _unique_keys(pairs: list) -> dict:
 # Spec texts whose ProblemSpec parse_spec keeps.  A constant, not an option:
 # a warm lift and its requilibria read one text twice, and the bench pool's
 # round of 51 texts fits.  By tracemalloc, an entry of an SO(3) pool base
-# costs about 0.5 KiB; a finite one keeps its closed group, about 180 KiB for
-# D90-D100, so a full cache of such specs holds about 23 MiB.
+# costs about 1.2 KiB with its base lattice (the one lattice_of_mask keeps);
+# a finite one keeps its closed group, about 180 KiB for D90-D100, so a full
+# cache of such specs holds about 23 MiB.
 SPEC_CACHE_SIZE = 128
 
 
@@ -126,8 +130,9 @@ def parse_spec(text: str) -> ProblemSpec:
 
     The spec is a function of the text alone, so the last SPEC_CACHE_SIZE
     parsed texts are kept: a text seen again gets the same immutable
-    ProblemSpec back, its ambient group included.  A refused text is
-    stored nowhere, and is parsed and refused again on every call.
+    ProblemSpec back, its ambient group, base lattice and action included.
+    A refused text is stored nowhere, and is parsed and refused again on
+    every call.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -227,14 +232,18 @@ def parse_spec(text: str) -> ProblemSpec:
             if wrong:
                 i, j = min(wrong)
                 raise ValidationError(text.format(L.classes[i].short(), L.classes[j].short()), "order")
+    try:
+        base = build_lattice(tags)
+    except NoUniqueMinimum as e:
+        raise NoUniqueMinimum(str(e), "base_lattice") from None
 
     action = doc.get("action")
     if action is not None:
         if not isinstance(action, str):
             raise SchemaError("'action' must be a string", "action")
-        _resolve_action(action, ambient, "action")
+        action = _resolve_action(action, ambient, "action")
 
-    return ProblemSpec(ambient, tuple(tags), action)
+    return ProblemSpec(ambient, base, action)
 
 
 def _resolve_action(name: str, ambient: ConcreteSubgroup, path: str) -> ConcreteAction:
@@ -417,14 +426,6 @@ def _read_spec_file(path: str) -> str:
         raise ValidationError(f"cannot read spec file: {e}", "specfile") from None
 
 
-def _base_lattice(spec: ProblemSpec) -> IsotropyLattice:
-    """The spec's base lattice; a missing unique minimum names base_lattice."""
-    try:
-        return build_lattice(spec.base_tags)
-    except NoUniqueMinimum as e:
-        raise NoUniqueMinimum(str(e), "base_lattice") from None
-
-
 def _check_dot_path(path: str | None) -> None:
     """Refuse an empty --dot path, which would otherwise write nothing."""
     if path == "":
@@ -466,9 +467,8 @@ def _cmd_lift(argv) -> int:
     a = _lift_parser().parse_args(argv)
     _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
-    base = _base_lattice(spec)
-    result = lifted_lattice(spec.ambient, base)
-    if not lift_witness_check(spec.ambient, base, result):
+    result = lifted_lattice(spec.ambient, spec.base)
+    if not lift_witness_check(spec.ambient, spec.base, result):
         _emit_error("witness-check", "", "internal witness recheck failed")
         return 3
     if a.dot is not None:
@@ -518,9 +518,8 @@ def _cmd_mu(argv) -> int:
     a = _mu_parser().parse_args(argv)
     mu = _parse_mu(a.mu)
     spec = parse_spec(_read_spec_file(a.specfile))
-    base = _base_lattice(spec)
     try:
-        level = mu_lattice(spec.ambient, base, mu)
+        level = mu_lattice(spec.ambient, spec.base, mu)
     except NotTotallyIsotropic as e:
         raise NotTotallyIsotropic(str(e), "mu") from None
     members = [_member("mu", mu), _lattice_text(level)]  # a tuple renders as a list
@@ -554,8 +553,7 @@ def _cmd_requilibria(argv) -> int:
     a = _requilibria_parser().parse_args(argv)
     _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
-    base = _base_lattice(spec)
-    L = relative_equilibria_lattice(spec.ambient, base)
+    L = relative_equilibria_lattice(spec.ambient, spec.base)
     if a.dot is not None:
         _write_dot(a.dot, L)
     print(_document([_lattice_text(L)]))
@@ -589,13 +587,12 @@ def _cmd_check(argv) -> int:
     if a.samples < 0:
         raise ValidationError(f"--samples must be 0 or more, got {a.samples}", "samples")
     spec = parse_spec(_read_spec_file(a.specfile))
-    name = a.action or spec.action
-    if name is None:
+    action = _resolve_action(a.action, spec.ambient, "action") if a.action else spec.action
+    if action is None:
         raise ValidationError(
             "no action given on the command line or in the spec", "action"
         )
-    action = _resolve_action(name, spec.ambient, "action")
-    base = _base_lattice(spec)
+    base = spec.base
     lifted = set(lifted_classes(spec.ambient, base).classes)
     zero = set(zero_level_lattice(spec.ambient, base).classes)
     labels = ("base", "lifted", "zero-level", "requilibria")

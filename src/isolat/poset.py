@@ -48,10 +48,6 @@ class IsotropyLattice(Value):
         except ValueError:
             raise ClassNotInLattice(f"{t.short()} is not a class of this lattice")
 
-    def leq(self, a: ClassTag, b: ClassTag) -> bool:
-        i, j = self.index_of(a), self.index_of(b)
-        return i == j or (i, j) in self.less
-
 
 def mask_of(classes) -> int:
     """The catalog positions of classes, as the bits of one int."""

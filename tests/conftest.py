@@ -48,12 +48,16 @@ def fresh_subgroups():
 @pytest.fixture
 def fresh_lattices():
     """No shared lattice, nor what is stored on one (the SO(3) lift's witness
-    tuple, the cli's text), carried into the test or out of it."""
+    tuple, the cli's text), carried into the test or out of it; nor a kept
+    spec, which holds its base lattice."""
     from isolat import poset
+    from isolat.cli import parse_spec
 
     poset._lattice_of_mask.cache_clear()
+    parse_spec.cache_clear()
     yield
     poset._lattice_of_mask.cache_clear()
+    parse_spec.cache_clear()
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from isolat.cli import (
     parse_spec,
     run_command,
 )
-from isolat.errors import GroupTooLarge, SchemaError, ValidationError
+from isolat.errors import GroupTooLarge, NoUniqueMinimum, SchemaError, ValidationError
 from isolat.catalog import CIRCLE, FULL, N_CAP, canonical_rep, is_subconjugate, parse_tag
 from isolat.poset import build_lattice
 from isolat.rotation import FiniteRotationGroup
@@ -56,7 +56,7 @@ def finite_spec(*generators):
 def test_parse_so3_spec():
     spec = parse_spec(spec_text(SO3_SPEC))
     assert spec.ambient is canonical_rep(FULL)
-    assert [t.short() for t in spec.base_tags] == ["SO2", "SO3"]
+    assert [t.short() for t in spec.base.classes] == ["SO2", "SO3"]
     assert spec.action is None
 
 
@@ -76,8 +76,8 @@ def test_parse_spec_with_order_and_action():
     doc["order"] = [["SO2", "SO3"]]
     doc["action"] = "SO3_on_R3"
     spec = parse_spec(spec_text(doc))
-    assert spec.base_tags == (parse_tag("SO2"), parse_tag("SO3"))
-    assert spec.action == "SO3_on_R3"
+    assert spec.base is build_lattice([parse_tag("SO2"), parse_tag("SO3")])
+    assert spec.action.name == "SO3_on_R3" and spec.action.ambient is spec.ambient
 
 
 @pytest.mark.parametrize(
@@ -761,6 +761,18 @@ def test_no_unique_minimum_names_base_lattice(tmp_path, capsys, argv):
     assert rec["message"] == "minimal classes are C2, C3, expected exactly one"
 
 
+@pytest.mark.parametrize("action", [None, "Bogus", "Circle_on_R2"])
+def test_check_reports_no_unique_minimum_before_the_action(tmp_path, capsys, action):
+    # the base lattice is part of the parsed spec; the action is resolved after it
+    doc = {"group": {"kind": "SO3"}, "base_lattice": ["C2", "C3"]}
+    if action is not None:
+        doc["action"] = action
+    code, out, err = run(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["code"] == "no-unique-minimum" and rec["path"] == "base_lattice"
+
+
 def test_non_ascii_digits_are_not_a_tag(tmp_path, capsys):
     code, out, err = run(capsys, "adjoint", "C\u0662")
     assert code == 2 and out == ""
@@ -933,6 +945,32 @@ def test_a_refused_spec_is_refused_again_on_every_call(tmp_path, capsys, monkeyp
     assert json.loads(first[2])["error"]["path"] == "base_lattice[1]"
     assert run(capsys, "lift", path) == first
     assert len(decoded) == 2 and parse_spec.cache_info().currsize == 0
+
+
+def test_a_spec_without_a_unique_minimum_is_refused_and_not_kept(fresh_specs):
+    text = spec_text({"group": {"kind": "SO3"}, "base_lattice": ["C2", "C3"]})
+    for _ in range(2):
+        with pytest.raises(NoUniqueMinimum) as e:
+            parse_spec(text)
+        assert e.value.path == "base_lattice"
+        assert str(e.value) == "minimal classes are C2, C3, expected exactly one"
+    assert parse_spec.cache_info().currsize == 0
+
+
+def test_a_check_makes_the_spec_action_once_per_spec_text(tmp_path, capsys, monkeypatch, fresh_specs):
+    # parse_spec resolves the spec's action and keeps it on the spec; check
+    # makes an action itself only for an --action override
+    from isolat import cli
+
+    made, real = [], cli.make_action
+    monkeypatch.setattr(cli, "make_action", lambda name: made.append(name) or real(name))
+    path = write_spec(tmp_path, dict(SO3_SPEC, action="SO3_on_R3"))
+    assert run(capsys, "check", path, "--samples", "0")[0] == 0
+    assert made == ["SO3_on_R3"]
+    assert run(capsys, "check", path, "--samples", "0")[0] == 0
+    assert made == ["SO3_on_R3"]
+    assert run(capsys, "check", path, "--samples", "0", "--action", "SO3_on_R3")[0] == 0
+    assert made == ["SO3_on_R3", "SO3_on_R3"]
 
 
 def test_a_rewritten_spec_file_gives_the_new_answer(tmp_path, capsys, fresh_specs):

@@ -1,19 +1,24 @@
-"""Every name a module of isolat imports is used in that module, and every
-private module-level name it defines is read somewhere in the package.
+"""Every name a module of isolat imports is used in that module, every
+private module-level name it defines is read somewhere in the package, and
+importing a module loads only the isolat modules it imports.
 
 Stdlib ast scans: the names bound by import statements against the names
-the module reads (__init__.py is left out, since it imports to re-export),
-and the module-level _names each module defines (functions, classes and
-assignments) against the names and attributes read anywhere in isolat.
+the module reads, and the module-level _names each module defines
+(functions, classes and assignments) against the names and attributes read
+anywhere in isolat.  Fresh interpreters report which isolat modules an
+import loads: the package's __init__.py imports none, so each module pulls
+in only its own imports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "isolat"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,6 +105,30 @@ def test_the_oracle_imports_no_lattice_engine_module():
     # with it: no lift, adjoint, poset or momentum code
     source = (SRC / "oracle.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"catalog", "errors", "rotation"}
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """The isolat.* modules a fresh interpreter holds after the statement."""
+    # -S: no site hooks (.pth files) can import anything on their own
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statement}; "
+        "print(*sorted(m for m in sys.modules if m.startswith('isolat.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_importing_the_package_loads_no_module():
+    assert modules_loaded_by("import isolat") == set()
+
+
+def test_importing_the_oracle_loads_no_lattice_engine_module():
+    # the run-time side of the ast test above: the package init adds nothing
+    assert modules_loaded_by("import isolat.oracle") == {
+        "isolat.oracle", "isolat.catalog", "isolat.errors", "isolat.rotation"
+    }
 
 
 def dict_reads(source: str) -> list[str]:

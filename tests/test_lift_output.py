@@ -74,10 +74,11 @@ def fresh_witnesses():
     """New witness objects, so the first lift in a test renders every text.
 
     An SO(3) lift stores its witness tuple on the shared base lattice, so the
-    lattices go too.
+    lattices go too, and the kept specs that hold them.
     """
     _diagonal_witnesses.cache_clear()
     poset._lattice_of_mask.cache_clear()
+    parse_spec.cache_clear()
 
 
 def write(tmp_path, name):
@@ -89,7 +90,7 @@ def write(tmp_path, name):
 
 def expected(path, flags):
     spec = parse_spec(path.read_text())
-    result = lifted_lattice(spec.ambient, build_lattice(spec.base_tags))
+    result = lifted_lattice(spec.ambient, spec.base)
     doc = {"bundle": "T*M" if "--cotangent" in flags else "TM"}
     doc.update(lattice_to_json(result.lifted))
     if "--no-witnesses" not in flags:
@@ -130,7 +131,7 @@ def test_a_cold_lift_renders_each_embedding_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(isolat.cli, "_group_text", lambda S: calls.append(S) or _group_text(S))
     lift_stdout(capsys, path, ())
     spec = parse_spec(path.read_text())
-    ws = lifted_lattice(spec.ambient, build_lattice(spec.base_tags)).witnesses
+    ws = lifted_lattice(spec.ambient, spec.base).witnesses
     embeddings = {id(w.embedding) for w in ws}
     times = collections.Counter(map(id, calls))
     assert all(times[e] == 1 for e in embeddings)
@@ -198,7 +199,7 @@ def test_a_lift_stores_no_text_on_rotations_or_groups(tmp_path, capsys):
     path.write_text(json.dumps({"group": SO3, "base_lattice": ALL98 + ["T", "O", "I"]}))
     lift_stdout(capsys, path, ())
     spec = parse_spec(path.read_text())
-    ws = lifted_lattice(spec.ambient, build_lattice(spec.base_tags)).witnesses
+    ws = lifted_lattice(spec.ambient, spec.base).witnesses
     assert all(isinstance(w.__dict__.get("_json_text"), str) for w in ws)
     groups = {id(S): S for w in ws for S in (w.embedding, w.k_rep)}.values()
     held = [*groups, *(r for S in groups if hasattr(S, "elements") for r in S)]
@@ -219,7 +220,7 @@ def tags(*names):
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_lattice_text_is_the_plain_json_dump(tmp_path, name):
     spec = parse_spec(write(tmp_path, name).read_text())
-    base = build_lattice(spec.base_tags)
+    base = spec.base
     lattices = [
         base,
         lifted_lattice(spec.ambient, base).lifted,
@@ -255,7 +256,7 @@ def test_a_stored_lattice_text_leaves_equality_and_hash_alone():
 def test_requilibria_and_mu_stdout_are_the_plain_json_dump(tmp_path, capsys, name):
     path = write(tmp_path, name)
     spec = parse_spec(path.read_text())
-    base = build_lattice(spec.base_tags)
+    base = spec.base
     capsys.readouterr()
     assert run_command(["requilibria", str(path)]) == 0
     L = relative_equilibria_lattice(spec.ambient, base)

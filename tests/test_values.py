@@ -54,7 +54,7 @@ def examples():
         (LiftResult, (lat, (LiftWitness(*witness),))),
         (ConcreteAction, ("SO3_on_R3", "R3", canonical_rep(FULL))),
         (IsotropyLattice, (lat.classes, lat.hasse, lat.unique_min)),
-        (ProblemSpec, (canonical_rep(FULL), lat.classes, None)),
+        (ProblemSpec, (canonical_rep(FULL), lat, None)),
     ]
 
 
