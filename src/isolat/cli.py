@@ -21,6 +21,11 @@ usage and error lines.  Exit codes: 0 success, 1 no or unknown command,
 (unclassifiable group, witness recheck failure, or a check mismatch), 141
 stdout closed before the output was all written (128 + SIGPIPE, the status a
 shell gives a writer ended by a closed pipe).
+
+argparse parses every command line but a plain one: the command's operands
+alone, none starting with '-', for a command with no required option (every
+command but mu).  A plain line's namespace is the parser's own defaults plus
+the operands (_plain_args), so the two routes give equal namespaces.
 """
 
 from __future__ import annotations
@@ -419,9 +424,12 @@ def adjoint_to_json(t: ClassTag, H: ConcreteSubgroup) -> dict:
 
 
 def _read_spec_file(path: str) -> str:
+    """The file's text and error messages as text mode gives them (UTF-8,
+    universal newlines), from one bytes read and decode."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read spec file: {e}", "specfile") from None
 
@@ -445,6 +453,40 @@ def _write_dot(path: str, L: IsotropyLattice) -> None:
 
 
 @lru_cache(maxsize=None)
+def _plain_form(parser: argparse.ArgumentParser) -> tuple[tuple[str, ...], dict] | None:
+    """The positional names and the other namespace values of a command line
+    that gives the positionals alone, or None if no such line parses.
+
+    Derived once per parser, by argparse itself from placeholder operands, so
+    the defaults are the parser's own.  None when an option is required, or
+    when a positional takes other than one plain string.
+    """
+    actions = parser._actions
+    positionals = [a for a in actions if not a.option_strings]
+    if any(a.required and a.option_strings for a in actions) or any(
+        (a.nargs, a.type, a.choices) != (None, None, None) for a in positionals
+    ):
+        return None
+    defaults = vars(parser.parse_args(["x"] * len(positionals)))
+    names = tuple(a.dest for a in positionals)
+    for name in names:
+        del defaults[name]
+    return names, defaults
+
+
+def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """argv's namespace, built without argparse, when argv is the positionals
+    alone (no argument starts with '-'); else None."""
+    if any(s.startswith("-") for s in argv):
+        return None
+    form = _plain_form(parser)
+    if form is None or len(argv) != len(form[0]):
+        return None
+    names, defaults = form
+    return argparse.Namespace(**defaults, **dict(zip(names, argv)))
+
+
+@lru_cache(maxsize=None)
 def _lift_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isolat lift",
@@ -463,8 +505,7 @@ def _lift_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_lift(argv) -> int:
-    a = _lift_parser().parse_args(argv)
+def _cmd_lift(a: argparse.Namespace) -> int:
     _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
     result = lifted_lattice(spec.ambient, spec.base)
@@ -514,8 +555,7 @@ def _mu_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_mu(argv) -> int:
-    a = _mu_parser().parse_args(argv)
+def _cmd_mu(a: argparse.Namespace) -> int:
     mu = _parse_mu(a.mu)
     spec = parse_spec(_read_spec_file(a.specfile))
     try:
@@ -549,8 +589,7 @@ def _requilibria_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_requilibria(argv) -> int:
-    a = _requilibria_parser().parse_args(argv)
+def _cmd_requilibria(a: argparse.Namespace) -> int:
     _check_dot_path(a.dot)
     spec = parse_spec(_read_spec_file(a.specfile))
     L = relative_equilibria_lattice(spec.ambient, spec.base)
@@ -582,8 +621,7 @@ def _check_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_check(argv) -> int:
-    a = _check_parser().parse_args(argv)
+def _cmd_check(a: argparse.Namespace) -> int:
     if a.samples < 0:
         raise ValidationError(f"--samples must be 0 or more, got {a.samples}", "samples")
     spec = parse_spec(_read_spec_file(a.specfile))
@@ -623,8 +661,7 @@ def _adjoint_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_adjoint(argv) -> int:
-    a = _adjoint_parser().parse_args(argv)
+def _cmd_adjoint(a: argparse.Namespace) -> int:
     try:
         t = parse_tag(a.tag)
     except ValueError as e:
@@ -645,8 +682,7 @@ def _catalog_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_catalog(argv) -> int:
-    a = _catalog_parser().parse_args(argv)
+def _cmd_catalog(a: argparse.Namespace) -> int:
     if a.max_n < 2 or a.max_n > N_CAP:
         raise ValidationError(f"--max-n must lie in 2..{N_CAP}", "max-n")
     L = build_lattice(t for t in tag_positions() if t.n is None or t.n <= a.max_n)
@@ -668,13 +704,14 @@ def _emit_error(code: str, path: str, message: str) -> None:
     print(json.dumps(rec, indent=2), file=sys.stderr)
 
 
+# each command's parser and its handler, which takes the parsed namespace
 _COMMANDS = {
-    "lift": _cmd_lift,
-    "mu": _cmd_mu,
-    "requilibria": _cmd_requilibria,
-    "check": _cmd_check,
-    "adjoint": _cmd_adjoint,
-    "catalog": _cmd_catalog,
+    "lift": (_lift_parser, _cmd_lift),
+    "mu": (_mu_parser, _cmd_mu),
+    "requilibria": (_requilibria_parser, _cmd_requilibria),
+    "check": (_check_parser, _cmd_check),
+    "adjoint": (_adjoint_parser, _cmd_adjoint),
+    "catalog": (_catalog_parser, _cmd_catalog),
 }
 
 # errors that mean the computation itself failed rather than the input
@@ -688,13 +725,16 @@ def run_command(argv) -> int:
     if argv[0] in ("-h", "--help"):
         print(_USAGE)
         return 0
-    handler = _COMMANDS.get(argv[0])
-    if handler is None:
+    command = _COMMANDS.get(argv[0])
+    if command is None:
         print(f"unknown command {argv[0]!r}", file=sys.stderr)
         print(_USAGE, file=sys.stderr)
         return 1
+    make_parser, handler = command
+    parser = make_parser()
     try:
-        return handler(argv[1:])
+        a = _plain_args(parser, argv[1:])  # a plain line skips argparse
+        return handler(parser.parse_args(argv[1:]) if a is None else a)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 0
         return 0 if code == 0 else 2

@@ -169,8 +169,13 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     subgroup enumerated from canonical_rep(h2) whose id_set holds the ids
     of the canonical objects it matches.  So intersect proves each finite
     containment by object identity and looks up no element; a witness built
-    elsewhere takes the element lookup.  An O(2) ambient raises ValueError,
-    as in lifted_lattice.
+    elsewhere takes the element lookup.  A lift's k_rep is one of the entry
+    objects themselves, so the entry is met by identity first and only its
+    class is read; a k_rep that is no entry object (an equal copy, say) takes
+    the scan for an entry of class k equal to it (subgroup_equal).  When
+    intersect returns that entry object itself, the meet's class is k, already
+    checked; any other meet is classified.  An O(2) ambient raises
+    ValueError, as in lifted_lattice.
     """
     amb = ambient_class(G)  # refuses an O(2) ambient
     entries = _entries(amb is FULL)
@@ -181,14 +186,19 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
             return False
         if not is_subconjugate(w.h1, w.h2):
             return False
-        if not any(
-            g_class_of(K) is w.k and subgroup_equal(K, w.k_rep)
-            for K in entries(canonical_rep(w.h2))
-        ):
+        ks = entries(canonical_rep(w.h2))
+        if any(K is w.k_rep for K in ks):
+            if g_class_of(w.k_rep) is not w.k:
+                return False
+            known = w.k_rep  # an entry of class k
+        elif any(g_class_of(K) is w.k and subgroup_equal(K, w.k_rep) for K in ks):
+            known = None
+        else:
             return False
         if g_class_of(w.embedding) != w.h1:
             return False
-        if g_class_of(intersect(w.embedding, w.k_rep)) != w.lifted_class:
+        meet = intersect(w.embedding, w.k_rep)
+        if (w.k if meet is known else g_class_of(meet)) != w.lifted_class:
             return False
         witnessed.add(w.lifted_class)
     lifted = result.lifted

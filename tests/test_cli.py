@@ -337,6 +337,46 @@ def test_a_spec_file_that_is_not_utf8_names_the_specfile(tmp_path, capsys):
     assert rec["message"].startswith("cannot read spec file: 'utf-8' codec")
 
 
+SPEC_BYTES = json.dumps(SO3_SPEC, indent=2).encode()
+READ_CASES = {
+    "crlf": SPEC_BYTES.replace(b"\n", b"\r\n"),
+    "lone cr": SPEC_BYTES.replace(b"\n", b"\r"),
+    "mixed ends": SPEC_BYTES.replace(b"\n", b"\r\r\n\n", 1) + b"\r",
+    "bom": b"\xef\xbb\xbf" + SPEC_BYTES,
+    "non-ascii": SPEC_BYTES.replace(b"SO3", b"SO\xe2\x82\x83"),
+    "invalid byte": SPEC_BYTES.replace(b"SO2", b"SO\xff"),
+    "invalid byte far in": b" " * 100_000 + b"\r\n\xc3(" + SPEC_BYTES,
+    "cut sequence": SPEC_BYTES + b"\xe2\x82",
+    "empty": b"",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_a_spec_file_reads_as_in_text_mode(tmp_path, capsys, case):
+    from isolat.cli import _read_spec_file
+
+    if READ_CASES[case] is None:
+        path = str(tmp_path)
+    else:
+        path = str(tmp_path / "spec.json")
+        Path(path).write_bytes(READ_CASES[case])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            want, fault = fh.read(), None
+    except (OSError, UnicodeDecodeError) as e:
+        want, fault = None, f"cannot read spec file: {e}"
+    if fault is None:
+        assert _read_spec_file(path) == want
+        return
+    with pytest.raises(ValidationError) as info:
+        _read_spec_file(path)
+    assert (str(info.value), info.value.path) == (fault, "specfile")
+    code, out, err = run(capsys, "lift", path)
+    record = {"error": {"code": "validation", "path": "specfile", "message": fault}}
+    assert (code, out, err) == (2, "", json.dumps(record, indent=2) + "\n")
+
+
 def test_lift_no_unique_minimum(tmp_path, capsys):
     path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["C2", "C3"]})
     code, _, err = run(capsys, "lift", path)

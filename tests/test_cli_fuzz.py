@@ -11,9 +11,10 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from isolat import cli
 from isolat.cli import _USAGE, run_command
 
 FUZZ = settings(
@@ -235,3 +236,35 @@ def test_every_drawn_argv_ends_in_an_exit_code(tmp_path, words):
         # argparse's own refusal: the command's usage, then one error line
         assert code == 2 and err.startswith(f"usage: isolat {argv[0]} "), (argv, code, err)
         assert err.endswith("\n") and err.splitlines()[-1].startswith(f"isolat {argv[0]}: error: "), (argv, err)
+
+
+PARSERS = {name: parser() for name, (parser, _) in cli._COMMANDS.items()}
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(sorted(PARSERS)),
+    argv=st.lists(st.sampled_from(ARGV_WORDS + ["spec.json", "a spec.json"]), max_size=4),
+)
+@example(name="lift", argv=["spec.json"])
+@example(name="requilibria", argv=[""])
+@example(name="check", argv=["a spec.json"])
+@example(name="adjoint", argv=["C2"])
+@example(name="catalog", argv=[])
+@example(name="mu", argv=["spec.json"])
+def test_a_plain_command_line_parses_as_argparse_parses_it(name, argv):
+    # the namespace built without argparse is argparse's own; a line argparse
+    # refuses, or answers with --help, never takes the plain form
+    parser = PARSERS[name]
+    plain = cli._plain_args(parser, argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed = vars(parser.parse_args(argv))
+    except SystemExit:
+        assert plain is None, (name, argv)
+        return
+    operands = {"catalog": 0, "mu": None}.get(name, 1)  # mu requires --mu
+    if len(argv) == operands and not any(s.startswith("-") for s in argv):
+        assert plain is not None and vars(plain) == parsed, (name, argv, plain, parsed)
+    else:
+        assert plain is None, (name, argv)

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from isolat import adjoint, catalog, lift, rotation
@@ -336,7 +338,13 @@ def test_witness_check_rebuilds_ann_once_per_h2(monkeypatch):
 
 
 def _d4_tampered_results():
-    """A passing SO(3) lift of {D4, SO3} and four tampered copies of it."""
+    """A passing SO(3) lift of {D4, SO3}, two other passing results and five
+    tampered copies of it.
+
+    The lift's k_rep is an entry of ann(D4) itself, and the recheck finds it
+    by identity: the "k" tamper names another entry's class for that object.
+    An equal copy of the entry takes the recheck's comparison by value.
+    """
     from isolat.adjoint import axis_line_orbits
     from isolat.catalog import cyclic_group
     from isolat.rotation import apply, canon_direction, line_key
@@ -362,26 +370,35 @@ def _d4_tampered_results():
         for g in F
         if line_key(canon_direction(apply(g, rep))) != line_key(rep)
     )
+    entries = isotropy_on_ann(F)
+    assert any(K is w.k_rep for K in entries)
+    # an extra witness whose k and class are those of another entry, so the
+    # classes witnessed stay the lattice's: only the entry's own class is off
+    k = next(g_class_of(K) for K in entries if g_class_of(K) is not w.k)
+    extra = replaced(w, lifted_class=k, k=k)
     tampered = {
         "lifted_class": swap(lifted_class=cyclic(4)),
         "k_rep": swap(k_rep=cyclic_group(2, moved)),
         "embedding": swap(embedding=canonical_rep(cyclic(4))),
         "dropped": replaced(res, witnesses=tuple(ws[:i] + ws[i + 1:])),
+        "k": replaced(res, witnesses=res.witnesses + (extra,)),
     }
     # the other C2 orbit's representative is a genuine entry of ann(D4)
     other = next(
-        K
-        for K in isotropy_on_ann(canonical_rep(dihedral(4)))
-        if g_class_of(K) is cyclic(2) and not subgroup_equal(K, w.k_rep)
+        K for K in entries if g_class_of(K) is cyclic(2) and not subgroup_equal(K, w.k_rep)
     )
-    return b, res, swap(k_rep=other), tampered
+    copied = copy.deepcopy(w.k_rep)
+    assert copied == w.k_rep and all(K is not copied for K in entries)
+    also_valid = {"other orbit": swap(k_rep=other), "equal copy": swap(k_rep=copied)}
+    return b, res, also_valid, tampered
 
 
 def test_tampered_witnesses_fail_on_every_call():
     b, res, also_valid, tampered = _d4_tampered_results()
     for _ in range(3):
         assert lift_witness_check(canonical_rep(FULL), b, res)
-        assert lift_witness_check(canonical_rep(FULL), b, also_valid)
+        for name, good in also_valid.items():
+            assert lift_witness_check(canonical_rep(FULL), b, good), name
         for name, bad in tampered.items():
             assert not lift_witness_check(canonical_rep(FULL), b, bad), name
     # the lift still hands out the same, untouched witness objects
