@@ -6,9 +6,10 @@ cyclic C_n and dihedral D_n families, the three exceptional rotation groups
 extension O(2), and SO(3) itself.  A ConcreteSubgroup is a FiniteRotationGroup,
 CircleSub, OrthCircleSub or FullSub, with the geometry to intersect exactly.
 
-The subconjugation partial order on tags is one table of per-tag down-sets,
-kept as int bitmasks over each tag's position in tag_sort_key order
-(below_mask); is_subconjugate and the lattice layers read it.  Everything
+The subconjugation partial order on tags is one table of per-tag down-sets
+(below), and the lift's rule one table of per-tag class sets (ann_classes);
+is_subconjugate and the lattice layers read them.  No numbering of the tags
+is kept here: a lattice numbers its own classes (poset.py).  Everything
 geometric (classification, canonical representatives, subgroup enumeration,
 intersections, embeddings) lives here too so that the lattice layers never
 touch raw quaternions.
@@ -144,8 +145,13 @@ def dihedral(n: int) -> ClassTag:
     return ClassTag("D", n)
 
 
+@lru_cache(maxsize=None)
 def tag_sort_key(t: ClassTag):
-    """Total order: by group order, infinite kinds last, ties by kind then n."""
+    """Total order: by group order, infinite kinds last, ties by kind then n.
+
+    Every lattice sorts its classes by it (poset.build_lattice), so it is
+    memoised; the cache holds one entry per catalog tag.
+    """
     mo = t.min_order()
     rank = _KIND_RANK[t.kind]
     return (mo if mo is not None else 10**6 + rank, rank, t.n or 0)
@@ -416,62 +422,46 @@ _EXC_DIHEDRAL = {"T": (2,), "O": (2, 3, 4), "I": (2, 3, 5)}
 
 
 @lru_cache(maxsize=None)
-def tag_positions() -> dict:
-    """Each catalog tag's position in tag_sort_key order, built on first use."""
-    indexed = [ClassTag(kind, n) for kind in ("C", "D") for n in range(2, N_CAP + 1)]
-    tags = [TRIVIAL, *indexed, TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL]
-    return {t: i for i, t in enumerate(sorted(tags, key=tag_sort_key))}
-
-
-@lru_cache(maxsize=None)
-def position_tags() -> tuple:
-    """The catalog tags in position order: position_tags()[tag_positions()[t]] is t."""
-    return tuple(tag_positions())
-
-
-@lru_cache(maxsize=None)
-def below_mask(b: ClassTag) -> int:
-    """The classes a != b subconjugate to b, as the bits of their positions.
+def below(b: ClassTag) -> frozenset:
+    """The classes a != b subconjugate to b.
 
     This table is the subconjugation order; is_subconjugate and the lattice
-    layers read it.  C_n and D_n take the divisors of n (and C2, the half
+    layer read it.  C_n and D_n take the divisors of n (and C2, the half
     turns of every D_n); T, O and I take fixed lists; O(2) and SO(3) extend
-    the class before them.  Every bit lies below b's own position
-    (tag_sort_key grows along every strict pair); the lattice layers rely on
-    it, so it is checked here.  The cache holds one entry per catalog tag.
+    the class before them.  Every class sorts before b in tag_sort_key
+    (tag_sort_key grows along every strict pair); the lattice layer relies
+    on it, so it is checked here.  The cache holds one entry per catalog tag.
     """
-    pos = tag_positions()
     if b.kind == "1":
-        below = []
+        down = []
     elif b.kind in ("C", "D"):
         divisors = [d for d in range(2, b.n) if b.n % d == 0]
-        below = [TRIVIAL, *map(cyclic, divisors)]
+        down = [TRIVIAL, *map(cyclic, divisors)]
         if b.kind == "D":
-            below += [cyclic(2), cyclic(b.n), *map(dihedral, divisors)]
+            down += [cyclic(2), cyclic(b.n), *map(dihedral, divisors)]
     elif b.kind in _EXC_CYCLIC:
-        below = [TRIVIAL, *map(cyclic, _EXC_CYCLIC[b.kind]), *map(dihedral, _EXC_DIHEDRAL[b.kind])]
+        down = [TRIVIAL, *map(cyclic, _EXC_CYCLIC[b.kind]), *map(dihedral, _EXC_DIHEDRAL[b.kind])]
         if b.kind != "T":
-            below.append(TETRA)
+            down.append(TETRA)
     elif b.kind == "SO2":
-        below = [TRIVIAL, *map(cyclic, range(2, N_CAP + 1))]
+        down = [TRIVIAL, *map(cyclic, range(2, N_CAP + 1))]
     elif b.kind == "O2":
-        below = [CIRCLE, *map(dihedral, range(2, N_CAP + 1))]
+        down = [CIRCLE, *map(dihedral, range(2, N_CAP + 1))]
     else:
-        below = [ORTH_CIRCLE, TETRA, OCTA, ICOSA]
-    mask = below_mask(below[0]) if b.kind in ("O2", "SO3") else 0  # below[0]: the class extended
-    for a in below:
-        mask |= 1 << pos[a]
-    if mask >> pos[b]:
-        a = position_tags()[mask.bit_length() - 1]
+        down = [ORTH_CIRCLE, TETRA, OCTA, ICOSA]
+    if b.kind in ("O2", "SO3"):
+        down += below(down[0])  # down[0]: the class extended
+    a = max(down, key=tag_sort_key, default=None)  # the last in tag_sort_key
+    if a is not None and tag_sort_key(a) >= tag_sort_key(b):
         raise ValueError(
             f"{a.short()} is put below {b.short()} but does not sort before it in tag_sort_key"
         )
-    return mask
+    return frozenset(down)
 
 
 @lru_cache(maxsize=None)
-def ann_mask(h: ClassTag) -> int:
-    """The isotropy classes of h on the annihilator of its algebra, as position bits.
+def ann_classes(h: ClassTag) -> frozenset:
+    """The isotropy classes of h on the annihilator of its algebra.
 
     The rule table of the lift, by kind alone: h itself (the origin) and the
     trivial class, plus C2 and Cn for Dn, the axial classes of T, O and I;
@@ -480,23 +470,17 @@ def ann_mask(h: ClassTag) -> int:
     on every catalog tag.  The cache holds one entry per catalog tag.
     """
     if h.kind == "SO3":
-        labels = []
-    elif h.kind == "O2":
-        labels = [cyclic(2)]
-    elif h.kind == "D":
-        labels = [TRIVIAL, cyclic(2), cyclic(h.n)]
-    else:
-        labels = [TRIVIAL, *map(cyclic, _EXC_CYCLIC.get(h.kind, ()))]
-    pos = tag_positions()
-    mask = 1 << pos[h]
-    for t in labels:
-        mask |= 1 << pos[t]
-    return mask
+        return frozenset([h])
+    if h.kind == "O2":
+        return frozenset([h, cyclic(2)])
+    if h.kind == "D":
+        return frozenset([h, TRIVIAL, cyclic(2), cyclic(h.n)])
+    return frozenset([h, TRIVIAL, *map(cyclic, _EXC_CYCLIC.get(h.kind, ()))])
 
 
 def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
     """True when some conjugate of a representative of a lies inside b's."""
-    return a is b or bool(below_mask(b) >> tag_positions()[a] & 1)
+    return a is b or a in below(b)
 
 
 # ---------------------------------------------------------------------------
@@ -552,65 +536,66 @@ def _enumerate_subgroups(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, .
     Every finite subgroup of SO(3) is generated by at most two cyclic
     subgroups (C_n by one, D_n by C_n and a half turn, T and I by a C2 and
     a C3, O by a C3 and a C4), so one pass finds every subgroup of F.
-    Subgroups are int bitmasks over F.elements; a join's mask is the closure
-    of its generator indices over F's Cayley table, whose products are
-    looked up on first read.  A parent that is not a group still raises
+    Subgroups are sets of positions in F.elements; a join's set is the
+    closure of its generator positions over F's Cayley table, whose products
+    are looked up on first read.  A parent that is not a group still raises
     UnclassifiableGroup: a power that escapes F does in its cyclic closure,
     and if a product g·h escapes F while <g> and <h> lie in F, neither of
     them contains the other, so the closure of their pair reaches g·h and
-    its lookup raises.  close_group runs once per new mask, and its result
+    its lookup raises.  close_group runs once per new set, and its result
     (whose floats decide the sort) must sit at distinct positions of F that
-    are exactly the mask's bits.  Each group keeps F and, as its id_set, the
-    ids of F's objects at those positions, so intersect meets F's own groups
-    by identity.
+    are exactly the set.  Each group keeps F and, as its id_set,
+    the ids of F's objects at those positions, so intersect meets F's own
+    groups by identity.
     """
     elements = F.elements
     mult: list[list[int | None]] = [[None] * len(F) for _ in F]
     ident = F.index_of(Rotation.identity())
 
-    def closure(gens: tuple[int, ...]) -> int:
-        mask, stack, uniq = 1 << ident, [ident], set(gens)
+    def closure(gens: tuple[int, ...]) -> frozenset:
+        seen, stack, uniq = {ident}, [ident], set(gens)
         while stack:
             i = stack.pop()
             for g in uniq:
                 k = mult[g][i]
                 if k is None:
                     k = mult[g][i] = _index_in(F, compose(elements[g], elements[i]))
-                if not mask >> k & 1:
-                    mask |= 1 << k
+                if k not in seen:
+                    seen.add(k)
                     stack.append(k)
-        return mask
+        return frozenset(seen)
 
-    def checked(S: FiniteRotationGroup, mask: int) -> FiniteRotationGroup:
-        at = {F.index_of(r) for r in S}
-        if None in at or len(at) != len(S) or sum(1 << i for i in at) != mask:
+    def checked(S: FiniteRotationGroup, positions: frozenset) -> FiniteRotationGroup:
+        at = [F.index_of(r) for r in S]
+        if len(at) != len(positions) or set(at) != positions:
             raise UnclassifiableGroup("closure disagrees with the parent's Cayley table")
         stored(S, "_parent", lambda _: F)  # keeps the ids below valid
         stored(S, "id_set", lambda _: frozenset(id(elements[i]) for i in at))
         return S
 
-    found = {1 << ident: checked(FiniteRotationGroup.from_elements([]), 1 << ident)}
-    gen_of: dict[int, int] = {}  # nontrivial cyclic mask -> index of a generator
+    trivial = frozenset([ident])
+    found = {trivial: checked(FiniteRotationGroup.from_elements([]), trivial)}
+    gen_of: dict[frozenset, int] = {}  # nontrivial cyclic positions -> index of a generator
     for i, r in enumerate(elements):
         if r.is_identity():
             continue
-        mask = closure((i,))
-        if mask not in found:
-            found[mask] = checked(_cyclic_closure(r), mask)
-            gen_of[mask] = i
+        positions = closure((i,))
+        if positions not in found:
+            found[positions] = checked(_cyclic_closure(r), positions)
+            gen_of[positions] = i
 
-    cyclics = sorted(gen_of, key=lambda m: (len(found[m]), tuple(sorted(found[m].key_set))))
+    cyclics = sorted(gen_of, key=lambda a: (len(found[a]), tuple(sorted(found[a].key_set))))
     for i, a in enumerate(cyclics):
         for b in cyclics[i + 1:]:
-            if (a & b) in (a, b):  # one contains the other
+            if a <= b or b <= a:  # one contains the other
                 continue
             gens = (gen_of[a], gen_of[b])
-            mask = closure(gens)
-            if mask not in found:
-                found[mask] = checked(close_group([elements[k] for k in gens]), mask)
+            positions = closure(gens)
+            if positions not in found:
+                found[positions] = checked(close_group([elements[k] for k in gens]), positions)
 
     # every product met lay in F, so F is a group, made of at most two cyclic subgroups
-    assert (1 << len(F)) - 1 in found
+    assert frozenset(range(len(F))) in found
     return tuple(sorted(found.values(), key=_subgroup_sort_key))
 
 
@@ -618,7 +603,7 @@ def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
     """All subgroups of F, deterministically ordered.
 
     The cyclic closures and one pass of their pairwise joins, on F's Cayley
-    table as bitmasks (see _enumerate_subgroups).
+    table as sets of positions (see _enumerate_subgroups).
     """
     if len(F) > SUBGROUPS_ORDER_CAP:
         raise ValueError(

@@ -50,7 +50,6 @@ from .catalog import (
     g_class_of,
     is_subconjugate,
     parse_tag,
-    tag_positions,
     tag_sort_key,
 )
 from .errors import (
@@ -122,10 +121,10 @@ def _unique_keys(pairs: list) -> dict:
 
 # Spec texts whose ProblemSpec parse_spec keeps.  A constant, not an option:
 # a warm lift and its requilibria read one text twice, and the bench pool's
-# round of 51 texts fits.  By tracemalloc, an entry of an SO(3) pool base
-# costs about 1.2 KiB with its base lattice (the one lattice_of_mask keeps);
-# a finite one keeps its closed group, about 180 KiB for D90-D100, so a full
-# cache of such specs holds about 23 MiB.
+# round of 51 texts fits.  By tracemalloc (Python 3.11), an entry of an SO(3)
+# pool base costs about 1.4 KiB with its base lattice (the one build_lattice
+# keeps); a finite one keeps its closed group, 143-158 KiB for D90-D100, so a
+# full cache of such specs holds about 20 MiB.
 SPEC_CACHE_SIZE = 128
 
 
@@ -685,7 +684,9 @@ def _catalog_parser() -> argparse.ArgumentParser:
 def _cmd_catalog(a: argparse.Namespace) -> int:
     if a.max_n < 2 or a.max_n > N_CAP:
         raise ValidationError(f"--max-n must lie in 2..{N_CAP}", "max-n")
-    L = build_lattice(t for t in tag_positions() if t.n is None or t.n <= a.max_n)
+    tags = [ClassTag(kind) for kind in ("1", "T", "O", "I", "SO2", "O2", "SO3")]
+    tags += [ClassTag(kind, n) for kind in ("C", "D") for n in range(2, a.max_n + 1)]
+    L = build_lattice(tags)
     out = {
         "classes": [t.short() for t in L.classes],
         "orders": {t.short(): t.min_order() for t in L.classes},

@@ -12,9 +12,10 @@ depends on the ambient (_entries): SO(3) moves the annihilator
 (isotropy_on_ann); a finite G has zero algebra and the circle is abelian,
 so there the one entry is H itself and the lift gives the base back.  The
 classes follow from h's class and the ambient's alone (over SO(3) the rule
-table catalog.ann_mask), so lifted_classes reads the lattice off the table
-and builds no group; lifted_lattice adds a witness (h, h, K) per class, one
-path for every ambient.  On the diagonal the position E of h in H2 is
+table catalog.ann_classes), so lifted_classes takes the union of the
+table's class sets over the base classes, as a set of tags, and builds no
+group; lifted_lattice adds a witness (h, h, K) per class, one path for
+every ambient.  On the diagonal the position E of h in H2 is
 H2 = canonical_rep(h) itself, so no position is searched for (over SO(3),
 T, O and I still take an enumerated twin, see _diagonal_witnesses); the
 witnesses depend on h and the rule alone and are built once per tag.  The
@@ -33,8 +34,8 @@ from .catalog import (
     ConcreteSubgroup,
     FullSub,
     OrthCircleSub,
-    ann_mask,
-    below_mask,
+    ann_classes,
+    below,
     canonical_rep,
     embeddings_of_class_in,
     g_class_of,
@@ -43,7 +44,7 @@ from .catalog import (
     subgroup_equal,
 )
 from .errors import NotRealizableInG
-from .poset import IsotropyLattice, compute_depths, lattice_of_mask, mask_of
+from .poset import IsotropyLattice, build_lattice, compute_depths
 from .rotation import Value, stored
 
 # bench/tracing.py reads the SO(3) ambient's type under this name
@@ -78,14 +79,20 @@ class LiftResult(Value):
     witnesses: tuple[LiftWitness, ...]
 
 
+@lru_cache(maxsize=None)
+def _within(amb: ClassTag) -> frozenset:
+    """The classes subconjugate to amb, amb included."""
+    return below(amb) | {amb}
+
+
 def _validate_realizable(G: ConcreteSubgroup, base: IsotropyLattice) -> ClassTag:
     """The ambient's class; refuse a base class that is not a subgroup class of it.
 
-    One mask test; the class named is the first one outside, in the
-    lattice's (position) order.
+    One subset test; the class named is the first one outside, in the
+    lattice's order.
     """
     amb = ambient_class(G)
-    if base.mask & ~(below_mask(amb) | mask_of([amb])):
+    if not _within(amb).issuperset(base.classes):
         t = next(t for t in base.classes if not is_subconjugate(t, amb))
         raise NotRealizableInG(f"{t.short()} is not a subgroup class of the ambient {amb.short()}")
     return amb
@@ -97,20 +104,21 @@ def _entries(so3: bool):
     return isotropy_on_ann if so3 else lambda H: (H,)
 
 
-def _table_mask(amb: ClassTag, base: IsotropyLattice) -> int:
-    """The lifted classes as position bits, from the rule table alone: over
-    SO(3) the union of ann_mask(h) over the base classes h, else the base."""
-    if amb is not FULL:
-        return base.mask
-    mask = 0
-    for h in base.classes:
-        mask |= ann_mask(h)
-    return mask
+def _table(so3: bool, base: IsotropyLattice) -> frozenset:
+    """The lifted classes from the rule table alone: over SO(3) the union of
+    ann_classes(h) over the base classes h, else the base's own classes."""
+    return frozenset().union(*map(ann_classes, base.classes)) if so3 else frozenset(base.classes)
 
 
 def lifted_classes(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
-    """The lifted lattice from the rule table alone: no group is built."""
-    return lattice_of_mask(_table_mask(_validate_realizable(G, base), base))
+    """The lifted lattice from the rule table alone: no group is built.
+
+    Over SO(3) the lattice is stored on the base, as its witnesses are;
+    elsewhere it is the base's own class set.
+    """
+    if _validate_realizable(G, base) is not FULL:
+        return build_lattice(base.classes)
+    return stored(base, "_so3_lifted", lambda b: build_lattice(_table(True, b)))
 
 
 def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
@@ -121,7 +129,7 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
     """
     lifted = lifted_classes(G, base)
     so3 = ambient_class(G) is FULL
-    key = "_so3_witnesses" if so3 else "_own_witnesses"  # lattice_of_mask shares a base
+    key = "_so3_witnesses" if so3 else "_own_witnesses"  # build_lattice shares a base
     return LiftResult(lifted, stored(base, key, lambda b: _witnesses(b, lifted, so3)))
 
 
@@ -201,5 +209,5 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
         if (w.k if meet is known else g_class_of(meet)) != w.lifted_class:
             return False
         witnessed.add(w.lifted_class)
-    lifted = result.lifted
-    return witnessed == set(lifted.classes) and lifted.mask == _table_mask(amb, base)
+    # the table is recomputed, not read from the lattice stored on base
+    return witnessed == set(result.lifted.classes) == _table(amb is FULL, base)

@@ -25,16 +25,6 @@ from .poset import IsotropyLattice, build_lattice
 from .rotation import TOLERANCE, Vec3, dot
 
 
-def is_totally_isotropic(G: ConcreteSubgroup, mu) -> bool:
-    """Whether the coadjoint orbit of mu is an isotropic submanifold.
-
-    For SO(3) only the origin qualifies.  The circle's coadjoint orbits are
-    points, so every value does.  A finite group has a zero dual, so zero is
-    the only momentum value there is.  O(2) is not an ambient: ValueError.
-    """
-    return ambient_class(G) is CIRCLE or _mu_is_zero(G, mu)
-
-
 def _as_vec3(mu) -> Vec3:
     if isinstance(mu, (int, float)):
         return (0.0, 0.0, float(mu))

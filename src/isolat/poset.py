@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import compress
 
-from .catalog import ClassTag, below_mask, position_tags, tag_positions
+from .catalog import ClassTag, below, tag_sort_key
 from .errors import ClassNotInLattice, NoUniqueMinimum
 from .rotation import Value
 
@@ -14,13 +13,12 @@ class IsotropyLattice(Value):
     """Classes sorted by tag_sort_key, Hasse diagram, and unique minimum.
 
     hasse holds the covering pairs (i, j) of indices, sorted; unique_min
-    records whether a single minimum exists.  mask (mask_of(classes)) and
-    less, the strict pairs (i, j) with classes[i] < classes[j], are derived
-    on first read and stored on the instance, so they take no part in
-    equality or hashing.  build_lattice hands back one instance per class set
-    (see lattice_of_mask), so data derived from a lattice alone (mask, less,
-    the SO(3) lift's witnesses, the cli's JSON text) is derived once per
-    class set and process.
+    records whether a single minimum exists.  less, the strict pairs (i, j)
+    with classes[i] < classes[j], is derived on first read and stored on the
+    instance, so it takes no part in equality or hashing.  build_lattice
+    hands back one instance per class set, so data derived from a lattice
+    alone (less, the lifted lattice and witnesses of a lift, the cli's JSON
+    text) is derived once per class set and process.
     """
 
     classes: tuple[ClassTag, ...]
@@ -28,19 +26,9 @@ class IsotropyLattice(Value):
     unique_min: bool
 
     @cached_property
-    def mask(self) -> int:
-        return mask_of(self.classes)
-
-    @cached_property
     def less(self) -> frozenset:
-        _, at, down = _down_sets(self.mask)
-        pairs = []
-        for j, m in enumerate(down):
-            while m:
-                p = m.bit_length() - 1
-                m ^= 1 << p
-                pairs.append((at[p], j))
-        return frozenset(pairs)
+        at = {t: i for i, t in enumerate(self.classes)}
+        return frozenset((at[a], at[t]) for t in self.classes for a in below(t).intersection(at))
 
     def index_of(self, t: ClassTag) -> int:
         try:
@@ -49,31 +37,22 @@ class IsotropyLattice(Value):
             raise ClassNotInLattice(f"{t.short()} is not a class of this lattice")
 
 
-def mask_of(classes) -> int:
-    """The catalog positions of classes, as the bits of one int."""
-    pos = tag_positions()
-    mask = 0
-    for t in classes:
-        mask |= 1 << pos[t]
-    return mask
+def _down_sets(classes: tuple) -> list[int]:
+    """Each class's down-set within classes, as bits of the indices below it.
 
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _down_sets(mask: int):
-    """The tags at mask's bits, each bit's index among them, and their down-sets.
-
-    The tags come in position order, read off the set bits from the lowest
-    up (itertools.compress over the binary digits), so nothing is sorted.
-    down[j] holds the position bits of the tags strictly below tags[j]; every
-    bit lies below tags[j]'s own position.
+    The bits are local to this class tuple: bit i of down[j] is set when
+    classes[i] is strictly below classes[j].  classes is sorted by
+    tag_sort_key, which grows along every strict pair, so every bit of
+    down[j] lies below j.
     """
-    by_pos = position_tags()
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # bits[p] is bit p, as 0 or 1
-    ps = list(compress(range(len(bits)), bits))
-    tags = [by_pos[p] for p in ps]
-    return tags, dict(zip(ps, range(len(ps)))), [below_mask(t) & mask for t in tags]
+    at = {t: i for i, t in enumerate(classes)}
+    down = []
+    for t in classes:
+        m = 0
+        for a in below(t).intersection(at):
+            m |= 1 << at[a]
+        down.append(m)
+    return down
 
 
 def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
@@ -81,30 +60,14 @@ def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:
 
     Duplicates collapse.  With require_unique_min the poset must have exactly
     one minimal element, which is what a connected action guarantees for its
-    isotropy classes.  Equal class sets give the same instance: see
-    lattice_of_mask.
+    isotropy classes.  The lattice is a function of the class set alone, so
+    the last LATTICE_CACHE_SIZE lattices are kept, keyed by the sorted class
+    tuple: a class set seen again, with or without require_unique_min, gets
+    the same immutable instance back, and what is stored on it is reused.
+    The unique-minimum check runs on every call, so a lattice without one
+    raises on every call.
     """
-    return lattice_of_mask(mask_of(classes), require_unique_min)
-
-
-# Lattices kept by lattice_of_mask.  A constant, not an option: it holds the
-# base and lifted lattices of a few hundred bases (the 401 bases of the bench
-# pool make 667 masks).  An entry of such a base costs about 1.5 KiB with its
-# cli text; the 205-class lattice of the whole catalog costs 56 KiB, and
-# 280 KiB once its less is read.
-LATTICE_CACHE_SIZE = 1024
-
-
-def lattice_of_mask(mask: int, require_unique_min: bool = True) -> IsotropyLattice:
-    """build_lattice for the classes at the set bits of mask (see mask_of).
-
-    The lattice is a function of mask alone, so the last LATTICE_CACHE_SIZE
-    lattices are kept: a class set seen again, with or without
-    require_unique_min, gets the same immutable instance back, and what is
-    stored on it (less, the cli's text) is reused.  The unique-minimum check
-    runs on every call, so a lattice without one raises on every call.
-    """
-    L = _lattice_of_mask(mask)
+    L = _lattice(tuple(sorted(set(classes), key=tag_sort_key)))
     if require_unique_min and not L.unique_min:
         covered = {j for _, j in L.hasse}
         names = ", ".join(t.short() for j, t in enumerate(L.classes) if j not in covered)
@@ -112,24 +75,31 @@ def lattice_of_mask(mask: int, require_unique_min: bool = True) -> IsotropyLatti
     return L
 
 
+# Lattices kept by build_lattice.  A constant, not an option: it holds the
+# base and lifted lattices of a few hundred bases (the 401 bases of the bench
+# pool make 667 class sets).  By tracemalloc (Python 3.11), an entry of such
+# a base costs about 1.2 KiB with its cli text; the 205-class lattice of the
+# whole catalog costs 37 KiB, and 260 KiB once its less is read.
+LATTICE_CACHE_SIZE = 1024
+
+
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def _lattice_of_mask(mask: int) -> IsotropyLattice:
-    if not mask:
+def _lattice(classes: tuple) -> IsotropyLattice:
+    if not classes:
         raise ValueError("a lattice needs at least one class")
-    tags, at, down = _down_sets(mask)
+    down = _down_sets(classes)
     hasse = []
     for j, m in enumerate(down):
-        # the highest position left is maximal (positions follow tag_sort_key
-        # and every down-set is full), so (at[p], j) is a cover; clearing p
-        # and its down-set leaves the classes not under it
+        # the highest index left is maximal (classes follow tag_sort_key and
+        # every down-set is full), so (i, j) is a cover; clearing i and its
+        # down-set leaves the classes not under it
         while m:
-            p = m.bit_length() - 1
-            i = at[p]
+            i = m.bit_length() - 1
             hasse.append((i, j))
-            m &= ~(down[i] | 1 << p)
+            m &= ~(down[i] | 1 << i)
     hasse.sort()
     unique_min = sum(not m for m in down) == 1
-    return IsotropyLattice(tuple(tags), tuple(hasse), unique_min)
+    return IsotropyLattice(classes, tuple(hasse), unique_min)
 
 
 def compute_depths(L: IsotropyLattice) -> dict[ClassTag, int]:

@@ -24,7 +24,7 @@ from isolat.catalog import (
     ClassTag,
     FullSub,
     OrthCircleSub,
-    below_mask,
+    below,
     canonical_rep,
     classify_finite,
     cyclic,
@@ -41,7 +41,6 @@ from isolat.catalog import (
     subgroup_contains,
     subgroup_equal,
     subgroups_of,
-    tag_positions,
     tag_sort_key,
     trivial_group,
 )
@@ -896,26 +895,21 @@ def _old_is_subconjugate(a, b):
 def test_is_subconjugate_matches_the_old_rule_on_every_catalog_pair():
     tags = _catalog_tags()
     assert len(tags) == 205
-    pos = tag_positions()
     for b in tags:
         want = {a for a in tags if a != b and _old_is_subconjugate(a, b)}
-        assert {a for a in tags if below_mask(b) >> pos[a] & 1} == want, b
+        assert below(b) == want, b
         for a in tags:
             assert is_subconjugate(a, b) is _old_is_subconjugate(a, b), (a, b)
 
 
-def test_tag_positions_follow_tag_sort_key():
+def test_every_class_below_sorts_before_it():
+    # the lattice layer relies on tag_sort_key growing along every strict pair
     tags = _catalog_tags()
-    assert list(tag_positions()) == sorted(tags, key=tag_sort_key)
-
-
-def test_below_mask_is_strictly_below_as_position_bits():
-    tags, pos = _catalog_tags(), tag_positions()
     for b in tags:
-        mask = below_mask(b)
-        assert mask >> pos[b] == 0, b  # every bit lies below b's own position
-        assert mask < 1 << len(tags)
-        assert below_mask(ClassTag(b.kind, b.n)) is mask
+        down = below(b)
+        assert all(tag_sort_key(a) < tag_sort_key(b) for a in down), b
+        assert down <= set(tags)
+        assert below(ClassTag(b.kind, b.n)) is down
 
 
 def _old_klein_embeddings(H):

@@ -859,29 +859,39 @@ def test_rule_table_and_witnesses_disagreeing_is_a_witness_check_error(
     # the lattice comes from the rule table and the witnesses from geometry:
     # a table class with no witness ("add") and a witnessed class the table
     # lacks ("drop") both end in the recheck's coded error, with no output.
-    # An SO(3) lift stores its witness tuple, ordered by the table, on the
-    # shared base lattice, so each case starts and ends without lattices.
+    # Cold, the lift reads the tampered rule.  Warm, a first lift has stored
+    # the lifted lattice and the witnesses on the shared base lattice, and
+    # the recheck must still recompute the table from the tampered rule.
     import isolat.lift as lift_module
-    from isolat.catalog import ann_mask, cyclic, dihedral, tag_positions
+    from isolat import poset
+    from isolat.catalog import ann_classes, cyclic, dihedral
+    from isolat.cli import parse_spec
 
-    bit = 1 << tag_positions()[cyclic(7) if change == "add" else cyclic(4)]
+    moved = {cyclic(7) if change == "add" else cyclic(4)}
     d4 = dihedral(4)
     tampered = []
 
-    def tampered_mask(h):
+    def tampered_classes(h):
         if h is d4:
             tampered.append(h)
-            return ann_mask(h) ^ bit
-        return ann_mask(h)
+            return ann_classes(h) ^ moved
+        return ann_classes(h)
 
-    monkeypatch.setattr(lift_module, "ann_mask", tampered_mask)
     path = write_spec(tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "D4"]})
-    code, out, err = run(capsys, "lift", path, *flags)
-    assert tampered  # the patched rule is what the lift read
-    assert code == 3 and out == ""
-    assert json.loads(err) == {
-        "error": {"code": "witness-check", "path": "", "message": "internal witness recheck failed"}
-    }
+    for warm in (False, True):
+        poset._lattice.cache_clear()
+        parse_spec.cache_clear()
+        monkeypatch.undo()
+        if warm:
+            assert run(capsys, "lift", path, *flags)[0] == 0
+        monkeypatch.setattr(lift_module, "ann_classes", tampered_classes)
+        tampered.clear()
+        code, out, err = run(capsys, "lift", path, *flags)
+        assert tampered  # the patched rule is what the lift read
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": {"code": "witness-check", "path": "", "message": "internal witness recheck failed"}
+        }
 
 
 _CACHES_AFTER = """
@@ -940,7 +950,7 @@ def test_a_repeated_lift_and_requilibria_build_and_render_no_lattice(tmp_path, c
     first = [run(capsys, *argv) for argv in argvs]
     built, named = [], []
     down_sets, short = poset._down_sets, ClassTag.short
-    monkeypatch.setattr(poset, "_down_sets", lambda mask: built.append(mask) or down_sets(mask))
+    monkeypatch.setattr(poset, "_down_sets", lambda cs: built.append(cs) or down_sets(cs))
     monkeypatch.setattr(ClassTag, "short", lambda t: named.append(t) or short(t))
     decoded = counting_decodes(monkeypatch)
     assert [run(capsys, *argv) for argv in argvs] == first

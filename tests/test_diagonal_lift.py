@@ -32,7 +32,7 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
-    ann_mask,
+    ann_classes,
     canonical_rep,
     cyclic,
     dihedral,
@@ -53,7 +53,7 @@ from isolat.lift import (
     lifted_lattice,
 )
 from isolat.momentum import relative_equilibria_lattice
-from isolat.poset import build_lattice, compute_depths, mask_of
+from isolat.poset import build_lattice, compute_depths
 
 
 def catalog(n_max):
@@ -108,12 +108,12 @@ def pair_classes(h1, h2):
 
 
 def test_rule_matches_the_annihilator_isotropy_for_every_tag():
-    # requilibria and check read ann_mask alone: this is its geometric guard
+    # requilibria and check read ann_classes alone: this is its geometric guard
     assert len(CATALOG) == 205
     for t in CATALOG:
         labels = set(map(g_class_of, isotropy_on_ann(canonical_rep(t))))
         assert labels == rule(t), t.short()
-        assert ann_mask(t) == mask_of(rule(t)) == mask_of(labels), t.short()
+        assert ann_classes(t) == rule(t) == labels, t.short()
 
 
 def test_off_diagonal_pairs_add_nothing():

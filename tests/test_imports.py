@@ -296,3 +296,43 @@ def test_only_ambient_class_tests_an_ambient_type(name):
     # the ambient's class decides its kind; the lift, momentum and cli code
     # read that tag
     assert ambient_type_tests((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def bit_layout_uses(source: str) -> list[str]:
+    """Where a module shifts bits or reads a private name of poset.
+
+    A shift is a << expression or augmented assignment; a private read is a
+    _name imported from poset or taken as an attribute of the name poset.
+    Returns "what:line" for each, by line.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift):
+            found.append((node.lineno, "<<"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "poset":
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "poset"
+            and node.attr.startswith("_")
+        ):
+            found.append((node.lineno, node.attr))
+    return [f"{what}:{line}" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_the_bit_layout():
+    src = (
+        "from .poset import _lattice, build_lattice\n"
+        "from . import poset\n"
+        "def f(m, i):\n    m |= 1 << i\n    m <<= 2\n    return poset._down_sets(m)\n"
+        "x = 1 >> 2\n"
+    )
+    assert bit_layout_uses(src) == ["_lattice:1", "<<:4", "<<:5", "_down_sets:6"]
+
+
+@pytest.mark.parametrize("name", ["catalog.py", "lift.py", "momentum.py", "cli.py"])
+def test_the_bit_layout_stays_inside_poset(name):
+    # class sets are sets everywhere but poset, whose lattices keep their
+    # down-sets as bits over their own classes
+    assert bit_layout_uses((SRC / name).read_text(encoding="utf-8")) == []

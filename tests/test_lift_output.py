@@ -77,7 +77,7 @@ def fresh_witnesses():
     lattices go too, and the kept specs that hold them.
     """
     _diagonal_witnesses.cache_clear()
-    poset._lattice_of_mask.cache_clear()
+    poset._lattice.cache_clear()
     parse_spec.cache_clear()
 
 

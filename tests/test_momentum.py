@@ -3,12 +3,7 @@ import pytest
 from isolat.catalog import CIRCLE, FULL, ORTH_CIRCLE, TETRA, canonical_rep, parse_tag
 from isolat.errors import ClassNotInLattice, NotRealizableInG, NotTotallyIsotropic
 from isolat.lift import lifted_lattice
-from isolat.momentum import (
-    is_totally_isotropic,
-    mu_lattice,
-    relative_equilibria_lattice,
-    zero_level_lattice,
-)
+from isolat.momentum import mu_lattice, relative_equilibria_lattice, zero_level_lattice
 from isolat.poset import IsotropyLattice, build_lattice, up_set
 
 
@@ -25,20 +20,30 @@ def shorts(classes):
 
 
 def test_total_isotropy_rules():
-    assert is_totally_isotropic(canonical_rep(FULL), (0.0, 0.0, 0.0))
-    assert is_totally_isotropic(canonical_rep(FULL), 0.0)
-    assert not is_totally_isotropic(canonical_rep(FULL), (0.0, 0.0, 2.0))
-    assert not is_totally_isotropic(canonical_rep(FULL), 1.5)
-    assert is_totally_isotropic(canonical_rep(CIRCLE), 3.7)
-    assert is_totally_isotropic(canonical_rep(CIRCLE), 0.0)
-    G = canonical_rep(TETRA)
-    assert is_totally_isotropic(G, 0.0)
-    assert not is_totally_isotropic(G, 1.0)
+    # only the origin is totally isotropic for SO(3); the circle's coadjoint
+    # orbits are points, so every value is; a finite group has only zero
+    so3, circle = lattice(["SO2", "SO3"]), lattice(["1", "C2", "SO2"])
+    tetra = lattice(["1", "C2", "C3", "T"])
+    for ambient, b, mu, accepted in [
+        (FULL, so3, (0.0, 0.0, 0.0), True),
+        (FULL, so3, 0.0, True),
+        (FULL, so3, (0.0, 0.0, 2.0), False),
+        (FULL, so3, 1.5, False),
+        (CIRCLE, circle, 3.7, True),
+        (CIRCLE, circle, 0.0, True),
+        (TETRA, tetra, 0.0, True),
+        (TETRA, tetra, 1.0, False),
+    ]:
+        if accepted:
+            assert isinstance(mu_lattice(canonical_rep(ambient), b, mu), IsotropyLattice)
+        else:
+            with pytest.raises(NotTotallyIsotropic):
+                mu_lattice(canonical_rep(ambient), b, mu)
 
 
 def test_an_orth_circle_ambient_is_refused():
     with pytest.raises(ValueError, match="not a supported ambient"):
-        is_totally_isotropic(canonical_rep(ORTH_CIRCLE), 1.5)
+        mu_lattice(canonical_rep(ORTH_CIRCLE), lattice(["1", "C2"]), 1.5)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,20 +7,30 @@ from isolat import catalog
 from isolat.catalog import (
     CIRCLE,
     FULL,
+    ICOSA,
+    N_CAP,
+    OCTA,
+    ORTH_CIRCLE,
+    TETRA,
     TRIVIAL,
-    below_mask,
+    below,
     cyclic,
     dihedral,
     parse_tag,
-    tag_positions,
 )
 from isolat.errors import ClassNotInLattice, NoUniqueMinimum
 from isolat import poset
-from isolat.poset import IsotropyLattice, build_lattice, compute_depths, lattice_of_mask, mask_of, up_set
+from isolat.poset import IsotropyLattice, build_lattice, compute_depths, up_set
 
 
 def tags(*names):
     return [parse_tag(s) for s in names]
+
+
+def catalog_tags():
+    """The 205 catalog classes, not in tag_sort_key order."""
+    indexed = [kind(n) for n in range(2, N_CAP + 1) for kind in (dihedral, cyclic)]
+    return [FULL, ORTH_CIRCLE, CIRCLE, ICOSA, OCTA, TETRA, *indexed, TRIVIAL]
 
 
 def test_chain():
@@ -63,18 +74,19 @@ def test_equal_class_sets_share_one_lattice():
     L = build_lattice(pool)
     assert build_lattice(pool) is L
     assert build_lattice(pool[::-1] + pool[:2], require_unique_min=False) is L
-    assert lattice_of_mask(mask_of(pool)) is L
+    assert build_lattice(iter(set(pool))) is L
 
 
 def test_the_lattice_cache_is_bounded():
     size = poset.LATTICE_CACHE_SIZE
-    assert poset._lattice_of_mask.cache_info().maxsize == size
-    first = lattice_of_mask(1)
-    assert lattice_of_mask(1) is first
-    for mask in range(2, size + 3):  # every nonzero mask is a set of classes
-        lattice_of_mask(mask, require_unique_min=False)
-    assert poset._lattice_of_mask.cache_info().currsize == size
-    again = lattice_of_mask(1)  # the oldest entry went first
+    assert poset._lattice.cache_info().maxsize == size
+    first = build_lattice([TRIVIAL])
+    assert build_lattice([TRIVIAL]) is first
+    others = itertools.islice(itertools.combinations(catalog_tags(), 2), size + 1)
+    for pair in others:  # size + 1 other class sets
+        build_lattice(pair, require_unique_min=False)
+    assert poset._lattice.cache_info().currsize == size
+    again = build_lattice([TRIVIAL])  # the oldest entry went first
     assert again is not first and again == first
 
 
@@ -137,14 +149,14 @@ def test_deterministic_under_shuffling():
 def test_a_rule_against_tag_sort_key_is_rejected(monkeypatch):
     # C13 is larger than T, so no rule may put it below T
     monkeypatch.setitem(catalog._EXC_CYCLIC, "T", (2, 3, 13))
-    below_mask.cache_clear()
+    below.cache_clear()
     try:
         with pytest.raises(
             ValueError, match="C13 is put below T but does not sort before it in tag_sort_key"
         ):
             build_lattice(tags("1", "C13", "T"))
     finally:
-        below_mask.cache_clear()  # drop the masks read off the patched rule
+        below.cache_clear()  # drop the down-sets read off the patched rule
 
 
 def test_full_is_unique_maximum():
@@ -182,7 +194,7 @@ def test_build_lattice_matches_the_triple_loop():
                "SO2", "O2", "SO3")
     assert len(big) == 98
     assert _fields(build_lattice(big)) == _old_build_lattice(big)
-    everything = list(tag_positions())
+    everything = catalog_tags()
     assert len(everything) == 205
     assert _fields(build_lattice(everything)) == _old_build_lattice(everything)
     pool = tags(*[f"C{n}" for n in range(2, 25)], *[f"D{n}" for n in range(2, 25)],

@@ -227,9 +227,9 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import isolat.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
         # the per-tag tables are built on first use, never at import
-        "from isolat import catalog; print([f.__name__ for f in (catalog.tag_positions, "
-        "catalog.position_tags, catalog.below_mask, catalog.ann_mask, catalog.parse_tag) "
-        "if f.cache_info().currsize])"
+        "from isolat import catalog, lift, poset; print([f.__name__ for f in (catalog.below, "
+        "catalog.ann_classes, catalog.tag_sort_key, catalog.parse_tag, lift._within, "
+        "poset._lattice) if f.cache_info().currsize])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
