@@ -45,6 +45,7 @@ from isolat.catalog import (
     trivial_group,
 )
 from isolat.errors import NotSubconjugate, UnclassifiableGroup
+from isolat.poset import _down_sets, build_lattice
 from isolat.rotation import (
     FiniteRotationGroup,
     Rotation,
@@ -910,6 +911,27 @@ def test_every_class_below_sorts_before_it():
         assert all(tag_sort_key(a) < tag_sort_key(b) for a in down), b
         assert down <= set(tags)
         assert below(ClassTag(b.kind, b.n)) is down
+
+
+def test_tag_positions_follow_tag_sort_key():
+    # a lattice numbers its own classes; over the whole catalog that numbering
+    # is tag_sort_key order, whatever order the tags come in
+    tags = _catalog_tags()
+    shuffled = list(reversed(tags))
+    L = build_lattice(shuffled, require_unique_min=False)
+    assert list(L.classes) == sorted(tags, key=tag_sort_key)
+    assert [L.index_of(t) for t in L.classes] == list(range(len(tags)))
+
+
+def test_below_mask_is_strictly_below_as_position_bits():
+    tags = _catalog_tags()
+    L = build_lattice(tags, require_unique_min=False)
+    down = _down_sets(L.classes)
+    for j, b in enumerate(L.classes):
+        mask = down[j]
+        assert mask >> j == 0, b  # every bit lies below b's own position
+        assert {L.classes[i] for i in range(j) if mask >> i & 1} == below(b), b
+    assert all(i < j for i, j in L.less)
 
 
 def _old_klein_embeddings(H):
