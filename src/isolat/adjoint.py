@@ -15,13 +15,14 @@ from __future__ import annotations
 from collections import Counter
 
 from .catalog import (
+    TRIVIAL,
     CircleSub,
     ConcreteSubgroup,
     FullSub,
     OrthCircleSub,
+    canonical_rep,
     cyclic_group,
     in_plane_direction,
-    trivial_group,
 )
 from .rotation import (
     FiniteRotationGroup,
@@ -89,12 +90,12 @@ def _isotropy_on_ann(H: ConcreteSubgroup) -> tuple[ConcreteSubgroup, ...]:
         return (H,)
     if isinstance(H, CircleSub):
         # the circle rotates its orthogonal plane freely off the origin
-        return (trivial_group(), H)
+        return (canonical_rep(TRIVIAL), H)
     if isinstance(H, OrthCircleSub):
         # a nonzero covector in the plane is fixed exactly by the half turn
         # about its own line; the flip at phase 0 is the marked position
         return (cyclic_group(2, in_plane_direction(H.axis, 0.0)), H)
-    entries: list[FiniteRotationGroup] = [trivial_group()] if len(H) > 1 else []
+    entries: list[FiniteRotationGroup] = [canonical_rep(TRIVIAL)] if len(H) > 1 else []
     for _, k, axial in axis_line_orbits(H):
         # an axial group of order |H| is H itself (it lies inside H): it
         # merges with the origin class (cyclic H fixing its own axis)

@@ -145,12 +145,11 @@ def dihedral(n: int) -> ClassTag:
     return ClassTag("D", n)
 
 
-@lru_cache(maxsize=None)
 def tag_sort_key(t: ClassTag):
     """Total order: by group order, infinite kinds last, ties by kind then n.
 
-    Every lattice sorts its classes by it (poset.build_lattice), so it is
-    memoised; the cache holds one entry per catalog tag.
+    Every lattice sorts its classes by it (poset.build_lattice); a warm
+    command reads its lattices from stores and sorts nothing.
     """
     mo = t.min_order()
     rank = _KIND_RANK[t.kind]
@@ -162,13 +161,11 @@ def tag_sort_key(t: ClassTag):
 _INDEXED_TAG = re.compile(r"([CD])(0|[1-9][0-9]*)")
 
 
-@lru_cache(maxsize=None)
 def parse_tag(s: str) -> ClassTag:
     """Short-form parser: '1', 'C4', 'D6', 'T', 'O', 'I', 'SO2', 'O2', 'SO3'.
 
-    Memoised per text.  A refused text raises and is not stored, and every
-    catalog tag has exactly one accepted text (no leading zeros), so the
-    cache holds at most one entry per catalog tag.
+    Every catalog tag has exactly one accepted text (no leading zeros), and
+    the tag it returns is the interned one.
     """
     if s in ("1", "T", "O", "I", "SO2", "O2", "SO3"):
         return ClassTag(s)
@@ -239,12 +236,6 @@ def in_plane_direction(axis: Vec3, phase: float) -> Vec3:
         c * u[1] + s * v[1],
         c * u[2] + s * v[2],
     )
-
-
-@lru_cache(maxsize=None)
-def trivial_group() -> FiniteRotationGroup:
-    """The trivial subgroup, one shared instance (groups are immutable)."""
-    return FiniteRotationGroup.from_elements([])
 
 
 def cyclic_group(n: int, axis: Vec3 = _Z) -> FiniteRotationGroup:
@@ -387,9 +378,13 @@ def _octa_elements() -> list[Rotation]:
 
 @lru_cache(maxsize=None)
 def canonical_rep(t: ClassTag) -> ConcreteSubgroup:
-    """Fixed concrete representative of a class, oriented about the z axis."""
+    """Fixed concrete representative of a class, oriented about the z axis.
+
+    One shared instance per class (groups are immutable): canonical_rep(TRIVIAL)
+    is also the trivial group every intersection and isotropy rule returns.
+    """
     if t.kind == "1":
-        return trivial_group()
+        return FiniteRotationGroup.from_elements([])
     if t.kind == "C":
         return cyclic_group(t.n)
     if t.kind == "D":
@@ -479,8 +474,9 @@ def ann_classes(h: ClassTag) -> frozenset:
 
 
 def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
-    """True when some conjugate of a representative of a lies inside b's."""
-    return a is b or a in below(b)
+    """True when some conjugate of a representative of a lies inside b's; every
+    class lies in SO(3), so b = SO(3) reads no down-set."""
+    return a is b or b is FULL or a in below(b)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +660,7 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
             return small  # each element is one of other's own objects
         return small.where(lambda r: subgroup_contains(other, r))
     if isinstance(A, CircleSub) and isinstance(B, CircleSub):
-        return A if _same_line(A.axis, B.axis) else trivial_group()
+        return A if _same_line(A.axis, B.axis) else canonical_rep(TRIVIAL)
     if isinstance(A, OrthCircleSub) and isinstance(B, OrthCircleSub):
         if _same_line(A.axis, B.axis):
             return A
@@ -685,7 +681,7 @@ def intersect(A: ConcreteSubgroup, B: ConcreteSubgroup) -> ConcreteSubgroup:
         return CircleSub(circ.axis)
     if _perp(circ.axis, orth.axis):
         return cyclic_group(2, circ.axis)
-    return trivial_group()
+    return canonical_rep(TRIVIAL)
 
 
 def subgroup_equal(A: ConcreteSubgroup, B: ConcreteSubgroup) -> bool:
@@ -775,10 +771,8 @@ def embeddings_of_class_in(t: ClassTag, H2: ConcreteSubgroup):
     h2 = g_class_of(H2)
     if not is_subconjugate(t, h2):
         raise NotSubconjugate(f"{t.short()} is not subconjugate to {h2.short()}")
-    if isinstance(H2, FullSub):
+    if isinstance(H2, FullSub) or t.kind == "1":
         return [canonical_rep(t)]
-    if t.kind == "1":
-        return [trivial_group()]
     if isinstance(H2, CircleSub):
         if t.kind == "SO2":
             return [CircleSub(H2.axis)]

@@ -28,6 +28,7 @@ import random
 from .catalog import (
     CIRCLE,
     FULL,
+    TRIVIAL,
     CircleSub,
     ClassTag,
     ConcreteSubgroup,
@@ -37,7 +38,6 @@ from .catalog import (
     g_class_of,
     parse_tag,
     perp_frame,
-    trivial_group,
 )
 from .errors import NotTangent
 from .rotation import (
@@ -99,7 +99,7 @@ def _fixing(S: ConcreteSubgroup, p: Vec3) -> ConcreteSubgroup:
         return S
     if isinstance(S, CircleSub):
         # a circle fixes the points of its axis and moves every other one
-        return S if norm(cross(S.axis, p)) <= SAMPLE_TOL * n else trivial_group()
+        return S if norm(cross(S.axis, p)) <= SAMPLE_TOL * n else canonical_rep(TRIVIAL)
     if isinstance(S, FullSub):
         return CircleSub(p)
     tol = SAMPLE_TOL * max(1.0, n)

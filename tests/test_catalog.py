@@ -42,7 +42,6 @@ from isolat.catalog import (
     subgroup_equal,
     subgroups_of,
     tag_sort_key,
-    trivial_group,
 )
 from isolat.errors import NotSubconjugate, UnclassifiableGroup
 from isolat.poset import _down_sets, build_lattice
@@ -582,7 +581,7 @@ def test_a_position_that_fills_its_parent_is_the_parent():
 def test_trivial_embedding():
     embs = embeddings_of_class_in(TRIVIAL, canonical_rep(OCTA))
     assert len(embs) == 1
-    assert subgroup_equal(embs[0], trivial_group())
+    assert subgroup_equal(embs[0], canonical_rep(TRIVIAL))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +591,7 @@ def test_trivial_embedding():
 def test_principal_axis():
     assert principal_axis(canonical_rep(cyclic(6))) == (0.0, 0.0, 1.0)
     assert principal_axis(canonical_rep(dihedral(4))) == (0.0, 0.0, 1.0)
-    assert principal_axis(trivial_group()) == (0.0, 0.0, 0.0)
+    assert principal_axis(canonical_rep(TRIVIAL)) == (0.0, 0.0, 0.0)
 
 
 def test_cyclic_group_constructor_about_tilted_axis():

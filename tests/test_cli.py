@@ -958,6 +958,31 @@ def test_a_repeated_lift_and_requilibria_build_and_render_no_lattice(tmp_path, c
     assert first[0][0] == 0 and first[1][0] == 0
 
 
+def test_a_repeated_lift_and_requilibria_parse_sort_and_build_nothing(tmp_path, capsys, monkeypatch):
+    # why parse_tag and tag_sort_key keep no cache: after one lift and one
+    # requilibria of a spec, repeating both parses no tag, sorts no class and
+    # calls build_lattice nowhere, in every module that calls those functions
+    from isolat import cli, lift, momentum, poset
+
+    calls = []
+    for module in (cli, lift, momentum, poset):
+        for name in ("parse_tag", "build_lattice", "tag_sort_key"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                counting = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+                monkeypatch.setattr(module, name, counting)
+    path = write_spec(
+        tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "C3", "C6", "D6", "SO2", "O2", "SO3"]}
+    )
+    parse_spec.cache_clear()  # so the first round parses the text: the counts see each call
+    first = [run(capsys, "lift", path), run(capsys, "requilibria", path)]
+    assert set(calls) == {"parse_tag", "build_lattice", "tag_sort_key"}
+    calls.clear()
+    assert [run(capsys, "lift", path), run(capsys, "requilibria", path)] == first
+    assert calls == []
+    assert first[0][0] == 0 and first[1][0] == 0
+
+
 # ---------------------------------------------------------------------------
 # The per-text spec cache
 

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from isolat.catalog import (
     CIRCLE,
     FULL,
     ICOSA,
+    N_CAP,
     OCTA,
     ORTH_CIRCLE,
     TETRA,
@@ -22,7 +25,7 @@ from isolat.catalog import (
     parse_tag,
     subgroup_equal,
 )
-from isolat.errors import NotRealizableInG
+from isolat.errors import NoUniqueMinimum, NotRealizableInG
 from isolat.lift import (
     LiftWitness,
     ambient_class,
@@ -80,6 +83,43 @@ def test_base_classes_survive():
     b = lattice(["C3", "D3", "O2"])
     res = lifted_lattice(canonical_rep(FULL), b)
     assert set(b.classes) <= set(res.lifted.classes)
+
+
+def _lattice_or_none(classes):
+    try:
+        return build_lattice(classes)
+    except NoUniqueMinimum:
+        return None
+
+
+def test_the_lift_of_a_lift_is_the_lift_but_over_o2():
+    # every 1-3 class base over the small tags, and seeded draws of 1 and up
+    # to six other classes from the whole catalog; a class set without a
+    # unique minimum is no base
+    small = tags(["1", "T", "O", "I", "SO2", "O2", "SO3"])
+    small += [kind(n) for kind in (cyclic, dihedral) for n in range(2, 13)]
+    others = [TETRA, OCTA, ICOSA, CIRCLE, ORTH_CIRCLE, FULL]
+    others += [kind(n) for kind in (cyclic, dihedral) for n in range(2, N_CAP + 1)]
+    rng = random.Random(13)
+    draws = [[TRIVIAL, *rng.sample(others, rng.randint(1, 6))] for _ in range(3000)]
+    subsets = [c for r in (1, 2, 3) for c in itertools.combinations(small, r)]
+    bases = [b for b in map(_lattice_or_none, [*subsets, *draws]) if b is not None]
+    assert len(bases) > 4000
+    grown = {}
+    for base in bases:
+        once = lifted_classes(canonical_rep(FULL), base)
+        twice = lifted_classes(canonical_rep(FULL), once)
+        assert set(once.classes) <= set(twice.classes)
+        if twice.classes != once.classes:
+            grown[frozenset(base.classes)] = set(twice.classes) - set(once.classes)
+    # the lift of O(2) adds its flip C2, and on T(TM) that flip acts on so(3)
+    # by a half turn, so it fixes no generic tangent vector: a second lift of
+    # {O2} or {O2, SO3} adds 1.  {SO3} lifts to itself, and every other base
+    # holds a class whose lift holds 1 already
+    assert grown == {
+        frozenset([ORTH_CIRCLE]): {TRIVIAL},
+        frozenset([ORTH_CIRCLE, FULL]): {TRIVIAL},
+    }
 
 
 def test_circle_fast_path():

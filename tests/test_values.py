@@ -17,6 +17,7 @@ import pytest
 
 from isolat.catalog import (
     FULL,
+    TRIVIAL,
     ClassTag,
     CircleSub,
     FullSub,
@@ -24,7 +25,6 @@ from isolat.catalog import (
     canonical_rep,
     cyclic,
     parse_tag,
-    trivial_group,
 )
 from isolat.cli import ProblemSpec
 from isolat.lift import LiftResult, LiftWitness
@@ -162,8 +162,8 @@ def test_finite_groups_keep_their_own_equality_and_caches():
 
 
 def test_trivial_group_is_one_shared_instance():
-    assert trivial_group() is trivial_group()
-    assert trivial_group() == FiniteRotationGroup.from_elements([])
+    assert canonical_rep(TRIVIAL) is canonical_rep(TRIVIAL)
+    assert canonical_rep(TRIVIAL) == FiniteRotationGroup.from_elements([])
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +227,8 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import isolat.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
         # the per-tag tables are built on first use, never at import
-        "from isolat import catalog, lift, poset; print([f.__name__ for f in (catalog.below, "
-        "catalog.ann_classes, catalog.tag_sort_key, catalog.parse_tag, lift._within, "
-        "poset._lattice) if f.cache_info().currsize])"
+        "from isolat import catalog, poset; print([f.__name__ for f in (catalog.below, "
+        "catalog.ann_classes, catalog.canonical_rep, poset._lattice) if f.cache_info().currsize])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
