@@ -6,9 +6,9 @@ cyclic C_n and dihedral D_n families, the three exceptional rotation groups
 extension O(2), and SO(3) itself.  A ConcreteSubgroup is a FiniteRotationGroup,
 CircleSub, OrthCircleSub or FullSub, with the geometry to intersect exactly.
 
-The subconjugation partial order on tags is one table of per-tag down-sets
-(below), and the lift's rule one table of per-tag class sets (ann_classes);
-is_subconjugate and the lattice layers read them.  No numbering of the tags
+The subconjugation partial order on tags is one closed-form predicate
+(is_subconjugate), and the lift's rule one table of per-tag class sets
+(ann_classes); the lattice layers read them.  No numbering of the tags
 is kept here: a lattice numbers its own classes (poset.py).  Everything
 geometric (classification, canonical representatives, subgroup enumeration,
 intersections, embeddings) lives here too so that the lattice layers never
@@ -416,42 +416,33 @@ _EXC_CYCLIC = {"T": (2, 3), "O": (2, 3, 4), "I": (2, 3, 5)}
 _EXC_DIHEDRAL = {"T": (2,), "O": (2, 3, 4), "I": (2, 3, 5)}
 
 
-@lru_cache(maxsize=None)
-def below(b: ClassTag) -> frozenset:
-    """The classes a != b subconjugate to b.
+def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
+    """True when some conjugate of a representative of a lies inside b's.
 
-    This table is the subconjugation order; is_subconjugate and the lattice
-    layer read it.  C_n and D_n take the divisors of n (and C2, the half
-    turns of every D_n); T, O and I take fixed lists; O(2) and SO(3) extend
-    the class before them.  Every class sorts before b in tag_sort_key
-    (tag_sort_key grows along every strict pair); the lattice layer relies
-    on it, so it is checked here.  The cache holds one entry per catalog tag.
+    The subconjugation order in closed form (Golubitsky-Stewart-Schaeffer
+    II, ch. XIII): C_d and D_d lie in C_n and D_n when d divides n, and C2
+    in every D_n; T, O and I hold the classes of _EXC_CYCLIC and
+    _EXC_DIHEDRAL, and T lies in O and I; SO(2) holds every C_n, O(2) every
+    C_n, every D_n and SO(2), and SO(3) every class.  The lattice layer
+    relies on tag_sort_key growing along every strict pair, which a tier-1
+    test checks on every pair of catalog tags.
     """
-    if b.kind == "1":
-        down = []
-    elif b.kind in ("C", "D"):
-        divisors = [d for d in range(2, b.n) if b.n % d == 0]
-        down = [TRIVIAL, *map(cyclic, divisors)]
-        if b.kind == "D":
-            down += [cyclic(2), cyclic(b.n), *map(dihedral, divisors)]
-    elif b.kind in _EXC_CYCLIC:
-        down = [TRIVIAL, *map(cyclic, _EXC_CYCLIC[b.kind]), *map(dihedral, _EXC_DIHEDRAL[b.kind])]
-        if b.kind != "T":
-            down.append(TETRA)
-    elif b.kind == "SO2":
-        down = [TRIVIAL, *map(cyclic, range(2, N_CAP + 1))]
-    elif b.kind == "O2":
-        down = [CIRCLE, *map(dihedral, range(2, N_CAP + 1))]
-    else:
-        down = [ORTH_CIRCLE, TETRA, OCTA, ICOSA]
-    if b.kind in ("O2", "SO3"):
-        down += below(down[0])  # down[0]: the class extended
-    a = max(down, key=tag_sort_key, default=None)  # the last in tag_sort_key
-    if a is not None and tag_sort_key(a) >= tag_sort_key(b):
-        raise ValueError(
-            f"{a.short()} is put below {b.short()} but does not sort before it in tag_sort_key"
-        )
-    return frozenset(down)
+    if a is b or b is FULL:
+        return True
+    ka, kb = a.kind, b.kind
+    if ka == "1" or kb == "O2":  # 1 lies in every class, O(2) holds 1, C_n, D_n and SO(2)
+        return ka in ("1", "C", "D", "SO2")
+    if kb == "SO2":
+        return ka == "C"
+    if ka == "C":
+        if kb in ("C", "D"):
+            return b.n % a.n == 0 or (kb == "D" and a.n == 2)
+        return a.n in _EXC_CYCLIC.get(kb, ())
+    if ka == "D":
+        if kb == "D":
+            return b.n % a.n == 0
+        return a.n in _EXC_DIHEDRAL.get(kb, ())
+    return ka == "T" and kb in ("O", "I")
 
 
 @lru_cache(maxsize=None)
@@ -471,12 +462,6 @@ def ann_classes(h: ClassTag) -> frozenset:
     if h.kind == "D":
         return frozenset([h, TRIVIAL, cyclic(2), cyclic(h.n)])
     return frozenset([h, TRIVIAL, *map(cyclic, _EXC_CYCLIC.get(h.kind, ()))])
-
-
-def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
-    """True when some conjugate of a representative of a lies inside b's; every
-    class lies in SO(3), so b = SO(3) reads no down-set."""
-    return a is b or b is FULL or a in below(b)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +590,7 @@ def subgroups_of(F: FiniteRotationGroup) -> tuple[FiniteRotationGroup, ...]:
         raise ValueError(
             f"subgroup enumeration is limited to order {SUBGROUPS_ORDER_CAP}"
         )
-    return stored(F, "_subgroups", _enumerate_subgroups)
+    return _enumerate_subgroups(F)
 
 
 # ---------------------------------------------------------------------------

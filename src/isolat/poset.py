@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .catalog import ClassTag, below, tag_sort_key
+from .catalog import ClassTag, is_subconjugate, tag_sort_key
 from .errors import ClassNotInLattice, NoUniqueMinimum
 from .rotation import Value
 
@@ -14,11 +14,11 @@ class IsotropyLattice(Value):
 
     hasse holds the covering pairs (i, j) of indices, sorted; unique_min
     records whether a single minimum exists.  less, the strict pairs (i, j)
-    with classes[i] < classes[j], is derived on first read and stored on the
-    instance, so it takes no part in equality or hashing.  build_lattice
-    hands back one instance per class set, so data derived from a lattice
-    alone (less, the lifted lattice and witnesses of a lift, the cli's JSON
-    text) is derived once per class set and process.
+    with classes[i] < classes[j], is closed from hasse on first read and
+    stored on the instance, so it takes no part in equality or hashing.
+    build_lattice hands back one instance per class set, so data derived
+    from a lattice alone (less, the lifted lattice and witnesses of a lift,
+    the cli's JSON text) is derived once per class set and process.
     """
 
     classes: tuple[ClassTag, ...]
@@ -27,8 +27,12 @@ class IsotropyLattice(Value):
 
     @cached_property
     def less(self) -> frozenset:
-        at = {t: i for i, t in enumerate(self.classes)}
-        return frozenset((at[a], at[t]) for t in self.classes for a in below(t).intersection(at))
+        """The strict pairs, closed from the sorted covers as compute_depths
+        walks them: every cover into i comes before any cover out of i."""
+        under = [0] * len(self.classes)
+        for i, j in self.hasse:
+            under[j] |= under[i] | 1 << i
+        return frozenset((i, j) for j, m in enumerate(under) for i in range(j) if m >> i & 1)
 
     def index_of(self, t: ClassTag) -> int:
         try:
@@ -38,21 +42,16 @@ class IsotropyLattice(Value):
 
 
 def _down_sets(classes: tuple) -> list[int]:
-    """Each class's down-set within classes, as bits of the indices below it.
+    """Each class's down-set within classes, as bits of the indices under it.
 
     The bits are local to this class tuple: bit i of down[j] is set when
-    classes[i] is strictly below classes[j].  classes is sorted by
-    tag_sort_key, which grows along every strict pair, so every bit of
-    down[j] lies below j.
+    classes[i] is strictly subconjugate to classes[j].  classes is sorted by
+    tag_sort_key, which grows along every strict pair, so only i < j is asked.
     """
-    at = {t: i for i, t in enumerate(classes)}
-    down = []
-    for t in classes:
-        m = 0
-        for a in below(t).intersection(at):
-            m |= 1 << at[a]
-        down.append(m)
-    return down
+    return [
+        sum(1 << i for i in range(j) if is_subconjugate(classes[i], t))
+        for j, t in enumerate(classes)
+    ]
 
 
 def build_lattice(classes, require_unique_min: bool = True) -> IsotropyLattice:

@@ -31,21 +31,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def fresh_subgroups():
-    """No subgroups_of enumeration stored on the T, O and I representatives,
-    before the test and after it (the enumeration is stored on its parent)."""
-    from isolat.catalog import ICOSA, OCTA, TETRA, canonical_rep
-
-    def drop():
-        for t in (TETRA, OCTA, ICOSA):
-            canonical_rep(t).__dict__.pop("_subgroups", None)
-
-    drop()
-    yield
-    drop()
-
-
-@pytest.fixture
 def fresh_lattices():
     """No shared lattice, nor what is stored on one (the SO(3) lift's lifted
     lattice and witness tuple, the cli's text), carried into the test or out

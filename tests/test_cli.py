@@ -162,6 +162,10 @@ def test_schema_errors(doc, path):
             {"group": {"kind": "circle"}, "base_lattice": ["SO2"], "action": "SO3_on_R3"},
             "action",
         ),
+        (
+            {"group": {"kind": "SO3"}, "base_lattice": ["C2", "SO3"], "order": [["C2", "X9"]]},
+            "order[0]",
+        ),
     ],
 )
 def test_validation_errors(doc, path):
@@ -544,6 +548,16 @@ def test_a_deeply_nested_spec_is_a_schema_error(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_NEST)
     assert deep_nest_error("lift", str(deep)) == {
+        "code": "schema", "path": "", "message": "input is nested too deeply to parse"
+    }
+
+
+def test_a_deeply_nested_spec_is_a_schema_error_in_process(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_NEST)
+    code, out, err = run(capsys, "lift", str(deep))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
         "code": "schema", "path": "", "message": "input is nested too deeply to parse"
     }
 

@@ -270,7 +270,7 @@ def test_witness_check_refuses_an_orth_circle_ambient():
     "names", [["1", "T"], ["1", "O"], ["1", "I"], ["1", "C2", "D2", "T", "O", "I", "SO3"]],
     ids=",".join,
 )
-def test_warm_witness_check_looks_up_no_element(names, monkeypatch, fresh_subgroups, fresh_lattices):
+def test_warm_witness_check_looks_up_no_element(names, monkeypatch, fresh_lattices):
     # every witness pair of a lift meets by object identity, T, O and I too
     # (fresh_lattices: no witness tuple stored on a shared base lattice)
     lift._diagonal_witnesses.cache_clear()
@@ -378,18 +378,20 @@ def test_witness_check_rebuilds_ann_once_per_h2(monkeypatch):
 
 
 def _d4_tampered_results():
-    """A passing SO(3) lift of {D4, SO3}, two other passing results and five
-    tampered copies of it.
+    """A passing SO(3) lift of {1, C3, D4, SO3}, two other passing results
+    and six tampered copies of it.
 
     The lift's k_rep is an entry of ann(D4) itself, and the recheck finds it
     by identity: the "k" tamper names another entry's class for that object.
-    An equal copy of the entry takes the recheck's comparison by value.
+    An equal copy of the entry takes the recheck's comparison by value.  C3
+    and D4 are incomparable: the "h1" tamper is a witness of C3 inside D4,
+    whole in every other respect.
     """
     from isolat.adjoint import axis_line_orbits
     from isolat.catalog import cyclic_group
     from isolat.rotation import apply, canon_direction, line_key
 
-    b = lattice(["D4", "SO3"])
+    b = lattice(["1", "C3", "D4", "SO3"])
     res = lifted_lattice(canonical_rep(FULL), b)
     ws = list(res.witnesses)
     i = next(n for n, w in enumerate(ws) if w.lifted_class == cyclic(2))
@@ -416,12 +418,16 @@ def _d4_tampered_results():
     # classes witnessed stay the lattice's: only the entry's own class is off
     k = next(g_class_of(K) for K in entries if g_class_of(K) is not w.k)
     extra = replaced(w, lifted_class=k, k=k)
+    # a C3 embedding meets the D4 entry of ann(D4) in the trivial group
+    origin = next(K for K in entries if g_class_of(K) is dihedral(4))
+    outside = LiftWitness(TRIVIAL, cyclic(3), dihedral(4), dihedral(4), canonical_rep(cyclic(3)), origin)
     tampered = {
         "lifted_class": swap(lifted_class=cyclic(4)),
         "k_rep": swap(k_rep=cyclic_group(2, moved)),
         "embedding": swap(embedding=canonical_rep(cyclic(4))),
         "dropped": replaced(res, witnesses=tuple(ws[:i] + ws[i + 1:])),
         "k": replaced(res, witnesses=res.witnesses + (extra,)),
+        "h1": replaced(res, witnesses=res.witnesses + (outside,)),
     }
     # the other C2 orbit's representative is a genuine entry of ann(D4)
     other = next(

@@ -227,7 +227,7 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import isolat.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
         # the per-tag tables are built on first use, never at import
-        "from isolat import catalog, poset; print([f.__name__ for f in (catalog.below, "
+        "from isolat import catalog, poset; print([f.__name__ for f in ("
         "catalog.ann_classes, catalog.canonical_rep, poset._lattice) if f.cache_info().currsize])"
     )
     out = subprocess.run(
