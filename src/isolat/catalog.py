@@ -277,16 +277,33 @@ def classify_finite(F: FiniteRotationGroup) -> ClassTag:
     """Conjugacy class of a finite rotation group.
 
     The multiset of rotation-axis lines separates the finite subgroups of
-    SO(3) completely, so classification only inspects that.
+    SO(3) completely, so classification only inspects that.  The class is
+    the one g_class_of reads: stored on F as "_class_tag" by the same
+    builder, so F is classified once, whichever of the two asks first.
     """
     return stored(F, "_class_tag", _classify)
 
 
-def _classify(F: FiniteRotationGroup) -> ClassTag:
-    n = len(F)
+def g_class_of(S: ConcreteSubgroup) -> ClassTag:
+    """Conjugacy class of a concrete subgroup of any type.
+
+    One stored read: the class is kept on S as "_class_tag", built once by
+    _classify, the builder classify_finite shares.
+    """
+    return stored(S, "_class_tag", _classify)
+
+
+def _classify(S: ConcreteSubgroup) -> ClassTag:
+    if isinstance(S, CircleSub):
+        return CIRCLE
+    if isinstance(S, OrthCircleSub):
+        return ORTH_CIRCLE
+    if isinstance(S, FullSub):
+        return FULL
+    n = len(S)  # a finite group
     if n == 1:
         return TRIVIAL
-    lines = axis_lines(F)
+    lines = axis_lines(S)
     if len(lines) == 1:
         d, k = lines[0]
         if k != n:
@@ -329,16 +346,6 @@ def _mutually_perp(dirs: list[Vec3]) -> bool:
             if abs(dot(dirs[i], dirs[j])) > CLASSIFY_PERP_TOL:
                 return False
     return True
-
-
-def g_class_of(S: ConcreteSubgroup) -> ClassTag:
-    if isinstance(S, FiniteRotationGroup):
-        return classify_finite(S)
-    if isinstance(S, CircleSub):
-        return CIRCLE
-    if isinstance(S, OrthCircleSub):
-        return ORTH_CIRCLE
-    return FULL
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ the operands (_plain_args), so the two routes give equal namespaces.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 from functools import lru_cache
 
@@ -422,12 +424,30 @@ def adjoint_to_json(t: ClassTag, H: ConcreteSubgroup) -> dict:
 # Commands
 
 
+# Bytes asked of each os.read of a spec file: a typical spec comes whole in
+# one read, and a larger file takes more, until a read returns nothing.
+_READ_SIZE = 65536
+
+
 def _read_spec_file(path: str) -> str:
     """The file's text and error messages as text mode gives them (UTF-8,
-    universal newlines), from one bytes read and decode."""
+    universal newlines), from raw reads of the file's bytes and one decode.
+
+    The bytes come from os.read on a descriptor of its own, without the
+    buffered-IO objects open() builds.  os.open accepts a directory, so one
+    is refused with the IsADirectoryError that open() raises.
+    """
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
         return text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read spec file: {e}", "specfile") from None
@@ -513,7 +533,7 @@ def _cmd_lift(a: argparse.Namespace) -> int:
         return 3
     if a.dot is not None:
         _write_dot(a.dot, result.lifted)
-    members = [_member("bundle", "T*M" if a.cotangent else "TM"), _lattice_text(result.lifted)]
+    members = ['"bundle": "T*M"' if a.cotangent else '"bundle": "TM"', _lattice_text(result.lifted)]
     parts = [_document(members)]
     if not a.no_witnesses:
         # reopen the object (cut its "\n}") and print the witness list as joined:

@@ -18,7 +18,8 @@ group; lifted_lattice adds a witness (h, h, K) per class, one path for
 every ambient.  On the diagonal the position E of h in H2 is
 H2 = canonical_rep(h) itself, so no position is searched for (over SO(3),
 T, O and I still take an enumerated twin, see _diagonal_witnesses); the
-witnesses depend on h and the rule alone and are built once per tag.  The
+witnesses depend on h and the rule alone and are built once per tag, and
+the LiftResult holding them is stored on the base, one per rule.  The
 cotangent lift and relative equilibria (momentum.py) realize the same
 lattice.
 """
@@ -103,7 +104,7 @@ def _table(so3: bool, base: IsotropyLattice) -> frozenset:
 def lifted_classes(G: ConcreteSubgroup, base: IsotropyLattice) -> IsotropyLattice:
     """The lifted lattice from the rule table alone: no group is built.
 
-    Over SO(3) the lattice is stored on the base, as its witnesses are;
+    Over SO(3) the lattice is stored on the base, as the lift's result is;
     elsewhere it is the base's own class set.
     """
     if _validate_realizable(G, base) is not FULL:
@@ -116,14 +117,17 @@ def lifted_lattice(G: ConcreteSubgroup, base: IsotropyLattice) -> LiftResult:
 
     The lattice comes from lifted_classes; each class's witness is the first
     diagonal witness with that label, over the base classes in depth order.
+    The result depends on the base and the rule alone, so it is stored on
+    the base, one per rule, and every lift of that base under that rule
+    returns the same LiftResult.  Realizability in G is checked on every
+    call.
     """
-    lifted = lifted_classes(G, base)
-    so3 = ambient_class(G) is FULL
-    key = "_so3_witnesses" if so3 else "_own_witnesses"  # build_lattice shares a base
-    return LiftResult(lifted, stored(base, key, lambda b: _witnesses(b, lifted, so3)))
+    so3 = _validate_realizable(G, base) is FULL
+    key = "_so3_result" if so3 else "_own_result"  # build_lattice shares a base
+    return stored(base, key, lambda b: _result(b, lifted_classes(G, b), so3))
 
 
-def _witnesses(base: IsotropyLattice, lifted: IsotropyLattice, so3: bool) -> tuple[LiftWitness, ...]:
+def _result(base: IsotropyLattice, lifted: IsotropyLattice, so3: bool) -> LiftResult:
     depths = compute_depths(base)
     found: dict[ClassTag, LiftWitness] = {}
     for h in sorted(base.classes, key=depths.__getitem__):  # stable: ties keep classes' order
@@ -131,7 +135,8 @@ def _witnesses(base: IsotropyLattice, lifted: IsotropyLattice, so3: bool) -> tup
             found.setdefault(w.lifted_class, w)
     # a table class without a witness, or a witnessed class the table lacks
     # (listed last), fails lift_witness_check
-    return tuple(found.pop(t) for t in lifted.classes if t in found) + tuple(found.values())
+    witnesses = tuple(found.pop(t) for t in lifted.classes if t in found) + tuple(found.values())
+    return LiftResult(lifted, witnesses)
 
 
 @lru_cache(maxsize=None)
@@ -172,32 +177,36 @@ def lift_witness_check(G: ConcreteSubgroup, base: IsotropyLattice, result: LiftR
     class is read; a k_rep that is no entry object (an equal copy, say) takes
     the scan for an entry of class k equal to it (subgroup_equal).  When
     intersect returns that entry object itself, the meet's class is k, already
-    checked; any other meet is classified.  An O(2) ambient raises
-    ValueError, as in lifted_lattice.
+    checked; any other meet is classified.  Each witness field is read once,
+    and tags, which are interned, are compared by identity.  An O(2) ambient
+    raises ValueError, as in lifted_lattice.
     """
     amb = ambient_class(G)  # refuses an O(2) ambient
     entries = _entries(amb is FULL)
     base_classes = set(base.classes)
     witnessed = set()
     for w in result.witnesses:
-        if w.h1 not in base_classes or w.h2 not in base_classes:
+        h1, h2, k, k_rep, E, lifted_class = w.h1, w.h2, w.k, w.k_rep, w.embedding, w.lifted_class
+        if h1 not in base_classes or h2 not in base_classes:
             return False
-        if not is_subconjugate(w.h1, w.h2):
+        if not is_subconjugate(h1, h2):
             return False
-        ks = entries(canonical_rep(w.h2))
-        if any(K is w.k_rep for K in ks):
-            if g_class_of(w.k_rep) is not w.k:
-                return False
-            known = w.k_rep  # an entry of class k
-        elif any(g_class_of(K) is w.k and subgroup_equal(K, w.k_rep) for K in ks):
-            known = None
+        ks = entries(canonical_rep(h2))
+        for K in ks:
+            if K is k_rep:
+                if g_class_of(k_rep) is not k:
+                    return False
+                known = k_rep  # an entry of class k
+                break
         else:
+            if not any(g_class_of(K) is k and subgroup_equal(K, k_rep) for K in ks):
+                return False
+            known = None
+        if g_class_of(E) is not h1:
             return False
-        if g_class_of(w.embedding) != w.h1:
+        meet = intersect(E, k_rep)
+        if (k if meet is known else g_class_of(meet)) is not lifted_class:
             return False
-        meet = intersect(w.embedding, w.k_rep)
-        if (w.k if meet is known else g_class_of(meet)) != w.lifted_class:
-            return False
-        witnessed.add(w.lifted_class)
+        witnessed.add(lifted_class)
     # the table is recomputed, not read from the lattice stored on base
     return witnessed == set(result.lifted.classes) == _table(amb is FULL, base)

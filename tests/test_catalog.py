@@ -175,6 +175,34 @@ def test_classify_finite_stores_its_tag_per_instance(monkeypatch):
     assert scans == [A, B]
 
 
+def _unclassified_copy(S):
+    """An equal new instance of S's type that holds no stored data."""
+    if isinstance(S, FiniteRotationGroup):
+        return FiniteRotationGroup.from_elements(S.elements)
+    return FullSub() if isinstance(S, FullSub) else type(S)(S.axis)
+
+
+def test_g_class_of_and_classify_finite_read_one_stored_class(monkeypatch):
+    builds = []
+    real = catalog._classify
+    monkeypatch.setattr(catalog, "_classify", lambda S: builds.append(S) or real(S))
+    tags = _catalog_tags()
+    reps = [canonical_rep(t) for t in tags]
+    assert [g_class_of(H) for H in reps] == tags
+    groups = reps + [K for H in reps for K in isotropy_on_ann(H)]
+    assert {type(S) for S in groups} == {FiniteRotationGroup, CircleSub, OrthCircleSub, FullSub}
+    for i, S in enumerate(groups):
+        assert g_class_of(S) is classify_finite(S)
+        # a new group read through both is classified once, under one key,
+        # whichever function reads it first
+        fresh = _unclassified_copy(S)
+        first, second = (g_class_of, classify_finite) if i % 2 else (classify_finite, g_class_of)
+        builds.clear()
+        assert first(fresh) is second(fresh) is g_class_of(S)
+        assert builds == [fresh]
+        assert [key for key in vars(fresh) if "class" in key] == ["_class_tag"]
+
+
 def test_classify_rejects_non_groups():
     # two rotations about the same axis with inconsistent orders
     els = [

@@ -14,6 +14,8 @@ from isolat.cli import (
     lattice_to_json,
     parse_spec,
     run_command,
+    _READ_SIZE,
+    _read_spec_file,
 )
 from isolat.errors import GroupTooLarge, NoUniqueMinimum, SchemaError, ValidationError
 from isolat.catalog import CIRCLE, FULL, N_CAP, canonical_rep, is_subconjugate, parse_tag
@@ -342,6 +344,15 @@ def test_a_spec_file_that_is_not_utf8_names_the_specfile(tmp_path, capsys):
 
 
 SPEC_BYTES = json.dumps(SO3_SPEC, indent=2).encode()
+
+
+def _symlink_to(tmp_path):
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path, target_is_directory=True)
+    return str(link)
+
+
+# file contents, or a function of tmp_path giving a path that is no file
 READ_CASES = {
     "crlf": SPEC_BYTES.replace(b"\n", b"\r\n"),
     "lone cr": SPEC_BYTES.replace(b"\n", b"\r"),
@@ -352,16 +363,20 @@ READ_CASES = {
     "invalid byte far in": b" " * 100_000 + b"\r\n\xc3(" + SPEC_BYTES,
     "cut sequence": SPEC_BYTES + b"\xe2\x82",
     "empty": b"",
-    "directory": None,
+    # the read loop's boundaries: _READ_SIZE bytes are asked of each read
+    "read size": SPEC_BYTES.ljust(_READ_SIZE),
+    "read size and one": SPEC_BYTES.ljust(_READ_SIZE + 1),
+    "sequence across reads": b" " * (_READ_SIZE - 1) + b"\xe2\x82\x83" + SPEC_BYTES,
+    "crlf across reads": b" " * (_READ_SIZE - 1) + b"\r\n" + SPEC_BYTES,
+    "directory": str,
+    "symlink to a directory": _symlink_to,
 }
 
 
 @pytest.mark.parametrize("case", READ_CASES)
 def test_a_spec_file_reads_as_in_text_mode(tmp_path, capsys, case):
-    from isolat.cli import _read_spec_file
-
-    if READ_CASES[case] is None:
-        path = str(tmp_path)
+    if callable(READ_CASES[case]):
+        path = READ_CASES[case](tmp_path)
     else:
         path = str(tmp_path / "spec.json")
         Path(path).write_bytes(READ_CASES[case])

@@ -487,3 +487,35 @@ def test_tampered_witnesses_fail_after_a_warm_lift_of_their_base():
     assert lift_witness_check(canonical_rep(FULL), b, warm)
     for name, bad in tampered.items():
         assert not lift_witness_check(canonical_rep(FULL), b, bad), name
+
+
+@pytest.mark.parametrize("ambient", [FULL, CIRCLE, dihedral(4)], ids=lambda t: t.short())
+def test_a_repeated_lift_returns_the_stored_result(ambient):
+    G, b = canonical_rep(ambient), lattice(["1", "C2", "C4"])
+    first = lifted_lattice(G, b)
+    assert lifted_lattice(G, b) is first
+    # a tampered copy fails, on every call, and leaves the stored result as it was
+    ws = first.witnesses
+    tampered = {
+        "dropped": replaced(first, witnesses=ws[1:]),
+        "class": replaced(first, witnesses=(replaced(ws[0], lifted_class=cyclic(4)),) + ws[1:]),
+    }
+    for _ in range(2):
+        assert lift_witness_check(G, b, first)
+        for name, bad in tampered.items():
+            assert not lift_witness_check(G, b, bad), name
+    assert lifted_lattice(G, b) is first and first.witnesses is ws
+
+
+def test_the_stored_results_are_one_per_rule_and_realizability_is_checked_on_every_call():
+    b = lattice(["1", "C4", "D4"])
+    so3, d4, octa = (canonical_rep(t) for t in (FULL, dihedral(4), OCTA))
+    over_so3, over_d4 = lifted_lattice(so3, b), lifted_lattice(d4, b)
+    assert shorts(over_so3.lifted) == ["1", "C2", "C4", "D4"]
+    assert shorts(over_d4.lifted) == ["1", "C4", "D4"]
+    # every finite G (and the circle) takes the rule that gives the base back
+    assert lifted_lattice(octa, b) is over_d4
+    for ambient in (CIRCLE, TETRA):
+        with pytest.raises(NotRealizableInG):
+            lifted_lattice(canonical_rep(ambient), b)
+    assert lifted_lattice(so3, b) is over_so3 and lifted_lattice(d4, b) is over_d4
