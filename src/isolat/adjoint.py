@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 
 from .catalog import (
-    TRIVIAL,
     CircleSub,
     ConcreteSubgroup,
     FullSub,
@@ -24,14 +23,8 @@ from .catalog import (
     cyclic_group,
     in_plane_direction,
 )
-from .rotation import (
-    FiniteRotationGroup,
-    Vec3,
-    apply,
-    canon_direction,
-    line_key,
-    stored,
-)
+from .rotation import FiniteRotationGroup, Vec3, apply, canon_direction, line_key
+from .tags import TRIVIAL, stored
 
 
 def axis_line_orbits(F: FiniteRotationGroup) -> tuple[tuple[Vec3, int, FiniteRotationGroup], ...]:

@@ -1,24 +1,16 @@
-"""Catalog of closed subgroups of SO(3) up to conjugacy.
+"""Geometry of the closed subgroups of SO(3), class by class.
 
-Conjugacy classes are named by a ClassTag with nine kinds: the trivial group,
-cyclic C_n and dihedral D_n families, the three exceptional rotation groups
-(tetrahedral, octahedral, icosahedral), the circle SO(2), the half-turn
-extension O(2), and SO(3) itself.  A ConcreteSubgroup is a FiniteRotationGroup,
-CircleSub, OrthCircleSub or FullSub, with the geometry to intersect exactly.
-
-The subconjugation partial order on tags is one closed-form predicate
-(is_subconjugate), and the lift's rule one table of per-tag class sets
-(ann_classes); the lattice layers read them.  No numbering of the tags
-is kept here: a lattice numbers its own classes (poset.py).  Everything
-geometric (classification, canonical representatives, subgroup enumeration,
-intersections, embeddings) lives here too so that the lattice layers never
+A ConcreteSubgroup is a FiniteRotationGroup, CircleSub, OrthCircleSub or
+FullSub, with the geometry to intersect exactly.  Its class is a tag of the
+exact class layer (tags.py), which reads no float.  Everything geometric
+(classification, canonical representatives, subgroup enumeration,
+intersections, embeddings) lives here so that the lattice layers never
 touch raw quaternions.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from functools import lru_cache
 
 from .errors import GroupTooLarge, NotSubconjugate, UnclassifiableGroup
@@ -27,7 +19,6 @@ from .rotation import (
     TOLERANCE,
     FiniteRotationGroup,
     Rotation,
-    Value,
     Vec3,
     axis_angle_of,
     canon_direction,
@@ -37,14 +28,24 @@ from .rotation import (
     dot,
     line_key,
     normalize,
-    stored,
 )
-
-# Largest n admitted for C_n and D_n tags.
-N_CAP = 100
-
-_KINDS = ("1", "C", "D", "T", "O", "I", "SO2", "O2", "SO3")
-_KIND_RANK = {k: i for i, k in enumerate(_KINDS)}
+from .tags import (
+    CIRCLE,
+    FULL,
+    ICOSA,
+    N_CAP,
+    OCTA,
+    ORTH_CIRCLE,
+    TETRA,
+    TRIVIAL,
+    ClassTag,
+    Value,
+    cyclic,
+    dihedral,
+    is_subconjugate,
+    stored,
+    tag_sort_key,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -64,119 +65,6 @@ CLASSIFY_PERP_TOL = 1e-7
 # perp_frame starts from the x axis unless x lies this close to the given
 # axis; any cut-off well above roundoff keeps the frame well conditioned.
 FRAME_PIVOT_MIN = 1e-6
-
-
-class ClassTag(Value):
-    """Conjugacy class of a closed subgroup of SO(3), interned: one instance per (kind, n)."""
-
-    kind: str
-    n: int | None = None
-    _interned = {}  # keyed on type(n) too, or 2.0 would find C2
-
-    def __new__(cls, kind: str, n: int | None = None):
-        key = (kind, n.__class__, n)
-        tag = cls._interned.get(key)
-        if tag is None:
-            tag = super().__new__(cls)
-            Value.__init__(tag, kind, n)
-            tag = cls._interned.setdefault(key, tag)
-        return tag
-
-    __init__ = object.__init__  # __new__ built the instance
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __reduce__(self):
-        return ClassTag, (self.kind, self.n)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown subgroup kind {self.kind!r}")
-        if self.kind in ("C", "D"):
-            if not isinstance(self.n, int) or isinstance(self.n, bool):
-                raise ValueError(f"{self.kind} tag needs an integer index")
-            if self.n < 2 or self.n > N_CAP:
-                raise ValueError(f"{self.kind} index must lie in 2..{N_CAP}, got {self.n}")
-        elif self.n is not None:
-            raise ValueError(f"{self.kind} tag takes no index")
-
-    def display(self) -> str:
-        if self.kind in ("C", "D"):
-            return f"{self.kind}{self.n}"
-        return {"1": "1", "T": "T", "O": "O", "I": "I",
-                "SO2": "SO(2)", "O2": "O(2)", "SO3": "SO(3)"}[self.kind]
-
-    def short(self) -> str:
-        if self.kind in ("C", "D"):
-            return f"{self.kind}{self.n}"
-        return self.kind
-
-    def min_order(self) -> int | None:
-        """Group order for finite kinds, None for the continuous ones."""
-        if self.kind == "1":
-            return 1
-        if self.kind == "C":
-            return self.n
-        if self.kind == "D":
-            return 2 * self.n
-        if self.kind == "T":
-            return 12
-        if self.kind == "O":
-            return 24
-        if self.kind == "I":
-            return 60
-        return None
-
-
-TRIVIAL = ClassTag("1")
-TETRA = ClassTag("T")
-OCTA = ClassTag("O")
-ICOSA = ClassTag("I")
-CIRCLE = ClassTag("SO2")
-ORTH_CIRCLE = ClassTag("O2")
-FULL = ClassTag("SO3")
-
-
-def cyclic(n: int) -> ClassTag:
-    return ClassTag("C", n)
-
-
-def dihedral(n: int) -> ClassTag:
-    return ClassTag("D", n)
-
-
-def tag_sort_key(t: ClassTag):
-    """Total order: by group order, infinite kinds last, ties by kind then n.
-
-    Every lattice sorts its classes by it (poset.build_lattice); a warm
-    command reads its lattices from stores and sorts nothing.
-    """
-    mo = t.min_order()
-    rank = _KIND_RANK[t.kind]
-    return (mo if mo is not None else 10**6 + rank, rank, t.n or 0)
-
-
-# An indexed tag: C or D, then an index in ASCII decimal without leading zeros
-# ([0-9] matches no other script's digits, unlike str.isdigit).
-_INDEXED_TAG = re.compile(r"([CD])(0|[1-9][0-9]*)")
-
-
-def parse_tag(s: str) -> ClassTag:
-    """Short-form parser: '1', 'C4', 'D6', 'T', 'O', 'I', 'SO2', 'O2', 'SO3'.
-
-    Every catalog tag has exactly one accepted text (no leading zeros), and
-    the tag it returns is the interned one.
-    """
-    if s in ("1", "T", "O", "I", "SO2", "O2", "SO3"):
-        return ClassTag(s)
-    m = _INDEXED_TAG.fullmatch(s)
-    if m is None:
-        raise ValueError(f"cannot parse class tag {s!r}")
-    kind, digits = m.groups()
-    if len(digits) > len(str(N_CAP)):
-        # past N_CAP, and int() refuses strings of thousands of digits
-        raise ValueError(f"{kind} index must lie in 2..{N_CAP}, got {digits}")
-    return ClassTag(kind, int(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -412,63 +300,6 @@ def canonical_rep(t: ClassTag) -> ConcreteSubgroup:
     if t.kind == "O2":
         return OrthCircleSub(_Z)
     return FullSub()
-
-
-# ---------------------------------------------------------------------------
-# Subconjugation partial order on tags
-
-# Indices of the cyclic and dihedral subgroup classes of T, O and I
-# (Golubitsky-Stewart-Schaeffer II, ch. XIII).
-_EXC_CYCLIC = {"T": (2, 3), "O": (2, 3, 4), "I": (2, 3, 5)}
-_EXC_DIHEDRAL = {"T": (2,), "O": (2, 3, 4), "I": (2, 3, 5)}
-
-
-def is_subconjugate(a: ClassTag, b: ClassTag) -> bool:
-    """True when some conjugate of a representative of a lies inside b's.
-
-    The subconjugation order in closed form (Golubitsky-Stewart-Schaeffer
-    II, ch. XIII): C_d and D_d lie in C_n and D_n when d divides n, and C2
-    in every D_n; T, O and I hold the classes of _EXC_CYCLIC and
-    _EXC_DIHEDRAL, and T lies in O and I; SO(2) holds every C_n, O(2) every
-    C_n, every D_n and SO(2), and SO(3) every class.  The lattice layer
-    relies on tag_sort_key growing along every strict pair, which a tier-1
-    test checks on every pair of catalog tags.
-    """
-    if a is b or b is FULL:
-        return True
-    ka, kb = a.kind, b.kind
-    if ka == "1" or kb == "O2":  # 1 lies in every class, O(2) holds 1, C_n, D_n and SO(2)
-        return ka in ("1", "C", "D", "SO2")
-    if kb == "SO2":
-        return ka == "C"
-    if ka == "C":
-        if kb in ("C", "D"):
-            return b.n % a.n == 0 or (kb == "D" and a.n == 2)
-        return a.n in _EXC_CYCLIC.get(kb, ())
-    if ka == "D":
-        if kb == "D":
-            return b.n % a.n == 0
-        return a.n in _EXC_DIHEDRAL.get(kb, ())
-    return ka == "T" and kb in ("O", "I")
-
-
-@lru_cache(maxsize=None)
-def ann_classes(h: ClassTag) -> frozenset:
-    """The isotropy classes of h on the annihilator of its algebra.
-
-    The rule table of the lift, by kind alone: h itself (the origin) and the
-    trivial class, plus C2 and Cn for Dn, the axial classes of T, O and I;
-    O(2) takes C2 in place of the trivial class, SO(3) only itself.  It reads
-    no geometry; tests/test_diagonal_lift.py checks it against isotropy_on_ann
-    on every catalog tag.  The cache holds one entry per catalog tag.
-    """
-    if h.kind == "SO3":
-        return frozenset([h])
-    if h.kind == "O2":
-        return frozenset([h, cyclic(2)])
-    if h.kind == "D":
-        return frozenset([h, TRIVIAL, cyclic(2), cyclic(h.n)])
-    return frozenset([h, TRIVIAL, *map(cyclic, _EXC_CYCLIC.get(h.kind, ()))])
 
 
 # ---------------------------------------------------------------------------

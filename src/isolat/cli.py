@@ -40,19 +40,12 @@ from functools import lru_cache
 
 from .adjoint import isotropy_on_ann
 from .catalog import (
-    CIRCLE,
-    FULL,
-    N_CAP,
     CircleSub,
-    ClassTag,
     ConcreteSubgroup,
     FullSub,
     OrthCircleSub,
     canonical_rep,
     g_class_of,
-    is_subconjugate,
-    parse_tag,
-    tag_sort_key,
 )
 from .errors import (
     ClassNotInLattice,
@@ -76,13 +69,22 @@ from .oracle import DEFAULT_SAMPLES, ConcreteAction, empirical_lattices, make_ac
 from .poset import IsotropyLattice, build_lattice, up_set
 from .rotation import (
     FiniteRotationGroup,
-    Value,
     close_group,
     is_finite_number,
     rotation_from_json,
     rotation_to_json,
     round12,
+)
+from .tags import (
+    CIRCLE,
+    FULL,
+    N_CAP,
+    ClassTag,
+    Value,
+    is_subconjugate,
+    parse_tag,
     stored,
+    tag_sort_key,
 )
 
 _USAGE = """usage: isolat COMMAND ...

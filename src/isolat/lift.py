@@ -12,7 +12,7 @@ depends on the ambient (_entries): SO(3) moves the annihilator
 (isotropy_on_ann); a finite G has zero algebra and the circle is abelian,
 so there the one entry is H itself and the lift gives the base back.  The
 classes follow from h's class and the ambient's alone (over SO(3) the rule
-table catalog.ann_classes), so lifted_classes takes the union of the
+table ann_classes), so lifted_classes takes the union of the
 table's class sets over the base classes, as a set of tags, and builds no
 group; lifted_lattice adds a witness (h, h, K) per class, one path for
 every ambient.  On the diagonal the position E of h in H2 is
@@ -30,22 +30,18 @@ from functools import lru_cache
 
 from .adjoint import isotropy_on_ann
 from .catalog import (
-    FULL,
-    ClassTag,
     ConcreteSubgroup,
     FullSub,
     OrthCircleSub,
-    ann_classes,
     canonical_rep,
     embeddings_of_class_in,
     g_class_of,
     intersect,
-    is_subconjugate,
     subgroup_equal,
 )
 from .errors import NotRealizableInG
 from .poset import IsotropyLattice, build_lattice, compute_depths
-from .rotation import Value, stored
+from .tags import FULL, TRIVIAL, ClassTag, Value, cyclic, is_subconjugate, stored
 
 # bench/tracing.py reads the SO(3) ambient's type under this name
 SO3Ambient = FullSub
@@ -87,6 +83,27 @@ def _validate_realizable(G: ConcreteSubgroup, base: IsotropyLattice) -> ClassTag
         if not is_subconjugate(t, amb):
             raise NotRealizableInG(f"{t.short()} is not a subgroup class of the ambient {amb.short()}")
     return amb
+
+
+@lru_cache(maxsize=None)
+def ann_classes(h: ClassTag) -> frozenset:
+    """The isotropy classes of h on the annihilator of its algebra.
+
+    The rule table of the lift, by kind alone: h itself (the origin) and the
+    trivial class, plus C2 and Cn for Dn, the axial classes of T, O and I
+    (their cyclic subgroup classes, orders 2 to 5); O(2) takes C2 in place
+    of the trivial class, SO(3) only itself.  It reads no geometry;
+    tests/test_diagonal_lift.py checks it against isotropy_on_ann on every
+    catalog tag.  The cache holds one entry per catalog tag.
+    """
+    if h.kind == "SO3":
+        return frozenset([h])
+    if h.kind == "O2":
+        return frozenset([h, cyclic(2)])
+    if h.kind == "D":
+        return frozenset([h, TRIVIAL, cyclic(2), cyclic(h.n)])
+    axial = map(cyclic, range(2, 6)) if h.kind in ("T", "O", "I") else ()
+    return frozenset([h, TRIVIAL, *(c for c in axial if is_subconjugate(c, h))])
 
 
 def _entries(so3: bool):

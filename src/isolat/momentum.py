@@ -18,11 +18,12 @@ from the rule table, with no witness and no group built.
 
 from __future__ import annotations
 
-from .catalog import CIRCLE, ConcreteSubgroup
+from .catalog import ConcreteSubgroup
 from .errors import NotTotallyIsotropic
 from .lift import _validate_realizable, ambient_class, lifted_classes
 from .poset import IsotropyLattice, build_lattice
 from .rotation import TOLERANCE, Vec3, dot
+from .tags import CIRCLE
 
 
 def _as_vec3(mu) -> Vec3:

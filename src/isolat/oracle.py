@@ -2,11 +2,11 @@
 
 These compute isotropy classes directly from points and tangent vectors of
 explicit G-spaces, with no reference to the lattice machinery, so that the
-two sides can be compared: from the package they import only catalog (the
-concrete subgroups, classify_finite and the canonical representatives),
-errors and rotation.  An action is an ambient G, the canonical
-representative of its class, rotating a space: R3, the unit sphere S2 or
-the plane R2 (z = 0).  Supported actions:
+two sides can be compared: from the package they import only tags, catalog
+(the concrete subgroups, g_class_of and the canonical representatives),
+errors and rotation, never the lift's rule table.  An action is an ambient
+G, the canonical representative of its class, rotating a space: R3, the
+unit sphere S2 or the plane R2 (z = 0).  Supported actions:
 
   SO3_on_R3         rotations of R^3
   SO3_on_S2         rotations of the unit sphere
@@ -26,32 +26,17 @@ from __future__ import annotations
 import random
 
 from .catalog import (
-    CIRCLE,
-    FULL,
-    TRIVIAL,
     CircleSub,
-    ClassTag,
     ConcreteSubgroup,
     FullSub,
     axis_lines,
     canonical_rep,
     g_class_of,
-    parse_tag,
     perp_frame,
 )
 from .errors import NotTangent
-from .rotation import (
-    TOLERANCE,
-    FiniteRotationGroup,
-    Value,
-    Vec3,
-    apply,
-    cross,
-    dot,
-    norm,
-    normalize,
-    vsub,
-)
+from .rotation import TOLERANCE, FiniteRotationGroup, Vec3, apply, cross, dot, norm, normalize, vsub
+from .tags import CIRCLE, FULL, TRIVIAL, ClassTag, Value, parse_tag
 
 # Slack of the sample tests (fixed, tangent, parallel, zero momentum): fixing moves x by ulps.
 SAMPLE_TOL = 1e-8

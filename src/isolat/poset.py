@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .catalog import ClassTag, is_subconjugate, tag_sort_key
 from .errors import ClassNotInLattice, NoUniqueMinimum
-from .rotation import Value
+from .tags import ClassTag, Value, is_subconjugate, tag_sort_key
 
 
 class IsotropyLattice(Value):

@@ -2,9 +2,9 @@
 
 A rotation is stored as a unit quaternion [w, x, y, z] in a canonical sign:
 the first component whose magnitude exceeds the tolerance is positive, so q
-and -q collapse to a single representation.  All types here are immutable and
-every operation is a pure function, so values can be shared freely across
-threads.
+and -q collapse to a single representation.  All types here are immutable
+records on tags.Value and every operation is a pure function, so values can
+be shared freely across threads.
 
 The tolerance tau is the fixed constant TOLERANCE = 1e-9.
 """
@@ -15,15 +15,16 @@ import math
 from functools import cached_property, lru_cache
 
 from .errors import GroupTooLarge
+from .tags import Value, stored
 
 Vec3 = tuple[float, float, float]
 
 TOLERANCE = 1e-9
 
-# Cap on multiplicative closures.  The largest catalog group that has to fit
-# is Dihedral(100) with 200 elements.
+# Cap on multiplicative closures, and so on element orders (an element of
+# order k generates k distinct elements).  The largest catalog group that
+# has to fit is Dihedral(100) with 200 elements.
 CLOSURE_CAP = 240
-ORDER_CAP = 240
 
 # Digits kept by the rounded-coordinate lookups that dedupe group elements and
 # axis lines.  Catalog groups keep pairwise quaternion distances far above
@@ -83,77 +84,6 @@ def canon_direction(v: Vec3) -> Vec3:
 def line_key(d: Vec3) -> tuple[float, float, float]:
     """Rounded lookup key of a canonical direction, shared by all axis lines."""
     return tuple(round(c, _KEY_DIGITS) for c in d)
-
-
-class Value:
-    """Immutable record of the fields its subclass annotates, in that order.
-
-    Built from the fields by position or keyword (class attributes are the
-    defaults), then __post_init__ may canonicalize them through __dict__.
-    Derived data is kept there too, through stored or a cached_property.
-    Values of one class with equal fields are equal and hash alike.
-    Assignment and deletion raise AttributeError.
-    """
-
-    _fields = ()  # the field names, set per subclass
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(cls.__annotations__)
-
-    def __init__(self, *args, **kwargs):
-        cls, d = type(self), self.__dict__
-        d.update(zip(cls._fields, args))
-        for name in cls._fields[len(args):]:
-            if name in kwargs:
-                d[name] = kwargs.pop(name)
-            elif hasattr(cls, name):
-                d[name] = getattr(cls, name)
-            else:
-                raise TypeError(f"{cls.__name__} needs field {name!r}")
-        if kwargs or len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self._values()!r}"
-
-
-def stored(owner: object, key: str, build):
-    """owner.__dict__[key], built as build(owner) on first read.
-
-    The one way data derived from an immutable instance (a rotation, a group,
-    a lattice, a witness) is kept, other than a class's own cached_property:
-    the value is stored on that instance and read back from it.  Nothing is
-    shared between instances, not even equal ones: two equal groups may hold
-    other element objects, and two equal witnesses other float bits, so each
-    instance derives its own.  This is safe because the instance cannot
-    change, so the value cannot go stale, and stored data takes no part in
-    equality or hashing.  build must not return None.
-    """
-    value = owner.__dict__.get(key)
-    if value is None:
-        value = owner.__dict__[key] = build(owner)
-    return value
 
 
 class Rotation(Value):
@@ -264,7 +194,7 @@ class AxisAngle(Value):
 
     For a half turn the axis sign is free and is canonicalized; for smaller
     angles the axis direction is determined by the rotation itself.  order is
-    the smallest k with rotation^k = identity, or None when no k <= ORDER_CAP
+    the smallest k with rotation^k = identity, or None when no k <= CLOSURE_CAP
     works (an "infinite" order within the resolution of the tolerance).
     """
 
@@ -276,11 +206,11 @@ class AxisAngle(Value):
 @lru_cache(maxsize=4096)
 def _order_of_angle(angle: float) -> int | None:
     # Memoised on the angle float: catalog groups repeat a few hundred
-    # distinct angles, each otherwise rescanned up to ORDER_CAP steps.  A
+    # distinct angles, each otherwise rescanned up to CLOSURE_CAP steps.  A
     # nearest-rational test (Fraction.limit_denominator) gives the same
     # orders but costs about twice the scan, so the scan stays.
     turns = angle / (2.0 * math.pi)
-    for k in range(1, ORDER_CAP + 1):
+    for k in range(1, CLOSURE_CAP + 1):
         f = k * turns
         if abs(f - round(f)) <= TOLERANCE * k and round(f) >= 1:
             return k

@@ -13,6 +13,17 @@ import random
 import pytest
 
 from isolat.catalog import (
+    CircleSub,
+    OrthCircleSub,
+    canonical_rep,
+    cyclic_group,
+    dihedral_group,
+    embeddings_of_class_in,
+    g_class_of,
+    intersect,
+    subgroups_of,
+)
+from isolat.tags import (
     CIRCLE,
     FULL,
     ICOSA,
@@ -20,19 +31,10 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
-    CircleSub,
-    OrthCircleSub,
-    canonical_rep,
     cyclic,
-    cyclic_group,
     dihedral,
-    dihedral_group,
-    embeddings_of_class_in,
-    g_class_of,
-    intersect,
     is_subconjugate,
     parse_tag,
-    subgroups_of,
 )
 from isolat.adjoint import isotropy_on_ann
 from isolat.cli import lattice_to_json, run_command, witness_to_json

@@ -4,6 +4,16 @@ import pytest
 
 from isolat.adjoint import axis_line_orbits, isotropy_on_ann
 from isolat.catalog import (
+    CircleSub,
+    FullSub,
+    OrthCircleSub,
+    axis_lines,
+    canonical_rep,
+    g_class_of,
+    in_plane_direction,
+    subgroup_equal,
+)
+from isolat.tags import (
     CIRCLE,
     FULL,
     ICOSA,
@@ -11,17 +21,9 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
-    CircleSub,
-    FullSub,
-    OrthCircleSub,
-    axis_lines,
-    canonical_rep,
     cyclic,
     dihedral,
-    g_class_of,
-    in_plane_direction,
     parse_tag,
-    subgroup_equal,
 )
 from isolat.cli import adjoint_to_json
 from isolat.rotation import (

@@ -12,6 +12,23 @@ import pytest
 from isolat import catalog
 from isolat.adjoint import isotropy_on_ann
 from isolat.catalog import (
+    CircleSub,
+    FullSub,
+    OrthCircleSub,
+    canonical_rep,
+    classify_finite,
+    cyclic_group,
+    dihedral_group,
+    embeddings_of_class_in,
+    g_class_of,
+    in_plane_direction,
+    intersect,
+    principal_axis,
+    subgroup_contains,
+    subgroup_equal,
+    subgroups_of,
+)
+from isolat.tags import (
     CIRCLE,
     FULL,
     ICOSA,
@@ -20,26 +37,11 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
-    CircleSub,
     ClassTag,
-    FullSub,
-    OrthCircleSub,
-    canonical_rep,
-    classify_finite,
     cyclic,
-    cyclic_group,
     dihedral,
-    dihedral_group,
-    embeddings_of_class_in,
-    g_class_of,
-    in_plane_direction,
-    intersect,
     is_subconjugate,
     parse_tag,
-    principal_axis,
-    subgroup_contains,
-    subgroup_equal,
-    subgroups_of,
     tag_sort_key,
 )
 from isolat.errors import NotSubconjugate, UnclassifiableGroup

@@ -18,7 +18,8 @@ from isolat.cli import (
     _read_spec_file,
 )
 from isolat.errors import GroupTooLarge, NoUniqueMinimum, SchemaError, ValidationError
-from isolat.catalog import CIRCLE, FULL, N_CAP, canonical_rep, is_subconjugate, parse_tag
+from isolat.catalog import canonical_rep
+from isolat.tags import CIRCLE, FULL, N_CAP, is_subconjugate, parse_tag
 from isolat.poset import build_lattice
 from isolat.rotation import FiniteRotationGroup
 
@@ -893,7 +894,8 @@ def test_rule_table_and_witnesses_disagreeing_is_a_witness_check_error(
     # the recheck must still recompute the table from the tampered rule.
     import isolat.lift as lift_module
     from isolat import poset
-    from isolat.catalog import ann_classes, cyclic, dihedral
+    from isolat.lift import ann_classes
+    from isolat.tags import cyclic, dihedral
     from isolat.cli import parse_spec
 
     moved = {cyclic(7) if change == "add" else cyclic(4)}
@@ -970,7 +972,7 @@ def test_a_repeated_lift_and_requilibria_build_and_render_no_lattice(tmp_path, c
     # a lattice's text nor a witness's is rendered again
     # (nor is the spec text decoded again: its ProblemSpec is kept)
     from isolat import poset
-    from isolat.catalog import ClassTag
+    from isolat.tags import ClassTag
 
     path = write_spec(
         tmp_path, {"group": {"kind": "SO3"}, "base_lattice": ["1", "C3", "D6", "SO2", "O2", "SO3"]}

@@ -24,6 +24,14 @@ from hypothesis import strategies as st
 
 from isolat.adjoint import isotropy_on_ann
 from isolat.catalog import (
+    canonical_rep,
+    embeddings_of_class_in,
+    g_class_of,
+    intersect,
+    subgroup_equal,
+)
+from isolat.lift import ann_classes
+from isolat.tags import (
     CIRCLE,
     FULL,
     ICOSA,
@@ -32,16 +40,10 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
-    ann_classes,
-    canonical_rep,
     cyclic,
     dihedral,
-    embeddings_of_class_in,
-    g_class_of,
-    intersect,
     is_subconjugate,
     parse_tag,
-    subgroup_equal,
     tag_sort_key,
 )
 from isolat.cli import lattice_to_json, witness_to_json
@@ -141,7 +143,7 @@ def test_self_embedding_is_the_canonical_rep_as_a_set():
 COLD_LIFT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from isolat import catalog, lift
+from isolat import catalog, lift, tags
 from isolat.cli import run_command
 
 calls = []
@@ -159,7 +161,7 @@ with open(sys.argv[2], "w") as fh:
     json.dump({"group": {"kind": "SO3"}, "base_lattice": sys.argv[3:]}, fh)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = run_command(["lift", sys.argv[2]])
-witnesses = [w for t in sys.argv[3:] for w in lift._diagonal_witnesses(catalog.parse_tag(t), True)]
+witnesses = [w for t in sys.argv[3:] for w in lift._diagonal_witnesses(tags.parse_tag(t), True)]
 print(json.dumps({
     "code": code,
     "calls": calls,

@@ -1,13 +1,15 @@
-"""Every name a module of isolat imports is used in that module, every
-private module-level name it defines is read somewhere in the package, and
-importing a module loads only the isolat modules it imports.
+"""Every name a module of isolat imports is used in that module and is
+defined by the module it is imported from, every private module-level name
+it defines is read somewhere in the package, and importing a module loads
+only the isolat modules it imports.
 
 Stdlib ast scans: the names bound by import statements against the names
-the module reads, and the module-level _names each module defines
-(functions, classes and assignments) against the names and attributes read
-anywhere in isolat.  Fresh interpreters report which isolat modules an
-import loads: the package's __init__.py imports none, so each module pulls
-in only its own imports.
+the module reads and against the top-level definitions of the module named,
+and the module-level _names each module defines (functions, classes and
+assignments) against the names and attributes read anywhere in isolat.
+Fresh interpreters report which isolat modules an import loads: the
+package's __init__.py imports none, so each module pulls in only its own
+imports.
 """
 
 import ast
@@ -43,8 +45,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source: str) -> list[str]:
-    """Module-level _names (not __dunders__) bound by def, class or assignment."""
+def definitions(source: str) -> list[str]:
+    """Module-level names bound by def, class or assignment, not by import."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -52,7 +54,60 @@ def private_definitions(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level _names (not __dunders__) bound by def, class or assignment."""
+    return [n for n in definitions(source) if n.startswith("_") and not n.startswith("__")]
+
+
+DEFINED = {p.stem: set(definitions(p.read_text(encoding="utf-8"))) for p in MODULES}
+
+
+def reexported_imports(source: str, relative: bool) -> list[str]:
+    """Imported names their module does not define: "module.name:line" for each.
+
+    An import is from .X (relative) or from isolat.X (not relative), X a
+    module of isolat; anywhere in the source, a function body included.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if relative and node.level == 1 and node.module:
+            module = node.module
+        elif not relative and node.level == 0 and (node.module or "").startswith("isolat."):
+            module = node.module[len("isolat."):]
+        else:
+            continue
+        found += [
+            f"{module}.{a.name}:{node.lineno}" for a in node.names if a.name not in DEFINED[module]
+        ]
+    return found
+
+
+def test_the_scan_sees_a_name_read_through_another_module():
+    src = (
+        "from .tags import FULL, ClassTag\nfrom .catalog import FULL, intersect\n"
+        "from isolat.rotation import Value\nfrom . import catalog\n"
+        "def f():\n    from .rotation import stored, Rotation\n"
+    )
+    assert reexported_imports(src, relative=True) == ["catalog.FULL:2", "rotation.stored:6"]
+    assert reexported_imports(src, relative=False) == ["rotation.Value:3"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_package_imports_each_name_from_its_home(path):
+    # no module re-exports another's names (README, "Library")
+    assert reexported_imports(path.read_text(encoding="utf-8"), relative=True) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_the_tests_import_each_name_from_its_home(path):
+    assert reexported_imports(path.read_text(encoding="utf-8"), relative=False) == []
 
 
 def names_read(sources) -> set[str]:
@@ -101,10 +156,21 @@ def package_imports(source: str) -> set[str]:
 
 
 def test_the_oracle_imports_no_lattice_engine_module():
-    # the oracle checks the engine, so it shares only the catalog of subgroups
-    # with it: no lift, adjoint, poset or momentum code
+    # the oracle checks the engine, so it shares only the tags and the catalog
+    # of subgroups with it: no lift, adjoint, poset or momentum code
     source = (SRC / "oracle.py").read_text(encoding="utf-8")
-    assert package_imports(source) == {"catalog", "errors", "rotation"}
+    assert package_imports(source) == {"catalog", "errors", "rotation", "tags"}
+
+
+def test_the_class_layer_imports_nothing_and_reads_no_float():
+    source = (SRC / "tags.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imports = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imports += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert sorted(imports) == ["__future__", "re"]
+    floats = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float]
+    assert floats == []
+    assert "float" not in names_read([source])
 
 
 def modules_loaded_by(statement: str) -> set[str]:
@@ -126,8 +192,21 @@ def test_importing_the_package_loads_no_module():
 
 def test_importing_the_oracle_loads_no_lattice_engine_module():
     # the run-time side of the ast test above: the package init adds nothing
-    assert modules_loaded_by("import isolat.oracle") == {
-        "isolat.oracle", "isolat.catalog", "isolat.errors", "isolat.rotation"
+    loaded = modules_loaded_by("import isolat.oracle")
+    assert loaded == {
+        "isolat.oracle", "isolat.catalog", "isolat.errors", "isolat.rotation", "isolat.tags"
+    }
+    # nor the lift's rule table, which the oracle is checked against
+    assert not any("ann_classes" in DEFINED[m[len("isolat."):]] for m in loaded)
+
+
+def test_importing_the_class_layer_loads_no_other_module():
+    assert modules_loaded_by("import isolat.tags") == {"isolat.tags"}
+
+
+def test_importing_the_lattices_loads_no_geometry():
+    assert modules_loaded_by("import isolat.poset") == {
+        "isolat.errors", "isolat.poset", "isolat.tags"
     }
 
 
@@ -179,7 +258,7 @@ def test_the_scan_sees_a_hand_rolled_store():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_stored_reads_a_dict_for_stored_data(path):
-    # derived data is kept through rotation.stored or a cached_property
+    # derived data is kept through tags.stored or a cached_property
     assert dict_reads(path.read_text(encoding="utf-8")) == []
 
 
@@ -245,7 +324,7 @@ def test_the_scan_sees_a_hand_written_store():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_stored_writes_a_dict_for_derived_data(path):
-    # derived data is kept through rotation.stored or a cached_property
+    # derived data is kept through tags.stored or a cached_property
     assert dict_writes(path.read_text(encoding="utf-8")) == []
 
 
@@ -331,7 +410,7 @@ def test_the_scan_sees_the_bit_layout():
     assert bit_layout_uses(src) == ["_lattice:1", "<<:4", "<<:5", "_down_sets:6"]
 
 
-@pytest.mark.parametrize("name", ["catalog.py", "lift.py", "momentum.py", "cli.py"])
+@pytest.mark.parametrize("name", ["tags.py", "catalog.py", "lift.py", "momentum.py", "cli.py"])
 def test_the_bit_layout_stays_inside_poset(name):
     # class sets are sets everywhere but poset, whose lattices keep their
     # down-sets as bits over their own classes

@@ -7,6 +7,14 @@ import pytest
 from isolat import adjoint, catalog, lift, rotation
 from isolat.adjoint import isotropy_on_ann
 from isolat.catalog import (
+    CircleSub,
+    FullSub,
+    OrthCircleSub,
+    canonical_rep,
+    g_class_of,
+    subgroup_equal,
+)
+from isolat.tags import (
     CIRCLE,
     FULL,
     ICOSA,
@@ -15,15 +23,9 @@ from isolat.catalog import (
     ORTH_CIRCLE,
     TETRA,
     TRIVIAL,
-    CircleSub,
-    FullSub,
-    OrthCircleSub,
-    canonical_rep,
     cyclic,
     dihedral,
-    g_class_of,
     parse_tag,
-    subgroup_equal,
 )
 from isolat.errors import NoUniqueMinimum, NotRealizableInG
 from isolat.lift import (

@@ -15,16 +15,8 @@ import pytest
 
 import isolat.cli
 from isolat import poset
-from isolat.catalog import (
-    CIRCLE,
-    FULL,
-    ICOSA,
-    OCTA,
-    TETRA,
-    canonical_rep,
-    is_subconjugate,
-    parse_tag,
-)
+from isolat.catalog import canonical_rep
+from isolat.tags import CIRCLE, FULL, ICOSA, OCTA, TETRA, is_subconjugate, parse_tag
 from isolat.cli import (
     _document,
     _group_text,

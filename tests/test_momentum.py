@@ -1,6 +1,7 @@
 import pytest
 
-from isolat.catalog import CIRCLE, FULL, ORTH_CIRCLE, TETRA, canonical_rep, parse_tag
+from isolat.catalog import canonical_rep
+from isolat.tags import CIRCLE, FULL, ORTH_CIRCLE, TETRA, parse_tag
 from isolat.errors import ClassNotInLattice, NotRealizableInG, NotTotallyIsotropic
 from isolat.lift import lifted_lattice
 from isolat.momentum import mu_lattice, relative_equilibria_lattice, zero_level_lattice

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from isolat import oracle
-from isolat.catalog import CIRCLE, FULL, CircleSub, FullSub, canonical_rep, g_class_of, parse_tag
+from isolat.catalog import CircleSub, FullSub, canonical_rep, g_class_of
+from isolat.tags import CIRCLE, FULL, parse_tag
 from isolat.errors import NotTangent
 from isolat.rotation import FiniteRotationGroup, apply, cross, norm, normalize, vsub
 from isolat.oracle import (

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from isolat.catalog import (
+from isolat.tags import (
     CIRCLE,
     FULL,
     ICOSA,
@@ -154,7 +154,7 @@ def test_full_is_unique_maximum():
 
 def _old_build_lattice(tags_in):
     """The former triple-loop Hasse reduction, kept here as a reference."""
-    from isolat.catalog import is_subconjugate, tag_sort_key
+    from isolat.tags import is_subconjugate, tag_sort_key
 
     ts = sorted(set(tags_in), key=tag_sort_key)
     n = len(ts)

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isolat.catalog import ICOSA, N_CAP, OCTA, TETRA, TRIVIAL, canonical_rep, cyclic, dihedral
+from isolat.catalog import canonical_rep
 from isolat.errors import GroupTooLarge
 from isolat.rotation import (
     _KEY_DIGITS,
     CLOSURE_CAP,
-    ORDER_CAP,
     TOLERANCE,
     FiniteRotationGroup,
     Rotation,
@@ -27,6 +26,7 @@ from isolat.rotation import (
     rotation_from_json,
     rotation_to_json,
 )
+from isolat.tags import ICOSA, N_CAP, OCTA, TETRA, TRIVIAL, cyclic, dihedral
 
 
 def rodrigues(axis, angle):
@@ -342,9 +342,9 @@ def test_compose_preserves_angles_between_vectors(qa, qb):
 
 
 def _order_by_scan(angle):
-    """The un-memoised ORDER_CAP-step scan of _order_of_angle."""
+    """The un-memoised CLOSURE_CAP-step scan of _order_of_angle."""
     turns = angle / (2.0 * math.pi)
-    for k in range(1, ORDER_CAP + 1):
+    for k in range(1, CLOSURE_CAP + 1):
         f = k * turns
         if abs(f - round(f)) <= TOLERANCE * k and round(f) >= 1:
             return k
@@ -356,7 +356,7 @@ def test_memoised_order_matches_the_scan():
     # axis_angle_of only produces angles in (0, pi]
     rational = {
         2.0 * math.pi * p / n
-        for n in range(2, ORDER_CAP + 1)
+        for n in range(2, CLOSURE_CAP + 1)
         for p in range(1, n // 2 + 1)
         if math.gcd(p, n) == 1
     }

@@ -1,6 +1,6 @@
 """The immutable value types of isolat and the interned class tags.
 
-Every record type is a plain class on rotation.Value: built from its fields,
+Every record type is a plain class on tags.Value: built from its fields,
 compared and hashed by them within one class, and frozen.  ClassTag is
 interned, so tags compare by identity.
 """
@@ -15,17 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from isolat.catalog import (
-    FULL,
-    TRIVIAL,
-    ClassTag,
-    CircleSub,
-    FullSub,
-    OrthCircleSub,
-    canonical_rep,
-    cyclic,
-    parse_tag,
-)
+from isolat.catalog import CircleSub, FullSub, OrthCircleSub, canonical_rep
+from isolat.tags import FULL, TRIVIAL, ClassTag, cyclic, parse_tag
 from isolat.cli import ProblemSpec
 from isolat.lift import LiftResult, LiftWitness
 from isolat.oracle import ConcreteAction
@@ -227,8 +218,8 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import isolat.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
         # the per-tag tables are built on first use, never at import
-        "from isolat import catalog, poset; print([f.__name__ for f in ("
-        "catalog.ann_classes, catalog.canonical_rep, poset._lattice) if f.cache_info().currsize])"
+        "from isolat import catalog, lift, poset; print([f.__name__ for f in ("
+        "lift.ann_classes, catalog.canonical_rep, poset._lattice) if f.cache_info().currsize])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
